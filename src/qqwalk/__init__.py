@@ -25,6 +25,7 @@ from .errors import (
     DegenerateABError,
     DegenerateError,
     DomainError,
+    NormDriftError,
     NotNormalizedError,
     NotUnitaryError,
     QQWalkError,

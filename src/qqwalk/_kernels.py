@@ -1,83 +1,18 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Numpy loops behind the reference steppers and the path enumeration.
 
-The walk evolution loops and the brute-force path enumeration dominate the
-runtime of the test suite.  Each kernel exists twice: a numba ``@njit``
-version and a pure-numpy fallback.  Selection is driven by the
-``QQWALK_BACKEND`` environment variable (``"numba"`` or ``"numpy"``); when
-unset, numba is used if it imports.  ``benchmarks/bench_backends.py``
-compares the two paths.
+`evolve_c4_numpy` steps the 4-component complex amplitudes site by site
+and records the norm after every step; `walk.evolve(..., with_norms=True)`
+runs on it, and the tests use it as the stepping reference for the
+momentum-space propagator in `walk`.  `xi_brute_numpy` enumerates every
+time-ordered product of l left and m right moves, the independent oracle
+for the closed-form path sums in `exact`.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 import numpy as np
-
-ENV_VAR = "QQWALK_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but
-    HAVE_NUMBA = False  # the numpy path keeps the package importable without it.
-
-
-def active_backend() -> str:
-    """Resolve the backend name from the environment."""
-    value = os.environ.get(ENV_VAR, "").strip().lower()
-    if value == "numpy":
-        return "numpy"
-    if value == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
-        return "numba"
-    if value:
-        raise RuntimeError(f"unrecognized {ENV_VAR} value {value!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def use_numba() -> bool:
-    return active_backend() == "numba"
-
-
-# ---------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------
-
-def _qmul_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    p0, p1, p2, p3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    q0, q1, q2, q3 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    return np.stack([
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-    ], axis=-1)
-
-
-def step_quat_numpy(cur: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """One update of quaternion amplitudes: (N, 2, 4) -> (N + 1, 2, 4)."""
-    n = cur.shape[0]
-    nxt = np.zeros((n + 1, 2, 4))
-    a, b = coin[0, 0], coin[0, 1]
-    c, d = coin[1, 0], coin[1, 1]
-    nxt[:n, 0] = _qmul_np(a[None, :], cur[:, 0]) + _qmul_np(b[None, :], cur[:, 1])
-    nxt[1:, 1] = _qmul_np(c[None, :], cur[:, 0]) + _qmul_np(d[None, :], cur[:, 1])
-    return nxt
-
-
-def evolve_quat_numpy(psi0: np.ndarray, coin: np.ndarray,
-                      steps: int) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.zeros(steps + 1)
-    cur = psi0.copy()
-    norms[0] = float(np.sum(cur * cur))
-    for s in range(steps):
-        cur = step_quat_numpy(cur, coin)
-        norms[s + 1] = float(np.sum(cur * cur))
-    return cur, norms
 
 
 def step_c4_numpy(cur: np.ndarray, chi_p: np.ndarray, chi_q: np.ndarray) -> np.ndarray:
@@ -118,154 +53,3 @@ def xi_brute_numpy(p4: np.ndarray, q4: np.ndarray, l: int, m: int) -> tuple[np.n
         total += prod
         count += 1
     return total, count
-
-
-# ---------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(inline="always")
-    def _qmul4(p0, p1, p2, p3, q0, q1, q2, q3):
-        return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-                p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-                p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-                p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
-
-    @njit(cache=True)
-    def evolve_quat_numba(psi0, coin, steps):
-        n0 = psi0.shape[0]
-        nf = n0 + steps
-        cur = np.zeros((nf, 2, 4))
-        nxt = np.zeros((nf, 2, 4))
-        cur[:n0] = psi0
-        norms = np.zeros(steps + 1)
-
-        a0, a1, a2, a3 = coin[0, 0, 0], coin[0, 0, 1], coin[0, 0, 2], coin[0, 0, 3]
-        b0, b1, b2, b3 = coin[0, 1, 0], coin[0, 1, 1], coin[0, 1, 2], coin[0, 1, 3]
-        c0, c1, c2, c3 = coin[1, 0, 0], coin[1, 0, 1], coin[1, 0, 2], coin[1, 0, 3]
-        d0, d1, d2, d3 = coin[1, 1, 0], coin[1, 1, 1], coin[1, 1, 2], coin[1, 1, 3]
-
-        tot = 0.0
-        for i in range(n0):
-            for ch in range(2):
-                for k in range(4):
-                    tot += cur[i, ch, k] * cur[i, ch, k]
-        norms[0] = tot
-
-        n = n0
-        for s in range(steps):
-            for i in range(n + 1):
-                for ch in range(2):
-                    for k in range(4):
-                        nxt[i, ch, k] = 0.0
-            for i in range(n):
-                l0, l1, l2, l3 = cur[i, 0, 0], cur[i, 0, 1], cur[i, 0, 2], cur[i, 0, 3]
-                r0, r1, r2, r3 = cur[i, 1, 0], cur[i, 1, 1], cur[i, 1, 2], cur[i, 1, 3]
-                u = _qmul4(a0, a1, a2, a3, l0, l1, l2, l3)
-                v = _qmul4(b0, b1, b2, b3, r0, r1, r2, r3)
-                nxt[i, 0, 0] = u[0] + v[0]
-                nxt[i, 0, 1] = u[1] + v[1]
-                nxt[i, 0, 2] = u[2] + v[2]
-                nxt[i, 0, 3] = u[3] + v[3]
-                u = _qmul4(c0, c1, c2, c3, l0, l1, l2, l3)
-                v = _qmul4(d0, d1, d2, d3, r0, r1, r2, r3)
-                nxt[i + 1, 1, 0] = u[0] + v[0]
-                nxt[i + 1, 1, 1] = u[1] + v[1]
-                nxt[i + 1, 1, 2] = u[2] + v[2]
-                nxt[i + 1, 1, 3] = u[3] + v[3]
-            n += 1
-            cur, nxt = nxt, cur
-            tot = 0.0
-            for i in range(n):
-                for ch in range(2):
-                    for k in range(4):
-                        tot += cur[i, ch, k] * cur[i, ch, k]
-            norms[s + 1] = tot
-        return cur[:n0 + steps].copy(), norms
-
-    @njit(cache=True)
-    def evolve_c4_numba(phi0, chi_p, chi_q, steps):
-        n0 = phi0.shape[0]
-        nf = n0 + steps
-        cur = np.zeros((nf, 4), dtype=np.complex128)
-        nxt = np.zeros((nf, 4), dtype=np.complex128)
-        cur[:n0] = phi0
-        norms = np.zeros(steps + 1)
-
-        tot = 0.0
-        for i in range(n0):
-            for k in range(4):
-                tot += cur[i, k].real ** 2 + cur[i, k].imag ** 2
-        norms[0] = tot
-
-        n = n0
-        for s in range(steps):
-            for i in range(n + 1):
-                for k in range(4):
-                    nxt[i, k] = 0.0 + 0.0j
-            for i in range(n):
-                for r in range(4):
-                    acc_p = 0.0 + 0.0j
-                    acc_q = 0.0 + 0.0j
-                    for k in range(4):
-                        acc_p += chi_p[r, k] * cur[i, k]
-                        acc_q += chi_q[r, k] * cur[i, k]
-                    nxt[i, r] += acc_p
-                    nxt[i + 1, r] += acc_q
-            n += 1
-            cur, nxt = nxt, cur
-            tot = 0.0
-            for i in range(n):
-                for k in range(4):
-                    tot += cur[i, k].real ** 2 + cur[i, k].imag ** 2
-            norms[s + 1] = tot
-        return cur[:n0 + steps].copy(), norms
-
-    @njit(cache=True)
-    def xi_brute_numba(p, q, l, m):
-        n = l + m
-        total = np.zeros((2, 2, 4))
-        work = np.zeros((2, 2, 4))
-        prod = np.zeros((2, 2, 4))
-        count = 0
-        for mask in range(1 << n):
-            bits = mask
-            pop = 0
-            while bits:
-                pop += bits & 1
-                bits >>= 1
-            if pop != l:
-                continue
-            # identity
-            for r in range(2):
-                for c in range(2):
-                    for k in range(4):
-                        prod[r, c, k] = 0.0
-            prod[0, 0, 0] = 1.0
-            prod[1, 1, 0] = 1.0
-            for t in range(n):
-                mat = p if (mask >> t) & 1 else q
-                # work = mat @ prod (quaternion 2x2 product)
-                for r in range(2):
-                    for c in range(2):
-                        s0 = 0.0
-                        s1 = 0.0
-                        s2 = 0.0
-                        s3 = 0.0
-                        for k in range(2):
-                            u = _qmul4(mat[r, k, 0], mat[r, k, 1], mat[r, k, 2], mat[r, k, 3],
-                                       prod[k, c, 0], prod[k, c, 1], prod[k, c, 2], prod[k, c, 3])
-                            s0 += u[0]
-                            s1 += u[1]
-                            s2 += u[2]
-                            s3 += u[3]
-                        work[r, c, 0] = s0
-                        work[r, c, 1] = s1
-                        work[r, c, 2] = s2
-                        work[r, c, 3] = s3
-                prod, work = work, prod
-            total += prod
-            count += 1
-        return total, count

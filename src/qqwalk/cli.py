@@ -4,7 +4,7 @@ Subcommands: classify | simulate | exact | xi | spectrum | limit | compare.
 Outputs are deterministic: CSV with a header row, LF endings and floats at
 17 significant digits; JSON via the standard shortest-round-trip float
 representation.  Exit codes: 0 success, 1 usage or input error, 2 domain
-error, 3 numeric failure.
+error, 3 numeric failure (degenerate spectrum, total probability drift).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     DegenerateABError,
     DegenerateError,
     DomainError,
+    NormDriftError,
     NotNormalizedError,
     NotUnitaryError,
     TooLargeError,
@@ -278,8 +279,8 @@ def main(argv=None) -> int:
     except (DomainError, NotUnitaryError, TooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (DegenerateError, DegenerateABError, ZeroDivisionError,
-            FloatingPointError) as exc:
+    except (DegenerateError, DegenerateABError, NormDriftError,
+            ZeroDivisionError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -21,6 +21,19 @@ class NotNormalizedError(QQWalkError):
     """An initial spinor does not satisfy |alpha|^2 + |beta|^2 = 1."""
 
 
+class NormDriftError(QQWalkError):
+    """The total probability of an evolved state is not 1 within tolerance.
+
+    `drift` is |sum of probabilities - 1|, `steps` the length of the walk.
+    """
+
+    def __init__(self, drift: float, steps: int):
+        self.drift = drift
+        self.steps = steps
+        super().__init__(f"total probability drifted by {drift:.3e} "
+                         f"after {steps} steps")
+
+
 class DomainError(QQWalkError):
     """Inputs are outside the domain of validity of a closed form."""
 

@@ -83,16 +83,8 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
         ident = qmat_from_quaternions([[Quaternion.one(), Quaternion.zero()],
                                        [Quaternion.zero(), Quaternion.one()]])
         return PathSum(0, 0, ident, n_paths=1)
-    if _kernels.use_numba():
-        p = np.ascontiguousarray(ops.p)
-        q = np.ascontiguousarray(ops.q)
-        total, count = _kernels.xi_brute_numba(p, q, l, m)
-    else:
-        p4 = chi_matrix(ops.p)
-        q4 = chi_matrix(ops.q)
-        total4, count = _kernels.xi_brute_numpy(p4, q4, l, m)
-        total = chi_inv_matrix(total4, tol=1e-8)
-    return PathSum(l, m, total, n_paths=count)
+    total4, count = _kernels.xi_brute_numpy(chi_matrix(ops.p), chi_matrix(ops.q), l, m)
+    return PathSum(l, m, chi_inv_matrix(total4, tol=1e-8), n_paths=count)
 
 
 def _require_nonzero_entries(coin: Coin) -> None:

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from qqwalk import Quaternion
+import qqwalk.cli as cli
+from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
 from qqwalk.coin import coin_to_json, hadamard_coin, random_coin, validate_coin
 
@@ -182,3 +183,14 @@ def test_exact_out_of_scope_is_domain_error(tmp_path, capsys):
 def test_degenerate_spectrum_is_numeric_error(ij_file, capsys):
     assert main(["spectrum", "--coin", ij_file, "--theta", "0.0"]) == 3
     capsys.readouterr()
+
+
+def test_norm_drift_is_numeric_error(hadamard_file, tmp_path, monkeypatch, capsys):
+    def drifting(*args, **kwargs):
+        raise NormDriftError(1e-6, 100)
+
+    monkeypatch.setattr(cli, "evolve", drifting)
+    code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA, "--beta", BETA,
+                 "--steps", "100", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "drifted" in capsys.readouterr().err

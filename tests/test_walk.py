@@ -1,11 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-import qqwalk._kernels as kernels
-from qqwalk import Quaternion, NotNormalizedError
-from qqwalk.coin import hadamard_coin, random_coin, split_pq, validate_coin
+from qqwalk import Coin, NormDriftError, NotNormalizedError, Quaternion
+from qqwalk.coin import COIN_CLASSES, hadamard_coin, load_coin, random_coin, split_pq
 from qqwalk.exact import boundary_prob
 from qqwalk.walk import (
     distribution,
@@ -21,6 +21,7 @@ from qqwalk.walk import (
 
 from helpers import dict_distribution, dict_evolve, random_spinor
 
+COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 S = math.sqrt(0.5)
 I = Quaternion.i()
 J = Quaternion.j()
@@ -95,25 +96,40 @@ def test_antidiagonal_coin_localizes():
     odd = distribution(evolve(coin, alpha, beta, 13))
     assert odd.prob(1) == pytest.approx(alpha.norm_sq(), abs=1e-12)
     assert odd.prob(-1) == pytest.approx(beta.norm_sq(), abs=1e-12)
+    # only two (site, chirality) pairs are reachable; the rest is exactly 0
+    for n in (12, 13):
+        st = evolve(coin, alpha, beta, n)
+        assert np.count_nonzero(st.psi.any(axis=2)) == 2
 
 
 def test_engine_matches_dict_oracle():
     rng = np.random.default_rng(33)
-    for kind in ("general", "case4", "case5", "complex"):
+    for kind in COIN_CLASSES + ("complex",):
         coin = random_coin(rng, kind)
         alpha, beta = random_spinor(rng)
-        n = 9
-        st = evolve(coin, alpha, beta, n)
-        ref = dict_evolve(coin, alpha, beta, n)
-        for x in range(-n, n + 1, 2):
-            left, right = st.amplitude(x)
-            rl, rr = ref.get(x, (Quaternion.zero(), Quaternion.zero()))
-            assert left.approx_eq(rl, 1e-13)
-            assert right.approx_eq(rr, 1e-13)
-        ref_dist = dict_distribution(ref)
-        dist = distribution(st)
-        for x, p in ref_dist.items():
-            assert dist.prob(x) == pytest.approx(p, abs=1e-13)
+        for n in (0, 1, 2, 3, 9, 16):
+            st = evolve(coin, alpha, beta, n)
+            ref = dict_evolve(coin, alpha, beta, n)
+            for x in range(-n, n + 1, 2):
+                left, right = st.amplitude(x)
+                rl, rr = ref.get(x, (Quaternion.zero(), Quaternion.zero()))
+                assert left.approx_eq(rl, 1e-13)
+                assert right.approx_eq(rr, 1e-13)
+            ref_dist = dict_distribution(ref)
+            dist = distribution(st)
+            for x, p in ref_dist.items():
+                assert dist.prob(x) == pytest.approx(p, abs=1e-13)
+
+
+def test_propagator_matches_stepper_long():
+    # the propagator against the per-step stepper behind with_norms=True
+    n = 2000
+    for name in ("superposition", "tracefree_mixed"):
+        coin = load_coin(os.path.join(COINS_DIR, name + ".json"))
+        for alpha, beta in ((Quaternion(1), Quaternion.zero()), (Quaternion(S), S * J)):
+            fast = distribution(evolve(coin, alpha, beta, n))
+            stepped, _ = evolve(coin, alpha, beta, n, with_norms=True)
+            assert np.max(np.abs(fast.probs - distribution(stepped).probs)) <= 1e-12
 
 
 def test_step_equals_evolve():
@@ -133,8 +149,13 @@ def test_probability_conservation_and_parity():
     for _ in range(5):
         coin = random_coin(rng)
         alpha, beta = random_spinor(rng)
-        _, norms = evolve(coin, alpha, beta, 120, with_norms=True)
+        st, norms = evolve(coin, alpha, beta, 120, with_norms=True)
+        assert norms.shape == (121,)
+        assert norms[-1] == pytest.approx(st.total_probability(), abs=1e-15)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    # the propagator stays normalized on long walks
+    st = evolve(coin, alpha, beta, 20000)
+    assert abs(st.total_probability() - 1.0) <= 1e-10
     # zero-support positions stay zero: evolve a one-sided state
     coin = random_coin(rng, "case1")
     st = evolve(coin, Quaternion(1), Quaternion.zero(), 5)
@@ -227,27 +248,14 @@ def test_edge_probabilities_match_closed_form():
             boundary_prob(coin, alpha, beta, n, -1), abs=1e-10)
 
 
-def test_backends_agree(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(41)
-    coin = random_coin(rng)
-    alpha, beta = random_spinor(rng)
-
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    st_nb, norms_nb = evolve(coin, alpha, beta, 64, with_norms=True)
-    fr_nb = evolve_fourier(coin, alpha, beta, 64)
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    st_np, norms_np = evolve(coin, alpha, beta, 64, with_norms=True)
-    fr_np = evolve_fourier(coin, alpha, beta, 64)
-
-    assert np.array_equal(st_nb.psi, st_np.psi) or np.max(
-        np.abs(st_nb.psi - st_np.psi)) <= 1e-15
-    assert np.max(np.abs(norms_nb - norms_np)) <= 1e-14
-    assert np.max(np.abs(fr_nb.phi - fr_np.phi)) <= 1e-14
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "bogus")
-    with pytest.raises(RuntimeError):
-        kernels.active_backend()
+def test_norm_drift_raises():
+    # an unvalidated, non-unitary coin: total probability is asserted
+    h = hadamard_coin()
+    coin = Coin((1.0 + 1e-6) * h.a, h.b, h.c, h.d)
+    one, zero = Quaternion(1), Quaternion.zero()
+    with pytest.raises(NormDriftError):
+        evolve(coin, one, zero, 1000)
+    with pytest.raises(NormDriftError):
+        evolve(coin, one, zero, 1000, with_norms=True)
+    with pytest.raises(NormDriftError):
+        evolve_fourier(coin, one, zero, 1000)
