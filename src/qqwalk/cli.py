@@ -34,7 +34,7 @@ from .spectral import (
     qqw_limit_params,
     weight_constant,
 )
-from .walk import distribution, evolve
+from .walk import check_spinor, distribution, evolve
 
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
@@ -62,34 +62,38 @@ def _parse_quaternion(text: str, flag: str) -> Quaternion:
 
 def _load_coin(path: str) -> Coin:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise UsageError(f"coin file not found: {path}")
-    try:
-        payload = json.loads(text)
+        return load_coin(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read coin file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: malformed JSON (line {exc.lineno})")
-    del payload
-    return load_coin(path)
+        raise UsageError(f"{path}: malformed JSON (line {exc.lineno})") from exc
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _parse_init(args) -> tuple[Quaternion, Quaternion]:
     alpha = _parse_quaternion(args.alpha, "--alpha")
     beta = _parse_quaternion(args.beta, "--beta")
-    defect = abs(alpha.norm_sq() + beta.norm_sq() - 1.0)
-    if defect > 1e-10:
-        raise UsageError(
-            f"--alpha/--beta: |alpha|^2 + |beta|^2 = 1 violated by {defect:.3e}")
+    try:
+        check_spinor(alpha, beta)
+    except NotNormalizedError as exc:
+        raise UsageError(f"--alpha/--beta: {exc}") from exc
     return alpha, beta
+
+
+def _write_csv(path: str, lines: list[str]) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_dist_csv(path: str, dist) -> None:
     lines = ["x,probability"]
     for x, p in zip(dist.positions(), dist.probs):
         lines.append(f"{int(x)},{_fmt(float(p))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 def _quaternion_json(q: Quaternion) -> list[float]:
@@ -181,8 +185,7 @@ def _cmd_limit(args) -> int:
     lines = ["y,density"]
     for y, f in zip(ys, dens):
         lines.append(f"{_fmt(float(y))},{_fmt(float(f))}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, lines)
     return 0
 
 

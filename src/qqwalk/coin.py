@@ -100,11 +100,12 @@ def validate_coin(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion,
                   tol: float = 1e-10) -> Coin:
     """Check the unitarity relations and return the coin.
 
-    Raises NotUnitaryError naming the first violated relation.
+    Raises NotUnitaryError naming the first violated relation; a NaN or
+    Inf entry violates every relation it enters.
     """
     residuals = unitarity_residuals(a, b, c, d)
     for relation, res in residuals.items():
-        if res > tol:
+        if not res <= tol:
             raise NotUnitaryError(relation, res)
     return Coin(a, b, c, d)
 
@@ -174,16 +175,29 @@ def coin_to_json(coin: Coin) -> str:
 
 
 def coin_from_json(text: str, tol: float = 1e-10) -> Coin:
+    """Parse and validate a coin.
+
+    Raises ValueError (json.JSONDecodeError for malformed JSON) when the
+    text does not hold four entries of four numbers each, and
+    NotUnitaryError when the entries fail `validate_coin`.
+    """
     payload = json.loads(text)
-    entries = {}
+    if not isinstance(payload, dict):
+        raise ValueError("coin JSON must be an object with entries a, b, c, d")
+    entries = []
     for key in ("a", "b", "c", "d"):
         if key not in payload:
             raise ValueError(f"coin JSON is missing entry {key!r}")
-        entries[key] = Quaternion.from_array(payload[key])
-    return validate_coin(entries["a"], entries["b"], entries["c"], entries["d"], tol=tol)
+        value = payload[key]
+        if (not isinstance(value, list) or len(value) != 4
+                or not all(type(v) in (int, float) for v in value)):
+            raise ValueError(f"coin entry {key!r} must be an array of four numbers")
+        entries.append(Quaternion(*(float(v) for v in value)))
+    return validate_coin(*entries, tol=tol)
 
 
 def load_coin(path, tol: float = 1e-10) -> Coin:
+    """Read a coin file once and parse it with `coin_from_json`."""
     with open(path, "r", encoding="utf-8") as fh:
         return coin_from_json(fh.read(), tol=tol)
 

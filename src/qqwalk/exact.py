@@ -3,30 +3,35 @@
 The path sum over all time-ordered products of l left moves and m right
 moves has closed forms for three families of coins: fully complex coins,
 coins with real diagonal entries, and coins whose diagonal is complex while
-the off-diagonal lives in the j-k plane.  A brute-force enumeration of all
-C(l+m, l) products serves as the independent oracle.  On top of the path
-sums sits the closed-form position distribution with its interference term,
-plus the exact edge probabilities P(X_n = +-n) valid for every coin.
+the off-diagonal lives in the j-k plane (two commuting complex subwalks).
+A brute-force enumeration of all C(l+m, l) products serves as the
+independent oracle.  On top of the path sums sits the closed-form position
+distribution with its interference term, plus the exact edge probabilities
+P(X_n = +-n) valid for every coin.
 
-The alternating binomial sums in the distribution formula cancel heavily
-for n around 50, so they are evaluated in exact rational arithmetic and
-rounded once at the end.
+Path sums and distribution share one pair of Konno-type alternating sums,
+`_s_sums`.  Their terms cancel heavily from n around 50, and beyond n of a
+few hundred the bare sums leave the float range, so they are summed in
+exact rational arithmetic, multiplied exactly by |a|^(2h) with
+h = (n - 1) // 2, and rounded once.  What the callers multiply on top is
+bounded: unit phases and |a| or |a|^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from . import _kernels
 from .coin import Coin, MoveOperators, classify, split_pq
-from .errors import DomainError, NotNormalizedError, TooLargeError
+from .errors import DomainError, TooLargeError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix, qmat_from_quaternions
-from .walk import Distribution
+from .walk import Distribution, check_spinor
 
 __all__ = [
     "PathSum",
@@ -73,7 +78,8 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
     """Enumerate all interleavings of l copies of P and m copies of Q.
 
     Products are taken in time order (the factor for the latest step
-    multiplies from the left).  Bounded at l + m <= 14.
+    multiplies from the left), on the 4x4 complex images of P and Q.
+    Bounded at l + m <= 14.
     """
     _check_lm(l, m)
     n = l + m
@@ -83,8 +89,17 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
         ident = qmat_from_quaternions([[Quaternion.one(), Quaternion.zero()],
                                        [Quaternion.zero(), Quaternion.one()]])
         return PathSum(0, 0, ident, n_paths=1)
-    total4, count = _kernels.xi_brute_numpy(chi_matrix(ops.p), chi_matrix(ops.q), l, m)
-    return PathSum(l, m, chi_inv_matrix(total4, tol=1e-8), n_paths=count)
+    p4, q4 = chi_matrix(ops.p), chi_matrix(ops.q)
+    total = np.zeros((4, 4), dtype=np.complex128)
+    count = 0
+    for left_slots in combinations(range(n), l):
+        left = set(left_slots)
+        prod = np.eye(4, dtype=np.complex128)
+        for t in range(n):
+            prod = (p4 if t in left else q4) @ prod
+        total += prod
+        count += 1
+    return PathSum(l, m, chi_inv_matrix(total, tol=1e-8), n_paths=count)
 
 
 def _require_nonzero_entries(coin: Coin) -> None:
@@ -98,25 +113,59 @@ def _require_interior(l: int, m: int) -> None:
                           "use the edge formulas for pure P^n or Q^n")
 
 
+@lru_cache(maxsize=None)
+def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
+    """(|a|^2)^h S0 and (|a|^2)^h S1, h = (n - 1) // 2, where
+
+    S0 = sum f(g) / g,  S1 = sum f(g),  g = 1 .. min(t, n - t),
+    f(g) = (-|b|^2/|a|^2)^g C(t-1, g-1) C(n-t-1, g-1).
+
+    The sums are exact rationals; the scaling multiplies numerator and
+    denominator as integers, and one integer true division rounds each
+    result to the nearest float.
+    """
+    ratio = Fraction(bsq) / Fraction(asq)
+    s0 = Fraction(0)
+    s1 = Fraction(0)
+    for g in range(1, min(t, n - t) + 1):
+        f = (-ratio) ** g * comb(t - 1, g - 1) * comb(n - t - 1, g - 1)
+        s1 += f
+        s0 += Fraction(f, g)
+    num, den = asq.as_integer_ratio()
+    h = (n - 1) // 2
+    num, den = num ** h, den ** h
+    return (s0.numerator * num / (s0.denominator * den),
+            s1.numerator * num / (s1.denominator * den))
+
+
+def _path_sums(asq: float, bsq: float, l: int, m: int) -> tuple[float, float]:
+    """|a|^(l+m) S0 and |a|^(l+m) S1 for the path sum Xi(l, m)."""
+    n = l + m
+    s0, s1 = _s_sums(asq, bsq, n, l)
+    rest = math.sqrt(asq) ** (n - 2 * ((n - 1) // 2))
+    return rest * s0, rest * s1
+
+
+def _xi_complex(u: np.ndarray, l: int, m: int) -> np.ndarray:
+    """Closed-form path sum Xi(l, m) of a complex coin u = [[a, b], [c, d]]."""
+    (a, b), (c, d) = u
+    s0, s1 = _path_sums(abs(a) ** 2, abs(b) ** 2, l, m)
+    det = a * d - b * c
+    top = np.array([[l * s0, (b * c * l * s0 + det * s1) / (a * c)],
+                    [(b * c * m * s0 + det * s1) / (b * d), m * s0]])
+    return (a / abs(a)) ** l * (d / abs(d)) ** m * top
+
+
 def xi_closed_complex(coin: Coin, l: int, m: int) -> PathSum:
     """Closed form of the path sum for a coin with complex entries."""
     _check_lm(l, m)
+    _require_nonzero_entries(coin)
     if not coin.is_complex():
         raise DomainError("coin entries must be complex (no j or k components)")
-    _require_nonzero_entries(coin)
     _require_interior(l, m)
-    a, b = coin.a.simplex, coin.b.simplex
-    c, d = coin.c.simplex, coin.d.simplex
-    ratio = -(abs(b) ** 2) / (abs(a) ** 2)
-    det = a * d - b * c
-    top = np.zeros((2, 2), dtype=np.complex128)
-    for g in range(1, min(l, m) + 1):
-        w = ratio ** g * comb(l - 1, g - 1) * comb(m - 1, g - 1) / g
-        top[0, 0] += w * l
-        top[0, 1] += w * (b * c * l + det * g) / (a * c)
-        top[1, 0] += w * (b * c * m + det * g) / (b * d)
-        top[1, 1] += w * m
-    top *= a ** l * d ** m
+    u = np.array([[coin.a.simplex, coin.b.simplex],
+                  [coin.c.simplex, coin.d.simplex]])
+    top = _xi_complex(u, l, m)
     mat = np.zeros((2, 2, 4))
     mat[:, :, 0] = top.real
     mat[:, :, 1] = top.imag
@@ -134,25 +183,13 @@ def xi_closed_case3(coin: Coin, l: int, m: int) -> PathSum:
     b = coin.b
     sign = 1.0 if abs(coin.d.re - a0) < abs(coin.d.re + a0) else -1.0
     bsq = b.norm_sq()
-    asq = a0 * a0
-    ratio = -bsq / asq
-    n = l + m
-    diag_l = 0.0
-    diag_m = 0.0
-    coef_b = 0.0
-    coef_bbar = 0.0
-    for g in range(1, min(l, m) + 1):
-        w = ratio ** g * comb(l - 1, g - 1) * comb(m - 1, g - 1) / g
-        diag_l += w * l
-        diag_m += w * m
-        coef_b += w * (bsq * l - g) / (a0 * bsq)
-        coef_bbar += w * (-bsq * m + g) / (a0 * bsq)
-    scale = sign ** m * a0 ** n
+    s0, s1 = _path_sums(a0 * a0, bsq, l, m)
+    scale = sign ** m * math.copysign(1.0, a0) ** (l + m)
     mat = np.zeros((2, 2, 4))
-    mat[0, 0, 0] = scale * diag_l
-    mat[1, 1, 0] = scale * diag_m
-    mat[0, 1] = (scale * coef_b) * b.to_array()
-    mat[1, 0] = (scale * coef_bbar) * b.conj().to_array()
+    mat[0, 0, 0] = scale * l * s0
+    mat[1, 1, 0] = scale * m * s0
+    mat[0, 1] = scale * (bsq * l * s0 - s1) / (a0 * bsq) * b.to_array()
+    mat[1, 0] = scale * (s1 - bsq * m * s0) / (a0 * bsq) * b.conj().to_array()
     return PathSum(l, m, mat)
 
 
@@ -179,7 +216,11 @@ def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex 2x2 coins driving the subwalks of a case4 coin."""
+    """The two complex 2x2 coins driving the subwalks of a case4 coin.
+
+    The first acts on components (0, 3) of the 4-component complex
+    amplitudes, the second on components (1, 2).
+    """
     if classify(coin) != "case4":
         raise DomainError("coin must classify as case4")
     ap, bp = coin.a.simplex, coin.b.perplex
@@ -192,55 +233,39 @@ def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
 def xi_closed_case4(coin: Coin, l: int, m: int) -> PathSum:
     """Closed form for case4 coins, assembled from the two subwalk sums."""
     _check_lm(l, m)
-    if classify(coin) != "case4":
-        raise DomainError("coin must classify as case4")
+    u1, u2 = case4_subcoins(coin)
     _require_nonzero_entries(coin)
     _require_interior(l, m)
-    ap = coin.a.simplex
-    bp = coin.b.perplex
-    dp = coin.d.simplex
-    asq = coin.a.norm_sq()
-    bsq = coin.b.norm_sq()
-    ratio = -bsq / asq
-    xi1 = np.zeros((4, 4), dtype=np.complex128)
-    xi2 = np.zeros((4, 4), dtype=np.complex128)
-    for g in range(1, min(l, m) + 1):
-        w = ratio ** g * comb(l - 1, g - 1) * comb(m - 1, g - 1) / (asq * bsq * g)
-        xi1[0, 0] += w * asq * bsq * l
-        xi1[0, 3] += -w * (bsq * l - g) * np.conj(ap) * bp
-        xi1[3, 0] += w * (bsq * m - g) * ap * np.conj(bp)
-        xi1[3, 3] += w * asq * bsq * m
-        xi2[1, 1] += w * asq * bsq * l
-        xi2[1, 2] += w * (bsq * l - g) * ap * np.conj(bp)
-        xi2[2, 1] += -w * (bsq * m - g) * np.conj(ap) * bp
-        xi2[2, 2] += w * asq * bsq * m
-    xi1 *= ap ** l * np.conj(dp) ** m
-    xi2 *= np.conj(ap) ** l * dp ** m
-    return PathSum(l, m, chi_inv_matrix(xi1 + xi2, tol=1e-8))
+    xi4 = np.zeros((4, 4), dtype=np.complex128)
+    xi4[np.ix_((0, 3), (0, 3))] = _xi_complex(u1, l, m)
+    xi4[np.ix_((1, 2), (1, 2))] = _xi_complex(u2, l, m)
+    return PathSum(l, m, chi_inv_matrix(xi4, tol=1e-8))
+
+
+def _closed_family(coin: Coin, what: str) -> str:
+    """The closed-form family of a coin: its tag for case1-case4, else
+    'complex' for a complex coin; DomainError for the other coins."""
+    tag = classify(coin)
+    if tag in ("case1", "case2", "case3", "case4"):
+        return tag
+    if coin.is_complex():
+        return "complex"
+    raise DomainError(f"no closed-form {what} for a {tag!r} quaternionic coin")
 
 
 def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     """Dispatch to the closed form matching the coin's structure."""
-    tag = classify(coin)
-    if tag == "case3":
+    family = _closed_family(coin, "path sum")
+    if family == "case3":
         return xi_closed_case3(coin, l, m)
-    if tag == "case4":
+    if family == "case4":
         return xi_closed_case4(coin, l, m)
-    if coin.is_complex():
-        return xi_closed_complex(coin, l, m)
-    raise DomainError(f"no closed-form path sum for a {tag!r} quaternionic coin")
+    return xi_closed_complex(coin, l, m)
 
 
 # ---------------------------------------------------------------------
 # closed-form probabilities
 # ---------------------------------------------------------------------
-
-def _check_init(alpha: Quaternion, beta: Quaternion, tol: float = 1e-10) -> None:
-    defect = abs(alpha.norm_sq() + beta.norm_sq() - 1.0)
-    if defect > tol:
-        raise NotNormalizedError(
-            f"|alpha|^2 + |beta|^2 = 1 violated by {defect:.3e}")
-
 
 def _interference(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
     """Re(conj(alpha) conj(a) b beta), the init-coin cross term."""
@@ -250,7 +275,7 @@ def _interference(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
 def boundary_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
                   n: int, side: int) -> float:
     """P(X_n = +n) for side > 0, P(X_n = -n) for side < 0; any coin."""
-    _check_init(alpha, beta)
+    check_spinor(alpha, beta)
     if n < 0:
         raise DomainError("n must be non-negative")
     if n == 0:
@@ -266,25 +291,6 @@ def boundary_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return pref * (asq * asq_n + bsq * bsq_n + 2.0 * cross)
 
 
-@lru_cache(maxsize=None)
-def _s_sums(ratio: Fraction, n: int, t: int) -> tuple[float, float]:
-    """Alternating sums S1 = sum f(g) and S0 = sum f(g)/g with
-
-    f(g) = (-ratio)^g C(t-1, g-1) C(n-t-1, g-1).
-
-    The terms grow to ~1e13 at n = 50 while the sums cancel down by many
-    orders, so the summation runs in exact rational arithmetic and is
-    rounded to float once at the end.
-    """
-    s0 = Fraction(0)
-    s1 = Fraction(0)
-    for g in range(1, t + 1):
-        f = (-ratio) ** g * comb(t - 1, g - 1) * comb(n - t - 1, g - 1)
-        s1 += f
-        s0 += Fraction(f, g)
-    return float(s0), float(s1)
-
-
 def _interior_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
                    n: int, x: int) -> float:
     """Double-sum closed form at x = +-(n - 2t), 1 <= t <= n // 2."""
@@ -295,24 +301,15 @@ def _interior_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     delta = beta.norm_sq() - alpha.norm_sq()
     cross = _interference(coin, alpha, beta)
 
-    ratio = Fraction(bsq) / Fraction(asq)
-    s0, s1 = _s_sums(ratio, n, t)
+    s0, s1 = _s_sums(asq, bsq, n, t)
 
     c0 = (n * n - 2 * t * n + 2 * t * t) / 2.0 \
         + sign * (n - 2 * t) * (n * (asq - bsq) * delta / 2.0 - 2.0 * n * cross)
     c1 = -n / 2.0 + sign * (n - 2 * t) * (delta / 2.0 + cross / bsq)
     c2 = 1.0 / bsq
     bracket = c0 * s0 * s0 + 2.0 * c1 * s0 * s1 + c2 * s1 * s1
-    return asq ** (n - 1) * bracket
-
-
-def _closed_form_scope(coin: Coin) -> str:
-    tag = classify(coin)
-    if tag in ("case1", "case2", "case3", "case4"):
-        return tag
-    if coin.is_complex():
-        return "complex"
-    raise DomainError(f"no closed-form distribution for a {tag!r} quaternionic coin")
+    # the sums carry (|a|^2)^h each, so asq^(n-1) leaves this bounded factor
+    return asq ** ((n - 1) % 2) * bracket
 
 
 def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
@@ -323,10 +320,10 @@ def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     the two quaternionic families whose distribution coincides with the
     complex walk (real diagonal; split simplex/perplex structure).
     """
-    _check_init(alpha, beta)
+    check_spinor(alpha, beta)
     if n < 0:
         raise DomainError("n must be non-negative")
-    scope = _closed_form_scope(coin)
+    scope = _closed_family(coin, "distribution")
     if n == 0:
         return 1.0 if x == 0 else 0.0
     if scope == "case1":

@@ -8,10 +8,12 @@ characteristic-polynomial coefficients, and tiny utilities.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qqwalk import Quaternion
-from qqwalk.coin import Coin, u_theta
+from qqwalk.coin import Coin, u_theta, validate_coin
 
 
 def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
@@ -76,3 +78,14 @@ def random_spinor(rng: np.random.Generator) -> tuple[Quaternion, Quaternion]:
     v = rng.normal(size=8)
     v /= np.linalg.norm(v)
     return Quaternion.from_array(v[:4]), Quaternion.from_array(v[4:])
+
+
+def ratio4_coin() -> Coin:
+    """The case4 coin a = d = 1/sqrt5, b = c = 2j/sqrt5: |b|^2/|a|^2 = 4.
+
+    Its alternating sums leave the float range from n of a few hundred on,
+    while (|a|^2)^(n-1) underflows.
+    """
+    s = 1.0 / math.sqrt(5.0)
+    b = Quaternion(0.0, 0.0, 2.0 * s, 0.0)
+    return validate_coin(Quaternion(s), b, b, Quaternion(s))

@@ -10,6 +10,8 @@ from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
 from qqwalk.coin import coin_to_json, hadamard_coin, random_coin, validate_coin
 
+from helpers import ratio4_coin
+
 S = math.sqrt(0.5)
 I = Quaternion.i()
 J = Quaternion.j()
@@ -167,6 +169,65 @@ def test_invalid_coin_is_domain_error(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["classify", "--coin", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_nan_coin_is_domain_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"a": [NaN, 0, 0, 0], "b": [0.6, 0, 0, 0], '
+                   '"c": [0.6, 0, 0, 0], "d": [-0.8, 0, 0, 0]}', encoding="utf-8")
+    assert main(["classify", "--coin", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not unitary" in out.err
+
+
+def test_nan_init_is_usage_error(hadamard_file, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--coin", hadamard_file, "--alpha", "[NaN,0,0,0]",
+                 "--beta", BETA, "--steps", "4", "--out", str(out)])
+    assert code == 1
+    assert "--alpha/--beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coin_path_is_directory(tmp_path, capsys):
+    assert main(["classify", "--coin", str(tmp_path)]) == 1
+    assert "cannot read coin file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"a": [1, 0, 0], "b": [0, 0, 0, 0], "c": [0, 0, 0, 0], "d": [1, 0, 0, 0]}',
+    '{"a": [1, 0, 0, 0], "b": [0, 0, 0, 0], "c": [0, 0, 0, 0]}',
+    '{"a": [1, 0, 0, 0], "b": "zero", "c": [0, 0, 0, 0], "d": [1, 0, 0, 0]}',
+], ids=["wrong-shape", "missing-key", "string-entry"])
+def test_malformed_coin_is_usage_error(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
+    assert main(["classify", "--coin", str(bad)]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(hadamard_file, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA,
+                 "--beta", BETA, "--steps", "4", "--out", str(out)])
+    assert code == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_closed_forms_at_large_n(tmp_path, capsys):
+    # |b|^2/|a|^2 = 4: the unscaled sums overflow from n of a few hundred on
+    path = tmp_path / "ratio4.json"
+    path.write_text(coin_to_json(ratio4_coin()), encoding="utf-8")
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--coin", str(path), "--alpha", ALPHA, "--beta", BETA,
+                 "--steps", "700", "--out", str(out)]) == 0
+    probs = np.array([float(row.split(",")[1])
+                      for row in out.read_text().splitlines()[1:]])
+    assert len(probs) == 701 and np.all(np.isfinite(probs))
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert main(["xi", "--coin", str(path), "--l", "530", "--m", "530"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert np.all(np.isfinite(np.array(payload["matrix"])))
 
 
 def test_exact_out_of_scope_is_domain_error(tmp_path, capsys):

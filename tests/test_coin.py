@@ -52,6 +52,27 @@ def test_invalid_coin_names_relation():
     assert err.value.residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_invalid_coin_rejects_nan_and_inf(bad):
+    a, b, c, d = hadamard_coin().entries()
+    with pytest.raises(NotUnitaryError):
+        validate_coin(Quaternion(bad), b, c, d)
+    with pytest.raises(NotUnitaryError):
+        validate_coin(a, b, c, Quaternion(0.0, bad, 0.0, 0.0))
+
+
+def test_coin_from_json_rejects_malformed_entries():
+    good = json.loads(coin_to_json(hadamard_coin()))
+    for key, value in (("a", [1, 0, 0]), ("b", "0.5"), ("c", [1, "0", 0, 0]),
+                       ("d", [True, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            coin_from_json(json.dumps({**good, key: value}))
+    with pytest.raises(ValueError):
+        coin_from_json(json.dumps({k: good[k] for k in "abc"}))
+    with pytest.raises(ValueError):
+        coin_from_json("[1, 2, 3, 4]")
+
+
 def test_split_sums_to_coin():
     rng = np.random.default_rng(21)
     coin = random_coin(rng)

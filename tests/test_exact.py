@@ -21,7 +21,7 @@ from qqwalk.exact import (
 from qqwalk.quaternion import is_unitary, max_abs, qmat_mul
 from qqwalk.walk import distribution, evolve
 
-from helpers import random_spinor
+from helpers import random_spinor, ratio4_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -201,6 +201,23 @@ def test_closed_case4_random():
                 assert max_abs(closed - brute) <= 1e-10
 
 
+def test_closed_matches_propagator_columns():
+    # Xi(l, m) maps (alpha, beta) to the amplitude pair at x = m - l after
+    # l + m steps: its columns are the walk from (1, 0) and from (0, 1).
+    rng = np.random.default_rng(64)
+    cases = [(hadamard_coin(), l, l) for l in (40, 60, 100)]
+    cases += [(random_coin(rng, kind), 40, 40) for kind in ("complex", "case3", "case4")]
+    cases.append((ratio4_coin(), 530, 530))
+    one, zero = Quaternion.one(), Quaternion.zero()
+    for coin, l, m in cases:
+        xi = xi_closed(coin, l, m).matrix
+        for col, (alpha, beta) in enumerate(((one, zero), (zero, one))):
+            left, right = evolve(coin, alpha, beta, l + m).amplitude(m - l)
+            gap = max(max_abs(xi[0, col] - left.to_array()),
+                      max_abs(xi[1, col] - right.to_array()))
+            assert gap <= 1e-12, (l, m, col, gap)
+
+
 def test_closed_dispatch():
     rng = np.random.default_rng(57)
     assert xi_closed(random_coin(rng, "case3"), 2, 2).matrix is not None
@@ -266,15 +283,19 @@ def test_prob_scope():
 
 def test_prob_matches_simulation_case3_case4():
     rng = np.random.default_rng(61)
+    cases = []
     for kind in ("case3", "case4", "complex"):
         for _ in range(3):
             coin = random_coin(rng, kind)
             alpha, beta = random_spinor(rng)
-            for n in (6, 11):
-                sim = distribution(evolve(coin, alpha, beta, n))
-                exact = closed_form_distribution(coin, alpha, beta, n)
-                diff = np.max(np.abs(sim.probs - exact.probs))
-                assert diff <= 1e-12, (kind, n, diff)
+            cases += [(kind, coin, alpha, beta, n) for n in (6, 11)]
+    # at n = 460 the unscaled sums overflow and (|a|^2)^(n-1) underflows
+    cases.append(("ratio4", ratio4_coin(), *random_spinor(rng), 460))
+    for kind, coin, alpha, beta, n in cases:
+        sim = distribution(evolve(coin, alpha, beta, n))
+        exact = closed_form_distribution(coin, alpha, beta, n)
+        diff = np.max(np.abs(sim.probs - exact.probs))
+        assert diff <= 1e-12, (kind, n, diff)
 
 
 def test_distribution_sums_to_one():

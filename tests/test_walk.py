@@ -42,6 +42,18 @@ def test_init_state_basics():
         init_state(Quaternion(1), Quaternion(1))
 
 
+def test_spinor_check_rejects_nan():
+    # one check serves the walk and the closed forms; NaN must not pass it
+    nan = Quaternion(math.nan)
+    coin = hadamard_coin()
+    with pytest.raises(NotNormalizedError):
+        init_state(nan, Quaternion.zero())
+    with pytest.raises(NotNormalizedError):
+        evolve(coin, Quaternion(1), Quaternion(0.0, 0.0, math.nan, 0.0), 3)
+    with pytest.raises(NotNormalizedError):
+        boundary_prob(coin, nan, Quaternion.zero(), 3, 1)
+
+
 def test_hadamard_one_step():
     coin = hadamard_coin()
     st = step(init_state(Quaternion(1), Quaternion.zero()), split_pq(coin))
