@@ -29,7 +29,6 @@ from .errors import (
     NotNormalizedError,
     NotUnitaryError,
     QQWalkError,
-    TooLargeError,
 )
 from .exact import (
     PathSum,

@@ -23,7 +23,6 @@ from .errors import (
     NormDriftError,
     NotNormalizedError,
     NotUnitaryError,
-    TooLargeError,
 )
 from .exact import closed_form_distribution, xi_bruteforce, xi_closed
 from .quaternion import Quaternion
@@ -39,6 +38,8 @@ from .walk import check_spinor, distribution, evolve
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
+
+MAX_SIZE = 10**6  # largest --steps, --grid and --l + --m; checked before allocating
 
 
 class UsageError(Exception):
@@ -58,6 +59,13 @@ def _parse_quaternion(text: str, flag: str) -> Quaternion:
             or not all(isinstance(v, (int, float)) for v in data)):
         raise UsageError(f"{flag}: expected a JSON array of four numbers")
     return Quaternion(*(float(v) for v in data))
+
+
+def _check_size(flag: str, size: int) -> None:
+    if size < 0:
+        raise UsageError(f"{flag} must be non-negative")
+    if size > MAX_SIZE:
+        raise UsageError(f"{flag} = {size} exceeds the limit {MAX_SIZE}")
 
 
 def _load_coin(path: str) -> Coin:
@@ -96,10 +104,6 @@ def _write_dist_csv(path: str, dist) -> None:
     _write_csv(path, lines)
 
 
-def _quaternion_json(q: Quaternion) -> list[float]:
-    return [q.x0, q.x1, q.x2, q.x3]
-
-
 def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -121,8 +125,7 @@ def _cmd_classify(args) -> int:
 def _cmd_simulate(args) -> int:
     coin = _load_coin(args.coin)
     alpha, beta = _parse_init(args)
-    if args.steps < 0:
-        raise UsageError("--steps must be non-negative")
+    _check_size("--steps", args.steps)
     dist = distribution(evolve(coin, alpha, beta, args.steps))
     _write_dist_csv(args.out, dist)
     return 0
@@ -131,8 +134,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_exact(args) -> int:
     coin = _load_coin(args.coin)
     alpha, beta = _parse_init(args)
-    if args.steps < 0:
-        raise UsageError("--steps must be non-negative")
+    _check_size("--steps", args.steps)
     dist = closed_form_distribution(coin, alpha, beta, args.steps)
     _write_dist_csv(args.out, dist)
     return 0
@@ -142,6 +144,7 @@ def _cmd_xi(args) -> int:
     coin = _load_coin(args.coin)
     if args.l < 0 or args.m < 0:
         raise UsageError("--l and --m must be non-negative")
+    _check_size("--l + --m", args.l + args.m)
     if args.brute:
         ps = xi_bruteforce(split_pq(coin), args.l, args.m)
     else:
@@ -150,12 +153,17 @@ def _cmd_xi(args) -> int:
         "l": ps.l,
         "m": ps.m,
         "position": ps.position,
-        "matrix": [[list(map(float, ps.matrix[r, c])) for c in range(2)]
-                   for r in range(2)],
+        "matrix": ps.matrix.tolist(),
     }
     if ps.n_paths is not None:
         payload["paths"] = ps.n_paths
-    print(json.dumps(payload, sort_keys=True))
+    # C(l+m, l) has ~0.3 (l+m) digits; Python prints at most 4300 by default
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(payload, sort_keys=True))
+    finally:
+        sys.set_int_max_str_digits(digits)
     return 0
 
 
@@ -178,6 +186,7 @@ def _cmd_limit(args) -> int:
     alpha, beta = _parse_init(args)
     if args.grid < 3:
         raise UsageError("--grid must be at least 3")
+    _check_size("--grid", args.grid)
     params = qqw_limit_params(coin)
     c = weight_constant(coin, alpha, beta)
     ys = np.linspace(-1.0, 1.0, args.grid)
@@ -192,6 +201,7 @@ def _cmd_limit(args) -> int:
 def _cmd_compare(args) -> int:
     coin = _load_coin(args.coin)
     alpha, beta = _parse_init(args)
+    _check_size("--steps", args.steps)
     result = limit_compare(coin, alpha, beta, args.steps)
     payload = {
         "kolmogorov": result.kolmogorov,
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--brute", action="store_true",
-                     help="enumerate paths instead of the closed form")
+                     help="sum any coin's paths from the propagator, not the closed form")
     sub.set_defaults(func=_cmd_xi)
 
     sub = subs.add_parser("spectrum", help="eigenvalues/eigenvectors of the symbol")
@@ -279,7 +289,7 @@ def main(argv=None) -> int:
     except (UsageError, NotNormalizedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, NotUnitaryError, TooLargeError, ValueError) as exc:
+    except (DomainError, NotUnitaryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (DegenerateError, DegenerateABError, NormDriftError,

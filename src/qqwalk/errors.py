@@ -38,10 +38,6 @@ class DomainError(QQWalkError):
     """Inputs are outside the domain of validity of a closed form."""
 
 
-class TooLargeError(QQWalkError):
-    """A brute-force enumeration was requested beyond its combinatorial bound."""
-
-
 class DegenerateError(QQWalkError):
     """Two eigenvalues coincide at this momentum; the node must be excluded."""
 

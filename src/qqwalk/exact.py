@@ -4,10 +4,11 @@ The path sum over all time-ordered products of l left moves and m right
 moves has closed forms for three families of coins: fully complex coins,
 coins with real diagonal entries, and coins whose diagonal is complex while
 the off-diagonal lives in the j-k plane (two commuting complex subwalks).
-A brute-force enumeration of all C(l+m, l) products serves as the
-independent oracle.  On top of the path sums sits the closed-form position
-distribution with its interference term, plus the exact edge probabilities
-P(X_n = +-n) valid for every coin.
+For any coin, `xi_bruteforce` reads the path sum off the walk's
+momentum-space propagator: Xi(l, m) is the z^m coefficient of
+(chi(P) + z chi(Q))^(l+m).  On top of the path sums sits the closed-form
+position distribution with its interference term, plus the exact edge
+probabilities P(X_n = +-n) valid for every coin.
 
 Path sums and distribution share one pair of Konno-type alternating sums,
 `_s_sums`.  Their terms cancel heavily from n around 50, and beyond n of a
@@ -23,19 +24,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .coin import Coin, MoveOperators, classify, split_pq
-from .errors import DomainError, TooLargeError
-from .quaternion import Quaternion, chi_inv_matrix, chi_matrix, qmat_from_quaternions
-from .walk import Distribution, check_spinor
+from .errors import DomainError
+from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
+from .walk import Distribution, _propagate, check_spinor
 
 __all__ = [
     "PathSum",
-    "BRUTE_FORCE_LIMIT",
     "xi_bruteforce",
     "xi_closed_complex",
     "xi_closed_case3",
@@ -48,8 +47,6 @@ __all__ = [
     "closed_form_distribution",
 ]
 
-BRUTE_FORCE_LIMIT = 14
-
 
 @dataclass
 class PathSum:
@@ -59,10 +56,6 @@ class PathSum:
     m: int
     matrix: np.ndarray  # (2, 2, 4)
     n_paths: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.l + self.m
 
     @property
     def position(self) -> int:
@@ -75,31 +68,18 @@ def _check_lm(l: int, m: int) -> None:
 
 
 def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
-    """Enumerate all interleavings of l copies of P and m copies of Q.
+    """Sum of all interleavings of l copies of P and m copies of Q, any coin.
 
     Products are taken in time order (the factor for the latest step
-    multiplies from the left), on the 4x4 complex images of P and Q.
-    Bounded at l + m <= 14.
+    multiplies from the left).  The sum is the z^m coefficient of
+    (chi(P) + z chi(Q))^(l+m), which `walk._propagate` evaluates from the
+    identity block in O(n log n); nothing is enumerated.
     """
     _check_lm(l, m)
     n = l + m
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"l + m = {n} exceeds the bound {BRUTE_FORCE_LIMIT}")
-    if n == 0:
-        ident = qmat_from_quaternions([[Quaternion.one(), Quaternion.zero()],
-                                       [Quaternion.zero(), Quaternion.one()]])
-        return PathSum(0, 0, ident, n_paths=1)
-    p4, q4 = chi_matrix(ops.p), chi_matrix(ops.q)
-    total = np.zeros((4, 4), dtype=np.complex128)
-    count = 0
-    for left_slots in combinations(range(n), l):
-        left = set(left_slots)
-        prod = np.eye(4, dtype=np.complex128)
-        for t in range(n):
-            prod = (p4 if t in left else q4) @ prod
-        total += prod
-        count += 1
-    return PathSum(l, m, chi_inv_matrix(total, tol=1e-8), n_paths=count)
+    cols = _propagate(chi_matrix(ops.p), chi_matrix(ops.q),
+                      np.eye(4, dtype=np.complex128), n)
+    return PathSum(l, m, chi_inv_matrix(cols[m], tol=1e-8), n_paths=comb(n, l))
 
 
 def _require_nonzero_entries(coin: Coin) -> None:
@@ -280,6 +260,12 @@ def boundary_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
         raise DomainError("n must be non-negative")
     if n == 0:
         return 1.0
+    return _edge_prob(coin, alpha, beta, n, side)
+
+
+def _edge_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
+               n: int, side: int) -> float:
+    """`boundary_prob` for n >= 1 on checked inputs."""
     asq = coin.a.norm_sq()
     bsq = coin.b.norm_sq()
     asq_n = alpha.norm_sq()
@@ -312,6 +298,35 @@ def _interior_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return asq ** ((n - 1) % 2) * bracket
 
 
+def _checked_family(coin: Coin, alpha: Quaternion, beta: Quaternion,
+                    n: int) -> str:
+    """Validate the inputs of a closed-form probability; return the family."""
+    check_spinor(alpha, beta)
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    family = _closed_family(coin, "distribution")
+    if n > 0 and family not in ("case1", "case2"):
+        _require_nonzero_entries(coin)
+    return family
+
+
+def _site_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
+               n: int, x: int, family: str) -> float:
+    """P(X_n = x) on inputs that `_checked_family` accepted as `family`."""
+    if n == 0:
+        return 1.0 if x == 0 else 0.0
+    if family == "case1":
+        return {-n: alpha.norm_sq(), n: beta.norm_sq()}.get(x, 0.0)
+    if family == "case2":
+        law = {1: alpha.norm_sq(), -1: beta.norm_sq()} if n % 2 else {0: 1.0}
+        return law.get(x, 0.0)
+    if abs(x) > n or (x + n) % 2:
+        return 0.0
+    if abs(x) == n:
+        return _edge_prob(coin, alpha, beta, n, 1 if x > 0 else -1)
+    return _interior_prob(coin, alpha, beta, n, x)
+
+
 def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
                      n: int, x: int) -> float:
     """Exact P(X_n = x) without running the walk.
@@ -320,37 +335,14 @@ def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     the two quaternionic families whose distribution coincides with the
     complex walk (real diagonal; split simplex/perplex structure).
     """
-    check_spinor(alpha, beta)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    scope = _closed_family(coin, "distribution")
-    if n == 0:
-        return 1.0 if x == 0 else 0.0
-    if scope == "case1":
-        if x == -n:
-            return alpha.norm_sq()
-        if x == n:
-            return beta.norm_sq()
-        return 0.0
-    if scope == "case2":
-        if n % 2 == 0:
-            return 1.0 if x == 0 else 0.0
-        if x == 1:
-            return alpha.norm_sq()
-        if x == -1:
-            return beta.norm_sq()
-        return 0.0
-    _require_nonzero_entries(coin)
-    if abs(x) > n or (x + n) % 2:
-        return 0.0
-    if abs(x) == n:
-        return boundary_prob(coin, alpha, beta, n, 1 if x > 0 else -1)
-    return _interior_prob(coin, alpha, beta, n, x)
+    family = _checked_family(coin, alpha, beta, n)
+    return _site_prob(coin, alpha, beta, n, x, family)
 
 
 def closed_form_distribution(coin: Coin, alpha: Quaternion, beta: Quaternion,
                              n: int) -> Distribution:
     """Closed-form P(X_n = x) over the whole parity support."""
-    probs = np.array([closed_form_prob(coin, alpha, beta, n, int(x))
+    family = _checked_family(coin, alpha, beta, n)
+    probs = np.array([_site_prob(coin, alpha, beta, n, x, family)
                       for x in range(-n, n + 1, 2)])
     return Distribution(n, probs)

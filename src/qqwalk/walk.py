@@ -150,11 +150,13 @@ def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _propagate(coin: Coin, phi0: np.ndarray, n: int) -> np.ndarray:
-    """Complex amplitudes (n + 1, 4) after n steps from phi0 (1, 4)."""
+def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
+               n: int) -> np.ndarray:
+    """Coefficients (n + 1, 4, k) of (cp + z cq)^n cols: the walk from each
+    column of the (4, k) block cols, indexed by the number of right moves."""
     z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    power = chi_p(coin) + z[:, None, None] * chi_q(coin)  # symbol at each root
-    vec = np.repeat(phi0[:, :, None], n + 1, axis=0)
+    power = cp + z[:, None, None] * cq  # symbol at each root
+    vec = np.repeat(cols[None], n + 1, axis=0)
     e = n
     while e:
         if e & 1:
@@ -162,16 +164,16 @@ def _propagate(coin: Coin, phi0: np.ndarray, n: int) -> np.ndarray:
         e >>= 1
         if e:
             power = power @ power
-    phi = np.fft.ifft(vec[:, :, 0], axis=0)
+    phi = np.fft.ifft(vec, axis=0)
     # The DFT leaves round-off on sites the walk cannot reach.  A unitary
     # coin has zero entries only when b = c = 0 (a^n alpha at -n, d^n beta
     # at +n) or a = d = 0 (the walker stays at 0 or +-1); there stepping
     # gives exact zeros, so zero the unreachable (site, chirality) pairs.
-    mat = coin.matrix()
+    # Columns 0-1 of the move images carry a and c, columns 2-3 b and d.
     reach = np.zeros((n + 1, 2), dtype=bool)
-    if not (mat[0, 1].any() or mat[1, 0].any()):
+    if not (cp[:, 2:].any() or cq[:, :2].any()):
         reach[0, 0] = reach[n, 1] = True
-    elif not (mat[0, 0].any() or mat[1, 1].any()):
+    elif not (cp[:, :2].any() or cq[:, 2:].any()):
         reach[n // 2, 0] = reach[(n + 1) // 2, 1] = True
     else:
         return phi
@@ -185,15 +187,15 @@ def _evolve_c4(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
     if steps < 0:
         raise ValueError("steps must be non-negative")
     phi0 = init_fourier(alpha, beta).phi
+    cp, cq = chi_p(coin), chi_q(coin)
     if with_norms:
-        cp, cq = chi_p(coin), chi_q(coin)
         phi, norms = phi0, np.zeros(steps + 1)
         norms[0] = float(np.sum(np.abs(phi) ** 2))
         for s in range(steps):
             phi = _step_c4(phi, cp, cq)
             norms[s + 1] = float(np.sum(np.abs(phi) ** 2))
     else:
-        phi, norms = _propagate(coin, phi0, steps), None
+        phi, norms = _propagate(cp, cq, phi0.T, steps)[:, :, 0], None
     out = FourierState(steps, phi)
     drift = abs(out.total_probability() - 1.0)
     if not drift <= NORM_TOL:

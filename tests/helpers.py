@@ -2,18 +2,21 @@
 
 Everything here is deliberately written against the package's public
 definitions but through a different computational route, so agreement is
-meaningful: a dict-based walk evolution, a determinant-sampling route to
-characteristic-polynomial coefficients, and tiny utilities.
+meaningful: a dict-based walk evolution, path sums by enumeration of every
+path, a determinant-sampling route to characteristic-polynomial
+coefficients, and tiny utilities.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from qqwalk import Quaternion
-from qqwalk.coin import Coin, u_theta, validate_coin
+from qqwalk.coin import Coin, MoveOperators, u_theta, validate_coin
+from qqwalk.quaternion import chi_inv_matrix, chi_matrix
 
 
 def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
@@ -35,6 +38,25 @@ def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
             hi[1] = hi[1] + c * left + d * right
         state = {x: (v[0], v[1]) for x, v in nxt.items()}
     return state
+
+
+def enumerate_xi(ops: MoveOperators, l: int, m: int) -> np.ndarray:
+    """Path sum Xi(l, m) as a (2, 2, 4) quaternion matrix, by enumeration.
+
+    Sums all C(l+m, l) interleavings of l copies of P and m copies of Q in
+    time order (the factor for the latest step multiplies from the left),
+    on the 4x4 complex images of P and Q.
+    """
+    n = l + m
+    p4, q4 = chi_matrix(ops.p), chi_matrix(ops.q)
+    total = np.zeros((4, 4), dtype=np.complex128)
+    for left_slots in combinations(range(n), l):
+        left = set(left_slots)
+        prod = np.eye(4, dtype=np.complex128)
+        for t in range(n):
+            prod = (p4 if t in left else q4) @ prod
+        total += prod
+    return chi_inv_matrix(total, tol=1e-8)
 
 
 def dict_distribution(state) -> dict[int, float]:

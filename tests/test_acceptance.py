@@ -21,11 +21,7 @@ from qqwalk.coin import (
     validate_coin,
 )
 from qqwalk.errors import DegenerateABError, DegenerateError
-from qqwalk.exact import (
-    closed_form_distribution,
-    xi_bruteforce,
-    xi_closed,
-)
+from qqwalk.exact import closed_form_distribution, xi_closed
 from qqwalk.quaternion import (
     chi_arr,
     qconj_arr,
@@ -59,7 +55,7 @@ from qqwalk.walk import (
     step_fourier,
 )
 
-from helpers import numeric_char_poly, random_spinor
+from helpers import enumerate_xi, numeric_char_poly, random_spinor
 
 COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 S = math.sqrt(0.5)
@@ -235,7 +231,7 @@ def test_criterion_05_degenerate_coin_families():
 
 
 # ---------------------------------------------------------------------
-# 6. closed path sums vs brute-force enumeration, < 30 s
+# 6. closed path sums vs enumeration of every path, < 30 s
 # ---------------------------------------------------------------------
 
 def test_criterion_06_path_sum_oracle():
@@ -250,7 +246,7 @@ def test_criterion_06_path_sum_oracle():
         for l in range(1, 12):
             for m in range(1, 12 - l + 1):
                 closed = xi_closed(coin, l, m).matrix
-                brute = xi_bruteforce(ops, l, m).matrix
+                brute = enumerate_xi(ops, l, m)
                 worst = max(worst, float(np.max(np.abs(closed - brute))))
     assert worst <= 1e-10
     elapsed = time.perf_counter() - t0

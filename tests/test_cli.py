@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ J = Quaternion.j()
 
 ALPHA = "[1, 0, 0, 0]"
 BETA = "[0, 0, 0, 0]"
+TOO_BIG = str(cli.MAX_SIZE + 1)
+OUT = "<out>"
 
 
 @pytest.fixture
@@ -81,7 +86,7 @@ def test_exact_matches_simulate(hadamard_file, tmp_path):
         assert abs(float(ps) - float(pe)) <= 1e-10
 
 
-def test_xi_closed_and_brute(hadamard_file, capsys):
+def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert main(["xi", "--coin", hadamard_file, "--l", "1", "--m", "3"]) == 0
     closed = json.loads(capsys.readouterr().out)
     assert main(["xi", "--coin", hadamard_file, "--l", "1", "--m", "3",
@@ -94,6 +99,33 @@ def test_xi_closed_and_brute(hadamard_file, capsys):
             got = np.array(closed["matrix"][r][c])
             want = np.array(brute["matrix"][r][c])
             assert np.max(np.abs(got - want)) <= 1e-10
+    # --brute sums paths at any size: C(80, 40) is about 1e23 of them
+    args = ["xi", "--coin", hadamard_file, "--l", "40", "--m", "40"]
+    assert main(args) == 0
+    closed = json.loads(capsys.readouterr().out)
+    assert main([*args, "--brute"]) == 0
+    brute = json.loads(capsys.readouterr().out)
+    assert brute["paths"] == math.comb(80, 40)
+    assert np.max(np.abs(np.array(closed["matrix"])
+                         - np.array(brute["matrix"]))) <= 1e-12
+    # and for any coin, where the closed forms stop at their domain
+    path = tmp_path / "case5.json"
+    path.write_text(coin_to_json(random_coin(np.random.default_rng(91), "case5")),
+                    encoding="utf-8")
+    args = ["xi", "--coin", str(path), "--l", "3", "--m", "4"]
+    assert main(args) == 2
+    assert main([*args, "--brute"]) == 0
+    assert json.loads(capsys.readouterr().out)["paths"] == 35
+
+
+def test_xi_brute_prints_long_path_counts(hadamard_file, capsys):
+    # C(16000, 8000) has 4815 digits, more than Python prints by default
+    limit = sys.get_int_max_str_digits()
+    assert main(["xi", "--coin", hadamard_file, "--l", "8000", "--m", "8000",
+                 "--brute"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    digits = re.search(r'"paths": (\d+)', capsys.readouterr().out).group(1)
+    assert Decimal(digits) == Decimal(math.comb(16000, 8000))
 
 
 def test_spectrum_json(ij_file, capsys):
@@ -135,7 +167,7 @@ def test_compare_json(ij_file, capsys):
 # error handling / exit codes
 # ---------------------------------------------------------------------
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(hadamard_file, tmp_path, capsys):
     # missing required flag
     assert main(["simulate", "--alpha", ALPHA, "--beta", BETA,
                  "--steps", "4", "--out", str(tmp_path / "x.csv")]) == 1
@@ -143,6 +175,9 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     # missing file
     assert main(["classify", "--coin", str(tmp_path / "nope.json")]) == 1
+    # negative size
+    assert main(["compare", "--coin", hadamard_file, "--alpha", ALPHA,
+                 "--beta", BETA, "--steps", "-1"]) == 1
     capsys.readouterr()
 
 
@@ -212,6 +247,27 @@ def test_unwritable_out_is_usage_error(hadamard_file, tmp_path, capsys):
                  "--beta", BETA, "--steps", "4", "--out", str(out)])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--alpha", ALPHA, "--beta", BETA, "--steps", TOO_BIG, "--out", OUT],
+    ["exact", "--alpha", ALPHA, "--beta", BETA, "--steps", TOO_BIG, "--out", OUT],
+    ["compare", "--alpha", ALPHA, "--beta", BETA, "--steps", TOO_BIG],
+    ["limit", "--alpha", ALPHA, "--beta", BETA, "--grid", TOO_BIG, "--out", OUT],
+    ["xi", "--l", str(cli.MAX_SIZE), "--m", "1"],
+    ["xi", "--l", "1", "--m", str(cli.MAX_SIZE), "--brute"],
+], ids=["simulate-steps", "exact-steps", "compare-steps", "limit-grid",
+        "xi-l-m", "xi-brute-l-m"])
+def test_size_above_cap_is_usage_error(hadamard_file, tmp_path, capsys, args):
+    # rejected before anything of that size is allocated
+    out = tmp_path / "x.csv"
+    argv = [args[0], "--coin", hadamard_file, *(str(out) if a == OUT else a
+                                                 for a in args[1:])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
+    assert not out.exists()
 
 
 def test_closed_forms_at_large_n(tmp_path, capsys):

@@ -3,9 +3,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qqwalk import Quaternion, DomainError, TooLargeError
-from qqwalk.coin import hadamard_coin, random_coin, split_pq, validate_coin
+from qqwalk import Quaternion, DomainError
+from qqwalk.coin import COIN_CLASSES, hadamard_coin, random_coin, split_pq, validate_coin
 from qqwalk.exact import (
     boundary_prob,
     case4_split,
@@ -21,7 +22,7 @@ from qqwalk.exact import (
 from qqwalk.quaternion import is_unitary, max_abs, qmat_mul
 from qqwalk.walk import distribution, evolve
 
-from helpers import random_spinor, ratio4_coin
+from helpers import enumerate_xi, random_spinor, ratio4_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -74,13 +75,11 @@ def test_bruteforce_pure_powers():
     assert np.allclose(left.matrix, expected_p, atol=1e-12)
 
 
-def test_bruteforce_identity_and_bounds():
+def test_bruteforce_identity():
     ops = split_pq(hadamard_coin())
     ident = xi_bruteforce(ops, 0, 0)
     assert ident.n_paths == 1
     assert ident.matrix[0, 0, 0] == 1.0 and ident.matrix[1, 1, 0] == 1.0
-    with pytest.raises(TooLargeError):
-        xi_bruteforce(ops, 8, 7)
 
 
 def test_bruteforce_path_counts():
@@ -90,6 +89,23 @@ def test_bruteforce_path_counts():
     for l in range(0, 5):
         for m in range(0, 5):
             assert xi_bruteforce(ops, l, m).n_paths == comb(l + m, l)
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_bruteforce_matches_enumeration(kind, seed):
+    # the propagator against the sum over every path, edges l = 0 and m = 0
+    # included.  The zeros of enumeration come out exact where the reach
+    # rule sets them (case1, case2); elsewhere they are round-off.
+    ops = split_pq(random_coin(np.random.default_rng(seed), kind))
+    for n in range(10):
+        for m in range(n + 1):
+            want = enumerate_xi(ops, n - m, m)
+            got = xi_bruteforce(ops, n - m, m).matrix
+            assert max_abs(got - want) <= 1e-13, (n - m, m)
+            if kind in ("case1", "case2"):
+                assert np.all(got[want == 0.0] == 0.0), (n - m, m)
 
 
 def test_bruteforce_reconstructs_amplitudes():
@@ -117,9 +133,9 @@ def test_closed_complex_hadamard_small():
     coin = hadamard_coin()
     ops = split_pq(coin)
     assert np.allclose(xi_closed_complex(coin, 1, 1).matrix,
-                       xi_bruteforce(ops, 1, 1).matrix, atol=1e-12)
+                       enumerate_xi(ops, 1, 1), atol=1e-12)
     assert np.allclose(xi_closed_complex(coin, 1, 3).matrix,
-                       xi_bruteforce(ops, 1, 3).matrix, atol=1e-12)
+                       enumerate_xi(ops, 1, 3), atol=1e-12)
 
 
 def test_closed_complex_random():
@@ -130,7 +146,7 @@ def test_closed_complex_random():
         for l in range(1, 5):
             for m in range(1, 5):
                 closed = xi_closed_complex(coin, l, m).matrix
-                brute = xi_bruteforce(ops, l, m).matrix
+                brute = enumerate_xi(ops, l, m)
                 assert max_abs(closed - brute) <= 1e-10
 
 
@@ -155,7 +171,7 @@ def test_closed_case3_both_signs():
         for l in range(1, 4):
             for m in range(1, 4):
                 closed = xi_closed_case3(coin, l, m).matrix
-                brute = xi_bruteforce(ops, l, m).matrix
+                brute = enumerate_xi(ops, l, m)
                 assert max_abs(closed - brute) <= 1e-10
     assert seen == {1, -1}
 
@@ -197,13 +213,14 @@ def test_closed_case4_random():
         for l in range(1, 4):
             for m in range(1, 4):
                 closed = xi_closed_case4(coin, l, m).matrix
-                brute = xi_bruteforce(ops, l, m).matrix
+                brute = enumerate_xi(ops, l, m)
                 assert max_abs(closed - brute) <= 1e-10
 
 
 def test_closed_matches_propagator_columns():
     # Xi(l, m) maps (alpha, beta) to the amplitude pair at x = m - l after
-    # l + m steps: its columns are the walk from (1, 0) and from (0, 1).
+    # l + m steps: its columns are the walk from (1, 0) and from (0, 1),
+    # and xi_bruteforce reads the same sum off the propagator at once.
     rng = np.random.default_rng(64)
     cases = [(hadamard_coin(), l, l) for l in (40, 60, 100)]
     cases += [(random_coin(rng, kind), 40, 40) for kind in ("complex", "case3", "case4")]
@@ -211,6 +228,8 @@ def test_closed_matches_propagator_columns():
     one, zero = Quaternion.one(), Quaternion.zero()
     for coin, l, m in cases:
         xi = xi_closed(coin, l, m).matrix
+        gap = max_abs(xi - xi_bruteforce(split_pq(coin), l, m).matrix)
+        assert gap <= 1e-12, (l, m, gap)
         for col, (alpha, beta) in enumerate(((one, zero), (zero, one))):
             left, right = evolve(coin, alpha, beta, l + m).amplitude(m - l)
             gap = max(max_abs(xi[0, col] - left.to_array()),
