@@ -31,7 +31,7 @@ import numpy as np
 from .coin import Coin, MoveOperators, classify, split_pq
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
-from .walk import Distribution, _propagate, check_spinor
+from .walk import Distribution, _check_norm, _propagate, check_spinor
 
 __all__ = [
     "PathSum",
@@ -79,6 +79,8 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
     n = l + m
     cols = _propagate(chi_matrix(ops.p), chi_matrix(ops.q),
                       np.eye(4, dtype=np.complex128), n)
+    # every column is a walk from a unit vector, so it keeps norm 1
+    _check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
     return PathSum(l, m, chi_inv_matrix(cols[m], tol=1e-8), n_paths=comb(n, l))
 
 
@@ -91,6 +93,13 @@ def _require_interior(l: int, m: int) -> None:
     if min(l, m) < 1:
         raise DomainError("closed form requires l >= 1 and m >= 1; "
                           "use the edge formulas for pure P^n or Q^n")
+
+
+@lru_cache(maxsize=16)
+def _scale_powers(asq: float, h: int) -> tuple[int, int]:
+    """Integer numerator and denominator of (|a|^2)^h, exactly."""
+    num, den = asq.as_integer_ratio()
+    return num ** h, den ** h
 
 
 @lru_cache(maxsize=None)
@@ -111,9 +120,7 @@ def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
         f = (-ratio) ** g * comb(t - 1, g - 1) * comb(n - t - 1, g - 1)
         s1 += f
         s0 += Fraction(f, g)
-    num, den = asq.as_integer_ratio()
-    h = (n - 1) // 2
-    num, den = num ** h, den ** h
+    num, den = _scale_powers(asq, (n - 1) // 2)
     return (s0.numerator * num / (s0.denominator * den),
             s1.numerator * num / (s1.denominator * den))
 

@@ -2,14 +2,17 @@
 
 The 4x4 unitary symbol U(theta) of the walk has four eigen-angles
 lambda_m(theta); their theta-derivatives (group velocities) fill the
-support (-r, r) of the limit law of X_n / n.  This module evaluates the
-quartic characteristic polynomial in closed form, solves it through a
-companion-matrix eigendecomposition with Newton polish, builds eigenvectors
-both numerically (null space) and through the closed quaternionic
-construction, and evaluates the two limit densities: the arcsine-type law
-of complex-coin walks and its generalization for trace-free coins
-(vanishing real parts of the diagonal), including quadrature that absorbs
-the inverse-square-root edge singularity by the substitution y = r sin(phi).
+support (-r, r) of the limit law of X_n / n.  The eigenpairs come from one
+eigen-solve of U(theta): U is normal, so its eigenvalues are perfectly
+conditioned and a double root comes out split only by round-off.  Since
+dU/dtheta = i SIGMA U with SIGMA = diag(1, 1, -1, -1), the group velocity
+of a branch with unit eigenvector v is exactly v^H SIGMA v.  The module
+also gives the quartic characteristic polynomial in closed form, the
+closed quaternionic eigenvector construction, and the two limit densities:
+the arcsine-type law of complex-coin walks and its generalization for
+trace-free coins (vanishing real parts of the diagonal), including
+quadrature that absorbs the inverse-square-root edge singularity by the
+substitution y = r sin(phi).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .coin import Coin, u_theta
 from .errors import DegenerateABError, DegenerateError, DomainError
 from .quaternion import Quaternion
-from .walk import Distribution
+from .walk import Distribution, distribution, evolve
 
 __all__ = [
     "EigenPair",
@@ -81,51 +84,6 @@ def char_poly_coeffs(coin: Coin, theta: float) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a monic quartic via its companion matrix, Newton-polished.
-
-    A double root makes the companion eigenvalues split by about
-    sqrt(machine eps) symmetrically around the true value, so clusters
-    tighter than 1e-7 are collapsed to their mean, which cancels the
-    split to first order.
-    """
-    c = coeffs / coeffs[0]
-    comp = np.zeros((4, 4), dtype=np.complex128)
-    comp[0, :] = -c[1:]
-    comp[1, 0] = comp[2, 1] = comp[3, 2] = 1.0
-    roots = np.linalg.eigvals(comp)
-    dc = np.polyder(np.poly1d(c)).coeffs
-    for _ in range(2):
-        num = np.polyval(c, roots)
-        den = np.polyval(dc, roots)
-        safe = np.abs(den) > 1e-14
-        roots = np.where(safe, roots - num / np.where(safe, den, 1.0), roots)
-    merged = roots.copy()
-    used = np.zeros(4, dtype=bool)
-    d2c = np.polyder(np.poly1d(c), 2).coeffs
-    for i in range(4):
-        if used[i]:
-            continue
-        cluster = [i]
-        for j in range(i + 1, 4):
-            if not used[j] and abs(roots[i] - roots[j]) < 1e-7:
-                cluster.append(j)
-                used[j] = True
-        if len(cluster) == 2:
-            # a double root is a simple root of the derivative: polish the
-            # cluster mean with Newton steps on p'
-            z = np.mean(roots[cluster])
-            for _ in range(3):
-                den = np.polyval(d2c, z)
-                if abs(den) < 1e-14:
-                    break
-                z = z - np.polyval(dc, z) / den
-            merged[cluster] = z
-        elif len(cluster) > 2:
-            merged[cluster] = np.mean(roots[cluster])
-    return merged
-
-
 @dataclass
 class EigenPair:
     theta: float
@@ -135,46 +93,42 @@ class EigenPair:
     residual: float            # ||U v - value v||
 
 
-def _null_vector(m: np.ndarray) -> np.ndarray:
-    """Unit vector minimizing ||m v||, with a deterministic phase."""
-    _, _, vh = np.linalg.svd(m)
-    v = vh[-1].conj()
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k])
-    v = v / phase
-    return v / np.linalg.norm(v)
+def _angles(values: np.ndarray) -> np.ndarray:
+    """Angles of unit-modulus values, in [-pi, pi)."""
+    angles = np.angle(values)
+    angles[angles >= math.pi] -= 2.0 * math.pi
+    return angles
 
 
 def eigen_angles(coin: Coin, theta: float) -> np.ndarray:
     """Sorted eigen-angles of U(theta) in [-pi, pi)."""
-    roots = _quartic_roots(char_poly_coeffs(coin, theta))
-    angles = np.angle(roots)
-    angles[angles >= math.pi] -= 2.0 * math.pi
-    return np.sort(angles)
+    return np.sort(_angles(np.linalg.eigvals(u_theta(coin, theta))))
 
 
 def eigen_system(coin: Coin, theta: float,
                  degeneracy_tol: float = 1e-8) -> list[EigenPair]:
     """Four eigenpairs of U(theta), sorted by eigen-angle.
 
-    Raises DegenerateError when two eigenvalues are closer than
-    `degeneracy_tol`; such momentum nodes must be excluded by the caller.
+    Each eigenvector is scaled to unit norm with its largest component
+    real and positive.  Raises DegenerateError when two eigenvalues are
+    closer than `degeneracy_tol`; such momentum nodes must be excluded by
+    the caller.
     """
     u = u_theta(coin, theta)
-    roots = _quartic_roots(char_poly_coeffs(coin, theta))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(roots[i] - roots[j]) < degeneracy_tol:
-                raise DegenerateError(theta)
-    angles = np.angle(roots)
-    angles[angles >= math.pi] -= 2.0 * math.pi
-    order = np.argsort(angles)
+    values, vectors = np.linalg.eig(u)
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.min(gaps) < degeneracy_tol:
+        raise DegenerateError(theta)
+    angles = _angles(values)
     pairs = []
-    eye = np.eye(4, dtype=np.complex128)
-    for idx in order:
+    for idx in np.argsort(angles):
         lam = float(angles[idx])
         value = complex(np.exp(1j * lam))
-        vec = _null_vector(u - value * eye)
+        vec = vectors[:, idx]
+        k = int(np.argmax(np.abs(vec)))
+        vec = vec / (vec[k] / abs(vec[k]))
+        vec /= np.linalg.norm(vec)
         residual = float(np.linalg.norm(u @ vec - value * vec))
         pairs.append(EigenPair(theta, lam, value, vec, residual))
     return pairs
@@ -313,39 +267,25 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float,
 # group velocities
 # ---------------------------------------------------------------------
 
-def _circle_diff(x: np.ndarray | float, y: np.ndarray | float):
-    """x - y wrapped to (-pi, pi]."""
-    d = np.asarray(x) - np.asarray(y)
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
+# U(theta) = diag(e^{it}, e^{it}, e^{-it}, e^{-it}) chi(coin), so
+# dU/dtheta = i SIGMA U with SIGMA = diag(1, 1, -1, -1)
+_SIGMA = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def _match_nearest(ref: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """For each angle in `ref`, the nearest angle (on the circle) in `other`."""
-    diff = np.abs(_circle_diff(ref[:, None], other[None, :]))
-    return other[np.argmin(diff, axis=1)]
+def group_velocities(coin: Coin, theta: float) -> np.ndarray:
+    """d lambda_m / d theta for the four branches, sorted by angle.
 
-
-def group_velocities(coin: Coin, theta: float, h: float = 1e-6) -> np.ndarray:
-    """d lambda_m / d theta for the four branches, by central differences
-
-    with nearest-on-circle branch matching.  Raises DegenerateError when
-    the spectrum degenerates anywhere in the stencil.
+    U is normal, so for a unit eigenvector v first-order perturbation
+    (Hellmann-Feynman) gives d lambda / d theta = v^H SIGMA v exactly.
+    Raises DegenerateError where `eigen_system` does.
     """
-    lam0 = eigen_angles(coin, theta)
-    for offset in (0.0, -h, h):
-        angles = eigen_angles(coin, theta + offset)
-        gaps = np.abs(_circle_diff(angles[:, None], angles[None, :]))
-        np.fill_diagonal(gaps, np.inf)
-        if np.min(gaps) < 1e-8:
-            raise DegenerateError(theta + offset)
-    lam_plus = _match_nearest(lam0, eigen_angles(coin, theta + h))
-    lam_minus = _match_nearest(lam0, eigen_angles(coin, theta - h))
-    return np.asarray(_circle_diff(lam_plus, lam_minus)) / (2.0 * h)
+    return np.array([_SIGMA @ np.abs(p.vector) ** 2
+                     for p in eigen_system(coin, theta)])
 
 
-def group_velocity(coin: Coin, theta: float, branch: int, h: float = 1e-6) -> float:
-    """Numeric d lambda / d theta for one branch (branches sorted by angle)."""
-    return float(group_velocities(coin, theta, h=h)[branch])
+def group_velocity(coin: Coin, theta: float, branch: int) -> float:
+    """d lambda / d theta for one branch (branches sorted by angle)."""
+    return float(group_velocities(coin, theta)[branch])
 
 
 def _case5_params(coin: Coin, tol: float = 1e-12) -> tuple[float, float]:
@@ -512,21 +452,12 @@ def qw_limit_density(y, r: float):
     """
     if not 0.0 < r < 1.0:
         raise DomainError("support radius must satisfy 0 < r < 1")
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < r
-    yy = y[inside]
-    out[inside] = math.sqrt(1.0 - r * r) / (
-        math.pi * (1.0 - yy * yy) * np.sqrt(r * r - yy * yy))
-    out[np.abs(y) == r] = math.inf
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _density(LimitDensity(r=r, g=0.0, a_sq=r * r, rebc=0.0, kind="qw"), y)
 
 
 def _qqw_edge_free(params: LimitDensity, y: np.ndarray) -> np.ndarray:
     """f(y) * sqrt(r^2 - y^2), bounded up to the support edge."""
-    r, g, u = params.r, params.g, params.a_sq
+    g, u = params.g, params.a_sq
     disc = math.sqrt(max(0.0, (g - 2.0 * u) * (g + 2.0 * u)))
     big_rsq = (g + disc) / 2.0
     num = np.maximum((g - 2.0) * y * y + (g - 2.0 * u * u)
@@ -550,6 +481,21 @@ def _edge_free_factor(params: LimitDensity, y: np.ndarray) -> np.ndarray:
     return _qqw_edge_free(params, y)
 
 
+def _density(params: LimitDensity, y):
+    """f(y) as the edge-free factor over sqrt(r^2 - y^2) on (-r, r); zero
+    outside; +inf exactly at the edges.  Vectorized in y."""
+    r = params.r
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < r
+    yy = y[inside]
+    out[inside] = _edge_free_factor(params, yy) / np.sqrt(r * r - yy * yy)
+    out[np.abs(y) == r] = math.inf
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 def qqw_limit_density(params: LimitDensity | Coin, y):
     """The trace-free limit density; reduces to the complex-walk density
 
@@ -557,18 +503,7 @@ def qqw_limit_density(params: LimitDensity | Coin, y):
     """
     if isinstance(params, Coin):
         params = qqw_limit_params(params)
-    if params.kind == "qw":
-        return qw_limit_density(y, params.r)
-    r = params.r
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < r
-    yy = y[inside]
-    out[inside] = _qqw_edge_free(params, yy) / np.sqrt(r * r - yy * yy)
-    out[np.abs(y) == r] = math.inf
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _density(params, y)
 
 
 def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
@@ -666,8 +601,6 @@ def limit_compare(coin: Coin, alpha: Quaternion, beta: Quaternion,
 
     and the weak-limit CDF of a trace-free coin.
     """
-    from .walk import distribution, evolve
-
     if n < 100 or n % 2:
         raise DomainError("comparison is defined for even n >= 100")
     params = qqw_limit_params(coin)

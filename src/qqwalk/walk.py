@@ -20,7 +20,8 @@ only route that sees the norm after every step; the steppers `step` and
 `step_fourier` remain the references the propagator is tested against.
 
 Total probability is asserted, never renormalized: an evolution whose
-final state misses 1 by more than NORM_TOL raises NormDriftError.
+final state misses 1 by more than NORM_TOL raises NormDriftError, and
+`exact.xi_bruteforce` holds each propagated column to the same check.
 `check_spinor` is the one normalization check of an initial spinor; the
 closed forms in `exact` and the CLI use it too.  Both checks fail on NaN.
 """
@@ -181,6 +182,14 @@ def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
     return phi
 
 
+def _check_norm(totals, steps: int) -> None:
+    """Raise NormDriftError when a total probability (or any of an array of
+    them) misses 1 by more than NORM_TOL; NaN fails too."""
+    drift = float(np.max(np.abs(np.asarray(totals) - 1.0)))
+    if not drift <= NORM_TOL:
+        raise NormDriftError(drift, steps)
+
+
 def _evolve_c4(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
                with_norms: bool) -> tuple[FourierState, np.ndarray | None]:
     """Propagated, or stepped with per-step norms; the final norm is asserted."""
@@ -197,9 +206,7 @@ def _evolve_c4(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
     else:
         phi, norms = _propagate(cp, cq, phi0.T, steps)[:, :, 0], None
     out = FourierState(steps, phi)
-    drift = abs(out.total_probability() - 1.0)
-    if not drift <= NORM_TOL:
-        raise NormDriftError(drift, steps)
+    _check_norm(out.total_probability(), steps)
     return out, norms
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately written against the package's public
 definitions but through a different computational route, so agreement is
 meaningful: a dict-based walk evolution, path sums by enumeration of every
 path, a determinant-sampling route to characteristic-polynomial
-coefficients, and tiny utilities.
+coefficients, group velocities by finite differences of the eigen-angles,
+and tiny utilities.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from qqwalk import Quaternion
 from qqwalk.coin import Coin, MoveOperators, u_theta, validate_coin
 from qqwalk.quaternion import chi_inv_matrix, chi_matrix
+from qqwalk.spectral import eigen_angles
 
 
 def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
@@ -74,6 +76,24 @@ def numeric_char_poly(coin: Coin, theta: float) -> np.ndarray:
     vals = np.array([np.linalg.det(lam * np.eye(4) - u) for lam in lams])
     vander = np.vander(lams, 5)  # columns lam^4 ... lam^0
     return np.linalg.solve(vander, vals)
+
+
+def central_difference_velocities(coin: Coin, theta: float,
+                                  h: float = 1e-5) -> np.ndarray:
+    """d lambda / d theta of the angle-sorted branches by central differences.
+
+    Each eigen-angle at theta is matched to the nearest angle on the circle
+    at theta +- h, so a branch that wraps across +-pi keeps its identity;
+    no eigenvector is involved.
+    """
+    lam0 = eigen_angles(coin, theta)
+
+    def shifted(t: float) -> np.ndarray:
+        lam = eigen_angles(coin, t)
+        diff = np.angle(np.exp(1j * (lam[None, :] - lam0[:, None])))
+        return lam0 + diff[np.arange(4), np.argmin(np.abs(diff), axis=1)]
+
+    return (shifted(theta + h) - shifted(theta - h)) / (2.0 * h)
 
 
 def quat_mat_to_complex(mat: np.ndarray) -> np.ndarray:

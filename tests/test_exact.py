@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqwalk import Quaternion, DomainError
-from qqwalk.coin import COIN_CLASSES, hadamard_coin, random_coin, split_pq, validate_coin
+from qqwalk import DomainError, NormDriftError, Quaternion
+from qqwalk.coin import COIN_CLASSES, MoveOperators, hadamard_coin, random_coin, split_pq, validate_coin
 from qqwalk.exact import (
     boundary_prob,
     case4_split,
@@ -80,6 +80,17 @@ def test_bruteforce_identity():
     ident = xi_bruteforce(ops, 0, 0)
     assert ident.n_paths == 1
     assert ident.matrix[0, 0, 0] == 1.0 and ident.matrix[1, 1, 0] == 1.0
+
+
+def test_bruteforce_asserts_total_probability():
+    # a Hadamard split with a scaled by 1 + 1e-6 is no longer unitary, so
+    # the propagated identity columns leave norm 1 after the first step
+    ops = split_pq(hadamard_coin())
+    p = ops.p.copy()
+    p[0, 0] *= 1.0 + 1e-6
+    xi_bruteforce(ops, 1, 1)
+    with pytest.raises(NormDriftError):
+        xi_bruteforce(MoveOperators(p, ops.q), 1, 1)
 
 
 def test_bruteforce_path_counts():

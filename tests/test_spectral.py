@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqwalk import Quaternion, DomainError
-from qqwalk.coin import hadamard_coin, random_coin, u_theta, validate_coin
+from qqwalk.coin import COIN_CLASSES, hadamard_coin, random_coin, u_theta, validate_coin
 from qqwalk.errors import DegenerateABError, DegenerateError
 from qqwalk.spectral import (
     appendix_ab,
@@ -32,7 +33,7 @@ from qqwalk.spectral import (
 )
 from qqwalk.walk import distribution, evolve, moment
 
-from helpers import numeric_char_poly, random_spinor
+from helpers import central_difference_velocities, numeric_char_poly, random_spinor
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -93,12 +94,19 @@ def test_char_poly_structure():
 
 def test_eigen_system_residuals_and_modulus():
     rng = np.random.default_rng(72)
+    nodes = []
     for _ in range(15):
         coin = random_coin(rng, rng.choice(["general", "case4", "case5", "complex"]))
-        theta = float(rng.uniform(-math.pi, math.pi))
+        nodes.append((coin, float(rng.uniform(-math.pi, math.pi)), False))
+    # next to the band touching of the ij coin at theta = 0, where the
+    # nodes must solve; at 3.5e-8 the eigenvalue gap is 4.9e-8, above the
+    # degeneracy tolerance
+    nodes += [(ij_coin(), 1.0233520470972575e-07, True), (ij_coin(), 3.5e-8, True)]
+    for coin, theta, must_solve in nodes:
         try:
             pairs = eigen_system(coin, theta)
         except DegenerateError:
+            assert not must_solve
             continue
         prod = 1.0 + 0.0j
         for pr in pairs:
@@ -227,7 +235,32 @@ def test_group_velocity_numeric_matches_analytic():
                 continue
             analytic = abs(case5_group_velocity(coin, theta))
             # branches come in +-pairs; compare magnitudes
-            assert np.max(np.abs(np.abs(numeric) - analytic)) <= 1e-6
+            assert np.max(np.abs(np.abs(numeric) - analytic)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       theta=st.floats(min_value=-math.pi, max_value=math.pi))
+def test_eigen_system_property(kind, seed, theta):
+    # every node is either excluded as degenerate (always for the paired
+    # spectrum of case3) or solved to the residual bound; where the
+    # branches are well separated, v^H SIGMA v is the slope of the angles
+    coin = random_coin(np.random.default_rng(seed), kind)
+    try:
+        pairs = eigen_system(coin, theta)
+    except DegenerateError:
+        return
+    assert kind != "case3"
+    for pr in pairs:
+        assert abs(abs(pr.value) - 1.0) <= 1e-12
+        assert pr.residual <= 1e-9
+    angles = np.array([pr.lam for pr in pairs])
+    gaps = np.abs(np.angle(np.exp(1j * (angles[:, None] - angles[None, :]))))
+    np.fill_diagonal(gaps, np.inf)
+    if np.min(gaps) >= 1e-3:
+        want = central_difference_velocities(coin, theta, h=1e-5)
+        assert np.max(np.abs(group_velocities(coin, theta) - want)) <= 1e-8
 
 
 def test_support_radius_formulas_agree():
