@@ -11,24 +11,26 @@ position distribution with its interference term, plus the exact edge
 probabilities P(X_n = +-n) valid for every coin.
 
 Path sums and distribution share one pair of Konno-type alternating sums,
-`_s_sums`.  Their terms cancel heavily from n around 50, and beyond n of a
-few hundred the bare sums leave the float range, so they are summed in
-exact rational arithmetic, multiplied exactly by |a|^(2h) with
-h = (n - 1) // 2, and rounded once.  What the callers multiply on top is
-bounded: unit phases and |a| or |a|^2.
+`_s_sums`.  Summed term by term they cancel heavily from n around 50, and
+beyond n of a few hundred the bare sums leave the float range.  Both sums
+are Jacobi polynomials in x = (|a|^2 - |b|^2) / (|a|^2 + |b|^2), so they
+are evaluated in floats by the three-term recurrence of DLMF 18.9.1 in
+O(t) steps.  The recurrence carries a mantissa and a binary exponent, the
+scaling by |a|^(2h) with h = (n - 1) // 2 is applied in the same form, and
+the result is rounded once.  What the callers multiply on top is bounded:
+unit phases and |a| or |a|^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .coin import Coin, MoveOperators, classify, split_pq
+from .coin import Coin, MoveOperators, classify
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
 from .walk import Distribution, _check_norm, _propagate, check_spinor
@@ -40,7 +42,6 @@ __all__ = [
     "xi_closed_case3",
     "xi_closed_case4",
     "xi_closed",
-    "case4_split",
     "case4_subcoins",
     "boundary_prob",
     "closed_form_prob",
@@ -95,11 +96,26 @@ def _require_interior(l: int, m: int) -> None:
                           "use the edge formulas for pure P^n or Q^n")
 
 
-@lru_cache(maxsize=16)
-def _scale_powers(asq: float, h: int) -> tuple[int, int]:
-    """Integer numerator and denominator of (|a|^2)^h, exactly."""
-    num, den = asq.as_integer_ratio()
-    return num ** h, den ** h
+def _split_pow(base: float, k: int) -> tuple[float, int]:
+    """(mantissa, exponent) with base**k = mantissa * 2**exponent, k >= 0.
+
+    Square-and-multiply on frexp pairs, so no intermediate leaves the float
+    range however large k is.
+    """
+    mant, exp = 1.0, 0
+    bm, be = math.frexp(base)
+    while k:
+        if k & 1:
+            mant, e = math.frexp(mant * bm)
+            exp += e + be
+        bm, e = math.frexp(bm * bm)
+        be = 2 * be + e
+        k >>= 1
+    return mant, exp
+
+
+_RESCALE_EXP = 512
+_RESCALE = 2.0 ** _RESCALE_EXP
 
 
 @lru_cache(maxsize=None)
@@ -109,20 +125,52 @@ def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
     S0 = sum f(g) / g,  S1 = sum f(g),  g = 1 .. min(t, n - t),
     f(g) = (-|b|^2/|a|^2)^g C(t-1, g-1) C(n-t-1, g-1).
 
-    The sums are exact rationals; the scaling multiplies numerator and
-    denominator as integers, and one integer true division rounds each
-    result to the nearest float.
+    The sums are symmetric in t <-> n - t; with t' = min(t, n - t),
+    r = |b|^2/|a|^2 and x = (1 - r)/(1 + r) they are Jacobi polynomials,
+
+    S1 = -r (1+r)^(t'-1) P_{t'-1}^{(0, n-2t')}(x),
+    S0 = -(r/t') (1+r)^(t'-1) P_{t'-1}^{(1, n-2t')}(x),
+
+    evaluated by the forward recurrence.  P leaves the float range at
+    large n where the scaled sums do not, so P and the factor
+    (|a|^2)^(h-t'+1) (|a|^2+|b|^2)^(t'-1) = (|a|^2)^h (1+r)^(t'-1) carry
+    a separate binary exponent and are rounded once at the end.
     """
-    ratio = Fraction(bsq) / Fraction(asq)
-    s0 = Fraction(0)
-    s1 = Fraction(0)
-    for g in range(1, min(t, n - t) + 1):
-        f = (-ratio) ** g * comb(t - 1, g - 1) * comb(n - t - 1, g - 1)
-        s1 += f
-        s0 += Fraction(f, g)
-    num, den = _scale_powers(asq, (n - 1) // 2)
-    return (s0.numerator * num / (s0.denominator * den),
-            s1.numerator * num / (s1.denominator * den))
+    t = min(t, n - t)
+    if t < 1:
+        return 0.0, 0.0
+    beta = n - 2 * t
+    b2 = beta * beta
+    # (1 + x)/2, rounded once: near x = -1 (small |a|^2) the polynomials
+    # are steep, and x itself would carry an error of eps / (1 + x) there
+    u = asq / (asq + bsq)
+    # P_m for alpha = 0 (p0) and alpha = 1 (p1), with a shared exponent
+    p0_prev, p1_prev = 1.0, 1.0
+    p0 = (beta + 2) * u - (beta + 1) if t > 1 else 1.0
+    p1 = (beta + 3) * u - (beta + 1) if t > 1 else 1.0
+    exp = 0
+    for m in range(1, t - 1):
+        # DLMF 18.9.1 with s = 2m + alpha + beta and x = 2u - 1
+        s = 2 * m + beta
+        q0 = ((s + 1) * (2 * (s + 2) * s * u - ((s + 2) * s + b2)) * p0
+              - 2 * m * (m + beta) * (s + 2) * p0_prev) \
+            / (2 * (m + 1) * (m + beta + 1) * s)
+        s += 1
+        q1 = ((s + 1) * (2 * (s + 2) * s * u - ((s + 2) * s + b2 - 1)) * p1
+              - 2 * (m + 1) * (m + beta) * (s + 2) * p1_prev) \
+            / (2 * (m + 1) * (m + beta + 2) * s)
+        p0_prev, p0, p1_prev, p1 = p0, q0, p1, q1
+        if abs(p0) > _RESCALE or abs(p1) > _RESCALE:
+            p0_prev /= _RESCALE
+            p0 /= _RESCALE
+            p1_prev /= _RESCALE
+            p1 /= _RESCALE
+            exp += _RESCALE_EXP
+    ma, ea = _split_pow(asq, (n - 1) // 2 - t + 1)
+    ms, es = _split_pow(asq + bsq, t - 1)
+    scale = -(bsq / asq) * ma * ms
+    exp += ea + es
+    return math.ldexp(scale * p1 / t, exp), math.ldexp(scale * p0, exp)
 
 
 def _path_sums(asq: float, bsq: float, l: int, m: int) -> tuple[float, float]:
@@ -178,28 +226,6 @@ def xi_closed_case3(coin: Coin, l: int, m: int) -> PathSum:
     mat[0, 1] = scale * (bsq * l * s0 - s1) / (a0 * bsq) * b.to_array()
     mat[1, 0] = scale * (s1 - bsq * m * s0) / (a0 * bsq) * b.conj().to_array()
     return PathSum(l, m, mat)
-
-
-def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split the complex images of P and Q into the two commuting subwalks.
-
-    Returns (P1, P2, Q1, Q2): P1 keeps row 0 of chi(P), P2 row 1, Q2 row 2
-    of chi(Q), Q1 row 3.  Products across the two families vanish.
-    """
-    if classify(coin) != "case4":
-        raise DomainError("coin must classify as case4")
-    ops = split_pq(coin)
-    cp = chi_matrix(ops.p)
-    cq = chi_matrix(ops.q)
-    p1 = np.zeros_like(cp)
-    p2 = np.zeros_like(cp)
-    q1 = np.zeros_like(cq)
-    q2 = np.zeros_like(cq)
-    p1[0] = cp[0]
-    p2[1] = cp[1]
-    q2[2] = cq[2]
-    q1[3] = cq[3]
-    return p1, p2, q1, q2
 
 
 def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
@@ -284,15 +310,12 @@ def _edge_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return pref * (asq * asq_n + bsq * bsq_n + 2.0 * cross)
 
 
-def _interior_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
+def _interior_prob(asq: float, bsq: float, delta: float, cross: float,
                    n: int, x: int) -> float:
-    """Double-sum closed form at x = +-(n - 2t), 1 <= t <= n // 2."""
-    asq = coin.a.norm_sq()
-    bsq = coin.b.norm_sq()
+    """Double-sum closed form at x = +-(n - 2t), 1 <= t <= n // 2, from
+    |a|^2, |b|^2, delta = |beta|^2 - |alpha|^2 and the cross term."""
     t = (n - abs(x)) // 2
     sign = 1.0 if x > 0 else (-1.0 if x < 0 else 1.0)
-    delta = beta.norm_sq() - alpha.norm_sq()
-    cross = _interference(coin, alpha, beta)
 
     s0, s1 = _s_sums(asq, bsq, n, t)
 
@@ -317,21 +340,32 @@ def _checked_family(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return family
 
 
-def _site_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
-               n: int, x: int, family: str) -> float:
-    """P(X_n = x) on inputs that `_checked_family` accepted as `family`."""
+def _site_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
+                n: int, xs, family: str) -> list[float]:
+    """P(X_n = x) for each x in xs, on inputs that `_checked_family`
+    accepted as `family`."""
     if n == 0:
-        return 1.0 if x == 0 else 0.0
+        return [1.0 if x == 0 else 0.0 for x in xs]
     if family == "case1":
-        return {-n: alpha.norm_sq(), n: beta.norm_sq()}.get(x, 0.0)
+        law = {-n: alpha.norm_sq(), n: beta.norm_sq()}
+        return [law.get(x, 0.0) for x in xs]
     if family == "case2":
         law = {1: alpha.norm_sq(), -1: beta.norm_sq()} if n % 2 else {0: 1.0}
-        return law.get(x, 0.0)
-    if abs(x) > n or (x + n) % 2:
-        return 0.0
-    if abs(x) == n:
-        return _edge_prob(coin, alpha, beta, n, 1 if x > 0 else -1)
-    return _interior_prob(coin, alpha, beta, n, x)
+        return [law.get(x, 0.0) for x in xs]
+    # what every interior site shares, computed once
+    asq = coin.a.norm_sq()
+    bsq = coin.b.norm_sq()
+    delta = beta.norm_sq() - alpha.norm_sq()
+    cross = _interference(coin, alpha, beta)
+    probs = []
+    for x in xs:
+        if abs(x) > n or (x + n) % 2:
+            probs.append(0.0)
+        elif abs(x) == n:
+            probs.append(_edge_prob(coin, alpha, beta, n, 1 if x > 0 else -1))
+        else:
+            probs.append(_interior_prob(asq, bsq, delta, cross, n, x))
+    return probs
 
 
 def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
@@ -343,13 +377,12 @@ def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     complex walk (real diagonal; split simplex/perplex structure).
     """
     family = _checked_family(coin, alpha, beta, n)
-    return _site_prob(coin, alpha, beta, n, x, family)
+    return _site_probs(coin, alpha, beta, n, (x,), family)[0]
 
 
 def closed_form_distribution(coin: Coin, alpha: Quaternion, beta: Quaternion,
                              n: int) -> Distribution:
     """Closed-form P(X_n = x) over the whole parity support."""
     family = _checked_family(coin, alpha, beta, n)
-    probs = np.array([_site_prob(coin, alpha, beta, n, x, family)
-                      for x in range(-n, n + 1, 2)])
+    probs = np.array(_site_probs(coin, alpha, beta, n, range(-n, n + 1, 2), family))
     return Distribution(n, probs)

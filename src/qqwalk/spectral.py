@@ -105,6 +105,16 @@ def eigen_angles(coin: Coin, theta: float) -> np.ndarray:
     return np.sort(_angles(np.linalg.eigvals(u_theta(coin, theta))))
 
 
+def _real_positive(vec: np.ndarray) -> np.ndarray:
+    """vec times the unit phase that makes its largest component real and
+    positive.  Components within a relative 1e-12 of the largest modulus
+    count as tied, and the first of them is chosen, so the choice does not
+    depend on last-bit rounding."""
+    mod = np.abs(vec)
+    k = int(np.argmax(mod >= (1.0 - 1e-12) * mod.max()))
+    return vec / (vec[k] / mod[k])
+
+
 def eigen_system(coin: Coin, theta: float,
                  degeneracy_tol: float = 1e-8) -> list[EigenPair]:
     """Four eigenpairs of U(theta), sorted by eigen-angle.
@@ -125,9 +135,7 @@ def eigen_system(coin: Coin, theta: float,
     for idx in np.argsort(angles):
         lam = float(angles[idx])
         value = complex(np.exp(1j * lam))
-        vec = vectors[:, idx]
-        k = int(np.argmax(np.abs(vec)))
-        vec = vec / (vec[k] / abs(vec[k]))
+        vec = _real_positive(vectors[:, idx])
         vec /= np.linalg.norm(vec)
         residual = float(np.linalg.norm(u @ vec - value * vec))
         pairs.append(EigenPair(theta, lam, value, vec, residual))
@@ -257,10 +265,7 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float,
     norm = np.linalg.norm(vec)
     if norm <= 1e-14:
         raise DegenerateABError("construction produced a null vector")
-    vec /= norm
-    k = int(np.argmax(np.abs(vec)))
-    vec /= vec[k] / abs(vec[k])
-    return vec
+    return _real_positive(vec / norm)
 
 
 # ---------------------------------------------------------------------
@@ -509,7 +514,7 @@ def qqw_limit_density(params: LimitDensity | Coin, y):
 def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
     """The linear skew of the limit density:
 
-    |alpha|^2 - |beta|^2 - 2 Re(a alpha conj(b beta)) / |a|^2.
+    |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b beta)) / |a|^2.
 
     The cross term is computed as a real part, which is always real; for
     quaternionic data the two summands of the printed symmetrization can
@@ -520,7 +525,7 @@ def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
     if asq <= 1e-24:
         raise DomainError("weight constant requires a != 0")
     cross = (coin.a * alpha * (coin.b * beta).conj()).re
-    return alpha.norm_sq() - beta.norm_sq() - 2.0 * cross / asq
+    return alpha.norm_sq() - beta.norm_sq() + 2.0 * cross / asq
 
 
 @lru_cache(maxsize=32)

@@ -3,20 +3,23 @@
 Everything here is deliberately written against the package's public
 definitions but through a different computational route, so agreement is
 meaningful: a dict-based walk evolution, path sums by enumeration of every
-path, a determinant-sampling route to characteristic-polynomial
-coefficients, group velocities by finite differences of the eigen-angles,
-and tiny utilities.
+path, the alternating sums in exact rational arithmetic, the case4 split
+into two commuting subwalks, a determinant-sampling route to
+characteristic-polynomial coefficients, group velocities by finite
+differences of the eigen-angles, and tiny utilities.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from qqwalk import Quaternion
-from qqwalk.coin import Coin, MoveOperators, u_theta, validate_coin
+from qqwalk import DomainError, Quaternion
+from qqwalk.coin import Coin, MoveOperators, classify, split_pq, u_theta, validate_coin
 from qqwalk.quaternion import chi_inv_matrix, chi_matrix
 from qqwalk.spectral import eigen_angles
 
@@ -59,6 +62,52 @@ def enumerate_xi(ops: MoveOperators, l: int, m: int) -> np.ndarray:
             prod = (p4 if t in left else q4) @ prod
         total += prod
     return chi_inv_matrix(total, tol=1e-8)
+
+
+def exact_s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
+    """(|a|^2)^h S0 and (|a|^2)^h S1, h = (n - 1) // 2, where
+
+    S0 = sum f(g) / g,  S1 = sum f(g),  g = 1 .. min(t, n - t),
+    f(g) = (-|b|^2/|a|^2)^g C(t-1, g-1) C(n-t-1, g-1).
+
+    The sums are exact rationals; the scaling multiplies numerator and
+    denominator as integers, and one integer true division rounds each
+    result to the nearest float.
+    """
+    ratio = Fraction(bsq) / Fraction(asq)
+    s0 = Fraction(0)
+    s1 = Fraction(0)
+    for g in range(1, min(t, n - t) + 1):
+        f = (-ratio) ** g * comb(t - 1, g - 1) * comb(n - t - 1, g - 1)
+        s1 += f
+        s0 += Fraction(f, g)
+    num, den = asq.as_integer_ratio()
+    h = (n - 1) // 2
+    num, den = num ** h, den ** h
+    return (s0.numerator * num / (s0.denominator * den),
+            s1.numerator * num / (s1.denominator * den))
+
+
+def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split the complex images of P and Q into the two commuting subwalks.
+
+    Returns (P1, P2, Q1, Q2): P1 keeps row 0 of chi(P), P2 row 1, Q2 row 2
+    of chi(Q), Q1 row 3.  Products across the two families vanish.
+    """
+    if classify(coin) != "case4":
+        raise DomainError("coin must classify as case4")
+    ops = split_pq(coin)
+    cp = chi_matrix(ops.p)
+    cq = chi_matrix(ops.q)
+    p1 = np.zeros_like(cp)
+    p2 = np.zeros_like(cp)
+    q1 = np.zeros_like(cq)
+    q2 = np.zeros_like(cq)
+    p1[0] = cp[0]
+    p2[1] = cp[1]
+    q2[2] = cq[2]
+    q1[3] = cq[3]
+    return p1, p2, q1, q2
 
 
 def dict_distribution(state) -> dict[int, float]:

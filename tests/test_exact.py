@@ -9,7 +9,6 @@ from qqwalk import DomainError, NormDriftError, Quaternion
 from qqwalk.coin import COIN_CLASSES, MoveOperators, hadamard_coin, random_coin, split_pq, validate_coin
 from qqwalk.exact import (
     boundary_prob,
-    case4_split,
     case4_subcoins,
     closed_form_distribution,
     closed_form_prob,
@@ -18,11 +17,12 @@ from qqwalk.exact import (
     xi_closed_case3,
     xi_closed_case4,
     xi_closed_complex,
+    _s_sums,
 )
 from qqwalk.quaternion import is_unitary, max_abs, qmat_mul
 from qqwalk.walk import distribution, evolve
 
-from helpers import enumerate_xi, random_spinor, ratio4_coin
+from helpers import case4_split, enumerate_xi, exact_s_sums, random_spinor, ratio4_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -319,13 +319,29 @@ def test_prob_matches_simulation_case3_case4():
             coin = random_coin(rng, kind)
             alpha, beta = random_spinor(rng)
             cases += [(kind, coin, alpha, beta, n) for n in (6, 11)]
-    # at n = 460 the unscaled sums overflow and (|a|^2)^(n-1) underflows
+    # at n = 460 the unscaled sums overflow and (|a|^2)^(n-1) underflows;
+    # at n = 2000 the Jacobi polynomials themselves leave the float range
     cases.append(("ratio4", ratio4_coin(), *random_spinor(rng), 460))
+    cases.append(("ratio4", ratio4_coin(), *random_spinor(rng), 2000))
+    cases.append(("case3", random_coin(rng, "case3"), *random_spinor(rng), 2000))
     for kind, coin, alpha, beta, n in cases:
         sim = distribution(evolve(coin, alpha, beta, n))
         exact = closed_form_distribution(coin, alpha, beta, n)
         diff = np.max(np.abs(sim.probs - exact.probs))
         assert diff <= 1e-12, (kind, n, diff)
+        assert abs(exact.total() - 1.0) <= 1e-12, (kind, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(asq=st.floats(0.02, 0.98), n=st.integers(2, 500),
+       eps=st.floats(-1e-10, 1e-10), data=st.data())
+def test_s_sums_match_exact_rationals(asq, n, eps, data):
+    # every t, also t > n/2; |a|^2 + |b|^2 may differ from 1 by as much
+    # as coin validation allows
+    t = data.draw(st.integers(1, n - 1), label="t")
+    bsq = (1.0 - asq) * (1.0 + eps)
+    for got, want in zip(_s_sums(asq, bsq, n, t), exact_s_sums(asq, bsq, n, t)):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_distribution_sums_to_one():

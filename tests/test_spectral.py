@@ -1,11 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqwalk import Quaternion, DomainError
-from qqwalk.coin import COIN_CLASSES, hadamard_coin, random_coin, u_theta, validate_coin
+from qqwalk.coin import (COIN_CLASSES, hadamard_coin, load_coin, random_coin, u_theta,
+                         validate_coin)
 from qqwalk.errors import DegenerateABError, DegenerateError
 from qqwalk.spectral import (
     appendix_ab,
@@ -39,6 +41,11 @@ S = math.sqrt(0.5)
 I = Quaternion.i()
 J = Quaternion.j()
 K = Quaternion.k()
+
+
+def file_coin(name):
+    return load_coin(os.path.join(os.path.dirname(__file__), os.pardir, "coins",
+                                  name + ".json"))
 
 
 def ij_coin():
@@ -114,6 +121,21 @@ def test_eigen_system_residuals_and_modulus():
             assert pr.residual <= 1e-9
             prod *= pr.value
         assert abs(abs(prod) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["tracefree_ij", "tracefree_jk"])
+def test_eigenvector_phase_at_tied_components(name):
+    # at theta = pi/2 two components of every eigenvector tie in modulus up
+    # to the last bits; the lowest tied index is the real positive one
+    coin = file_coin(name)
+    theta = math.pi / 2
+    for pr in eigen_system(coin, theta):
+        for vec in (pr.vector, eigenvector_closed(coin, theta, pr.lam)):
+            mod = np.abs(vec)
+            tied = np.flatnonzero(mod >= mod.max() - 1e-9)
+            assert len(tied) == 2
+            k = tied[0]
+            assert vec[k].real > 0.0 and abs(vec[k].imag) <= 1e-15
 
 
 def test_case5_spectrum_closed_form():
@@ -403,6 +425,26 @@ def test_second_moment_route():
     emp = moment(dist, 2) / n ** 2
     lim = limit_moment(coin, alpha, beta, 2)
     assert abs(emp - lim) <= 5e-3
+
+
+def test_compare_from_mixed_spinor():
+    # from alpha = beta the cross term of C is nonzero; the walk follows
+    # C = +0.7071 here (Kolmogorov 0.016), and -0.7071 gives 0.26
+    res = limit_compare(file_coin("tracefree_mixed"), Quaternion(S), Quaternion(S), 2000)
+    assert res.kolmogorov <= 0.02
+    assert res.weight_c == pytest.approx(S, abs=1e-12)
+
+
+def test_first_moment_from_quaternionic_spinor():
+    # E[X_n / n] is odd in C; over six random case5 coins and spinors it
+    # matched the limit moment to <= 1.2e-4 at n = 2000 (the flipped cross
+    # term was off by 4e-3 to 0.17)
+    rng = np.random.default_rng(86)
+    coin = random_coin(rng, "case5")
+    alpha, beta = random_spinor(rng)
+    n = 2000
+    emp = moment(distribution(evolve(coin, alpha, beta, n)), 1) / n
+    assert abs(emp - limit_moment(coin, alpha, beta, 1)) <= 1e-3
 
 
 def test_supports_differ_between_walk_families():
