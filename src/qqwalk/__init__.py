@@ -49,7 +49,6 @@ from .spectral import (
     char_poly_coeffs,
     eigen_system,
     eigenvector_closed,
-    group_velocity,
     limit_compare,
     qqw_limit_density,
     qqw_limit_params,
@@ -59,15 +58,12 @@ from .spectral import (
 )
 from .walk import (
     Distribution,
-    FourierState,
     WalkState,
     distribution,
     evolve,
-    evolve_fourier,
     init_state,
     moment,
     step,
-    to_fourier_rep,
 )
 
 __version__ = "0.1.0"

@@ -117,8 +117,15 @@ def _split_pow(base: float, k: int) -> tuple[float, int]:
 _RESCALE_EXP = 512
 _RESCALE = 2.0 ** _RESCALE_EXP
 
+# A closed-form distribution asks for each t twice, once for each of
+# x = -(n - 2t) and x = n - 2t, with at most n/2 other entries in between,
+# so every repeat hits up to n = 8192; acceptance criterion 07 reuses about
+# 640 entries per coin across its spinors.  The bound keeps a long-lived
+# process from holding every (|a|^2, |b|^2, n, t) it has seen.
+_S_SUMS_CACHE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_S_SUMS_CACHE)
 def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
     """(|a|^2)^h S0 and (|a|^2)^h S1, h = (n - 1) // 2, where
 

@@ -39,7 +39,6 @@ __all__ = [
     "appendix_ab",
     "eigenvector_params",
     "eigenvector_closed",
-    "group_velocity",
     "group_velocities",
     "case5_angle",
     "case5_group_velocity",
@@ -84,6 +83,9 @@ def char_poly_coeffs(coin: Coin, theta: float) -> np.ndarray:
     ], dtype=np.complex128)
 
 
+DEGENERACY_TOL = 1e-8  # eigenvalues closer than this count as one
+
+
 @dataclass
 class EigenPair:
     theta: float
@@ -115,20 +117,19 @@ def _real_positive(vec: np.ndarray) -> np.ndarray:
     return vec / (vec[k] / mod[k])
 
 
-def eigen_system(coin: Coin, theta: float,
-                 degeneracy_tol: float = 1e-8) -> list[EigenPair]:
+def eigen_system(coin: Coin, theta: float) -> list[EigenPair]:
     """Four eigenpairs of U(theta), sorted by eigen-angle.
 
     Each eigenvector is scaled to unit norm with its largest component
     real and positive.  Raises DegenerateError when two eigenvalues are
-    closer than `degeneracy_tol`; such momentum nodes must be excluded by
+    closer than DEGENERACY_TOL; such momentum nodes must be excluded by
     the caller.
     """
     u = u_theta(coin, theta)
     values, vectors = np.linalg.eig(u)
     gaps = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) < degeneracy_tol:
+    if np.min(gaps) < DEGENERACY_TOL:
         raise DegenerateError(theta)
     angles = _angles(values)
     pairs = []
@@ -288,11 +289,6 @@ def group_velocities(coin: Coin, theta: float) -> np.ndarray:
                      for p in eigen_system(coin, theta)])
 
 
-def group_velocity(coin: Coin, theta: float, branch: int) -> float:
-    """d lambda / d theta for one branch (branches sorted by angle)."""
-    return float(group_velocities(coin, theta)[branch])
-
-
 def _case5_params(coin: Coin, tol: float = 1e-12) -> tuple[float, float]:
     # The trace-free predicate (Re a = Re d = 0) is the actual domain of
     # the closed limit law; coins in the overlap with the split-structure
@@ -393,7 +389,10 @@ def support_radius_alt(coin: Coin) -> float:
     return (math.sqrt(hi) - math.sqrt(lo)) / 2.0
 
 
-def support_radius_scan(coin: Coin, grid: int = 4096) -> float:
+SCAN_GRID = 4096  # theta nodes of `support_radius_scan` before refinement
+
+
+def support_radius_scan(coin: Coin) -> float:
     """sup over theta of |d lambda / d theta| by grid scan plus golden-
 
     section refinement of the analytic branch derivative.
@@ -404,14 +403,14 @@ def support_radius_scan(coin: Coin, grid: int = 4096) -> float:
         val = case5_group_velocity(coin, th)
         return abs(val) if math.isfinite(val) else -math.inf
 
-    thetas = (np.arange(grid) + 0.5) * (math.pi / grid)
+    thetas = (np.arange(SCAN_GRID) + 0.5) * (math.pi / SCAN_GRID)
     values = np.array([speed(t) for t in thetas])
     k = int(np.argmax(values))
     # the supremum can sit at a band-touching endpoint, so widen the
     # refinement bracket to the interval edge when the best grid point
     # is the first or last one
     lo = thetas[k - 1] if k > 0 else 0.0
-    hi = thetas[k + 1] if k < grid - 1 else math.pi
+    hi = thetas[k + 1] if k < SCAN_GRID - 1 else math.pi
     # golden-section maximization on [lo, hi]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -534,21 +533,33 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _weighted_integrals(params: LimitDensity, weight_c: float, moment: int,
+                        phi_hi: np.ndarray, n_nodes: int) -> np.ndarray:
+    """integral of t^moment (1 - C t) f(t) dt from -r to r sin(phi_hi), for
+    each entry of phi_hi in [-pi/2, pi/2].
+
+    Under t = r sin(phi) the Jacobian cancels the inverse-square-root edge
+    factor analytically, so the integrand is the bounded function
+    t^moment (1 - C t) [f(t) sqrt(r^2 - t^2)], sampled at open
+    Gauss-Legendre nodes on each (-pi/2, phi_hi).
+    """
+    x, w = _gauss_legendre(n_nodes)
+    half = 0.5 * (phi_hi + 0.5 * math.pi)          # (ny,)
+    mid = 0.5 * (phi_hi - 0.5 * math.pi)
+    phi = mid[:, None] + half[:, None] * x[None, :]  # (ny, nn)
+    t = params.r * np.sin(phi)
+    factor = 1.0 - weight_c * t
+    if moment:  # limit_cdf's moment 0 skips a power over its (ny, nn) grid
+        factor = (t ** moment) * factor
+    integrand = factor * _edge_free_factor(params, t)
+    return np.sum(w[None, :] * integrand, axis=1) * half
+
+
 def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
                                moment: int = 0, n_nodes: int = 2000) -> float:
-    """integral of y^moment (1 - C y) f(y) dy over (-r, r).
-
-    Under y = r sin(phi) the Jacobian cancels the inverse-square-root edge
-    factor analytically, so the integrand is the bounded function
-    y^moment (1 - C y) [f(y) sqrt(r^2 - y^2)] sampled at open
-    Gauss-Legendre nodes.
-    """
-    r = params.r
-    x, w = _gauss_legendre(n_nodes)
-    phi = 0.5 * math.pi * x
-    y = r * np.sin(phi)
-    integrand = (y ** moment) * (1.0 - weight_c * y) * _edge_free_factor(params, y)
-    return float(np.sum(w * integrand) * 0.5 * math.pi)
+    """integral of y^moment (1 - C y) f(y) dy over (-r, r)."""
+    whole = np.array([0.5 * math.pi])
+    return float(_weighted_integrals(params, weight_c, moment, whole, n_nodes)[0])
 
 
 def limit_moment(coin: Coin, alpha: Quaternion, beta: Quaternion,
@@ -562,16 +573,9 @@ def limit_moment(coin: Coin, alpha: Quaternion, beta: Quaternion,
 
 def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
     """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt, vectorized over ys."""
-    r = params.r
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    phi_hi = np.arcsin(np.clip(ys / r, -1.0, 1.0))
-    x, w = _gauss_legendre(n_nodes)
-    half = 0.5 * (phi_hi + 0.5 * math.pi)          # (ny,)
-    mid = 0.5 * (phi_hi - 0.5 * math.pi)
-    phi = mid[:, None] + half[:, None] * x[None, :]  # (ny, nn)
-    t = r * np.sin(phi)
-    integrand = (1.0 - weight_c * t) * _edge_free_factor(params, t)
-    return np.sum(w[None, :] * integrand, axis=1) * half
+    phi_hi = np.arcsin(np.clip(ys / params.r, -1.0, 1.0))
+    return _weighted_integrals(params, weight_c, 0, phi_hi, n_nodes)
 
 
 def kolmogorov_distance(dist: Distribution, params: LimitDensity,

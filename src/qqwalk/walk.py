@@ -1,23 +1,25 @@
 """Time evolution of the walk from an origin-localized spinor.
 
 Amplitudes live on the parity sublattice: after n steps the walker is
-supported on x in {-n, -n+2, ..., n}, stored densely as an (n+1, 2, 4)
-float array indexed by site, chirality (0 = left, 1 = right), and
-quaternion component.  The equivalent 4-component complex representation
-(first column of the 2x2 complex image of the amplitude pair) is carried
-alongside for cross-checks; both evolve the distribution identically.
+supported on x in {-n, -n+2, ..., n}.  `WalkState` is the one amplitude
+state.  It stores, for each of the n+1 sites, the 4-component complex
+amplitude phi: the first column of the 2x2 complex image of the
+quaternion pair (left, right).  Its `psi` property is the same state as an
+(n+1, 2, 4) float array indexed by site, chirality (0 = left, 1 = right)
+and quaternion component.
 
-`evolve` and `evolve_fourier` compute the state in momentum space.  One
-step multiplies the generating function sum_i phi_i z^i by the symbol
-chi_p + z chi_q, so after n steps it is the degree-n polynomial
-(chi_p + z chi_q)^n phi_0.  Its n+1 coefficients are the amplitudes on
-the n+1 sites of the support, and a polynomial of degree n is fixed by its
-values at the n+1 roots of unity: the length-(n+1) inverse DFT recovers
-them exactly, without aliasing.  The matrix power costs about log2(n)
-batched 4x4 products, so an evolution is O(n log n) instead of the O(n^2)
-of stepping.  With `with_norms=True` they step site by site instead, the
-only route that sees the norm after every step; the steppers `step` and
-`step_fourier` remain the references the propagator is tested against.
+`evolve` computes the state in momentum space.  One step multiplies the
+generating function sum_i phi_i z^i by the symbol chi_p + z chi_q, so
+after n steps it is the degree-n polynomial (chi_p + z chi_q)^n phi_0.
+Its n+1 coefficients are the amplitudes on the n+1 sites of the support,
+and a polynomial of degree n is fixed by its values at the n+1 roots of
+unity: the length-(n+1) inverse DFT recovers them exactly, without
+aliasing.  The matrix power costs about log2(n) batched 4x4 products, so
+an evolution is O(n log n) instead of the O(n^2) of stepping.  With
+`with_norms=True` it steps site by site instead, the only route that sees
+the norm after every step.  The steppers remain the references the
+propagator is tested against: `step` multiplies quaternions, and
+`step_fourier` multiplies by the complex images of the move operators.
 
 Total probability is asserted, never renormalized: an evolution whose
 final state misses 1 by more than NORM_TOL raises NormDriftError, and
@@ -38,18 +40,14 @@ from .quaternion import Quaternion, qmul_arr
 
 __all__ = [
     "WalkState",
-    "FourierState",
     "Distribution",
     "check_spinor",
     "init_state",
     "step",
     "evolve",
     "distribution",
-    "to_fourier_rep",
     "init_fourier",
     "step_fourier",
-    "evolve_fourier",
-    "distribution_fourier",
     "moment",
 ]
 
@@ -57,89 +55,106 @@ NORM_TOL = 1e-10
 
 
 @dataclass
-class WalkState:
-    """Quaternion amplitudes after n steps."""
+class _Sublattice:
+    """Data on the parity support {-n, -n+2, ..., n}, one row per site."""
 
     n: int
-    psi: np.ndarray  # (n+1, 2, 4)
 
     def positions(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1, 2)
 
-    def amplitude(self, x: int) -> tuple[Quaternion, Quaternion]:
-        """(left, right) amplitude pair at position x (zero off support)."""
+    def _row(self, x: int) -> int | None:
+        """Row of position x, or None off the support."""
         if (x + self.n) % 2 or abs(x) > self.n:
-            return Quaternion.zero(), Quaternion.zero()
-        i = (x + self.n) // 2
-        return (Quaternion.from_array(self.psi[i, 0]),
-                Quaternion.from_array(self.psi[i, 1]))
-
-    def total_probability(self) -> float:
-        return float(np.sum(self.psi * self.psi))
+            return None
+        return (x + self.n) // 2
 
 
 @dataclass
-class FourierState:
-    """4-component complex amplitudes after n steps."""
+class WalkState(_Sublattice):
+    """Amplitudes after n steps, as 4-component complex vectors."""
 
-    n: int
     phi: np.ndarray  # (n+1, 4) complex128
 
-    def positions(self) -> np.ndarray:
-        return np.arange(-self.n, self.n + 1, 2)
+    @property
+    def psi(self) -> np.ndarray:
+        """The quaternion amplitude pairs, (n+1, 2, 4)."""
+        return _psi_of(self.phi)
+
+    def amplitude(self, x: int) -> tuple[Quaternion, Quaternion]:
+        """(left, right) amplitude pair at position x (zero off support)."""
+        i = self._row(x)
+        if i is None:
+            return Quaternion.zero(), Quaternion.zero()
+        left, right = _psi_of(self.phi[i])
+        return Quaternion.from_array(left), Quaternion.from_array(right)
 
     def total_probability(self) -> float:
         return float(np.sum(np.abs(self.phi) ** 2))
 
 
 @dataclass
-class Distribution:
+class Distribution(_Sublattice):
     """Position probabilities on the parity sublattice after n steps."""
 
-    n: int
     probs: np.ndarray  # (n+1,)
 
-    def positions(self) -> np.ndarray:
-        return np.arange(-self.n, self.n + 1, 2)
-
     def prob(self, x: int) -> float:
-        if (x + self.n) % 2 or abs(x) > self.n:
-            return 0.0
-        return float(self.probs[(x + self.n) // 2])
+        i = self._row(x)
+        return 0.0 if i is None else float(self.probs[i])
 
     def total(self) -> float:
         return float(np.sum(self.probs))
 
 
-def check_spinor(alpha: Quaternion, beta: Quaternion, tol: float = 1e-10) -> None:
-    """Raise NotNormalizedError unless |alpha|^2 + |beta|^2 = 1 within tol.
+def _phi_of(psi: np.ndarray) -> np.ndarray:
+    """First column of the complex image of each amplitude pair:
+    (..., 2, 4) floats -> (..., 4) complex."""
+    phi = np.empty(psi.shape[:-2] + (4,), dtype=np.complex128)
+    phi[..., 0::2] = psi[..., 0] + 1j * psi[..., 1]
+    phi[..., 1::2] = psi[..., 2] - 1j * psi[..., 3]
+    return phi
 
-    The comparison is written so that a NaN or Inf component fails it.
+
+def _psi_of(phi: np.ndarray) -> np.ndarray:
+    """Inverse of `_phi_of`: (..., 4) complex -> (..., 2, 4) floats."""
+    psi = np.empty(phi.shape[:-1] + (2, 4))
+    psi[..., 0] = phi[..., 0::2].real
+    psi[..., 1] = phi[..., 0::2].imag
+    psi[..., 2] = phi[..., 1::2].real
+    psi[..., 3] = -phi[..., 1::2].imag
+    return psi
+
+
+def check_spinor(alpha: Quaternion, beta: Quaternion) -> None:
+    """Raise NotNormalizedError unless |alpha|^2 + |beta|^2 = 1 within
+    NORM_TOL.  The comparison is written so that a NaN or Inf component
+    fails it.
     """
     defect = abs(alpha.norm_sq() + beta.norm_sq() - 1.0)
-    if not defect <= tol:
+    if not defect <= NORM_TOL:
         raise NotNormalizedError(
             f"|alpha|^2 + |beta|^2 = 1 violated by {defect:.3e}")
 
 
-def init_state(alpha: Quaternion, beta: Quaternion,
-               tol: float = 1e-10) -> WalkState:
+def init_state(alpha: Quaternion, beta: Quaternion) -> WalkState:
     """State at n = 0: the spinor (alpha, beta) at the origin."""
-    check_spinor(alpha, beta, tol)
-    psi = np.zeros((1, 2, 4))
-    psi[0, 0] = alpha.to_array()
-    psi[0, 1] = beta.to_array()
-    return WalkState(0, psi)
+    check_spinor(alpha, beta)
+    return WalkState(0, _phi_of(np.array([[alpha.to_array(), beta.to_array()]])))
+
+
+init_fourier = init_state
 
 
 def step(state: WalkState, ops: MoveOperators) -> WalkState:
-    """One evolution step; coin entries multiply amplitudes from the left."""
+    """One evolution step in quaternion arithmetic; coin entries multiply
+    amplitudes from the left."""
     coin = ops.p + ops.q
     cur = state.psi
     nxt = np.zeros((cur.shape[0] + 1, 2, 4))
     nxt[:-1, 0] = qmul_arr(coin[0, 0], cur[:, 0]) + qmul_arr(coin[0, 1], cur[:, 1])
     nxt[1:, 1] = qmul_arr(coin[1, 0], cur[:, 0]) + qmul_arr(coin[1, 1], cur[:, 1])
-    return WalkState(state.n + 1, nxt)
+    return WalkState(state.n + 1, _phi_of(nxt))
 
 
 def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
@@ -149,6 +164,11 @@ def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
     nxt[:n] = cur @ cp.T
     nxt[1:] += cur @ cq.T
     return nxt
+
+
+def step_fourier(state: WalkState, coin: Coin) -> WalkState:
+    """One evolution step by the complex images of the move operators."""
+    return WalkState(state.n + 1, _step_c4(state.phi, chi_p(coin), chi_q(coin)))
 
 
 def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
@@ -190,89 +210,35 @@ def _check_norm(totals, steps: int) -> None:
         raise NormDriftError(drift, steps)
 
 
-def _evolve_c4(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
-               with_norms: bool) -> tuple[FourierState, np.ndarray | None]:
-    """Propagated, or stepped with per-step norms; the final norm is asserted."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    phi0 = init_fourier(alpha, beta).phi
-    cp, cq = chi_p(coin), chi_q(coin)
-    if with_norms:
-        phi, norms = phi0, np.zeros(steps + 1)
-        norms[0] = float(np.sum(np.abs(phi) ** 2))
-        for s in range(steps):
-            phi = _step_c4(phi, cp, cq)
-            norms[s + 1] = float(np.sum(np.abs(phi) ** 2))
-    else:
-        phi, norms = _propagate(cp, cq, phi0.T, steps)[:, :, 0], None
-    out = FourierState(steps, phi)
-    _check_norm(out.total_probability(), steps)
-    return out, norms
-
-
-def _from_fourier_rep(state: FourierState) -> WalkState:
-    """Inverse of `to_fourier_rep`."""
-    phi = state.phi
-    psi = np.empty((phi.shape[0], 2, 4))
-    psi[:, :, 0] = phi[:, 0::2].real
-    psi[:, :, 1] = phi[:, 0::2].imag
-    psi[:, :, 2] = phi[:, 1::2].real
-    psi[:, :, 3] = -phi[:, 1::2].imag
-    return WalkState(state.n, psi)
-
-
 def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
            with_norms: bool = False):
     """Run `steps` updates from the origin state (alpha, beta).
 
-    With `with_norms=True` also returns the total probability after every
-    step (length steps + 1).  Raises NormDriftError when the total
-    probability of the returned state misses 1 by more than NORM_TOL.
+    Propagates in momentum space; with `with_norms=True` it steps instead
+    and also returns the total probability after every step (length
+    steps + 1).  Raises NormDriftError when the total probability of the
+    returned state misses 1 by more than NORM_TOL.
     """
-    state, norms = _evolve_c4(coin, alpha, beta, steps, with_norms)
-    out = _from_fourier_rep(state)
-    return (out, norms) if with_norms else out
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    state = init_state(alpha, beta)
+    cp, cq = chi_p(coin), chi_q(coin)
+    if with_norms:
+        norms = np.zeros(steps + 1)
+        norms[0] = state.total_probability()
+        for s in range(steps):
+            state = WalkState(s + 1, _step_c4(state.phi, cp, cq))
+            norms[s + 1] = state.total_probability()
+    else:
+        state = WalkState(steps, _propagate(cp, cq, state.phi.T, steps)[:, :, 0])
+    _check_norm(state.total_probability(), steps)
+    return (state, norms) if with_norms else state
 
 
-def distribution(state: WalkState | FourierState) -> Distribution:
+def distribution(state: WalkState) -> Distribution:
     """Pointwise squared amplitude norms."""
-    if isinstance(state, FourierState):
-        return distribution_fourier(state)
-    probs = np.sum(state.psi * state.psi, axis=(1, 2))
-    return Distribution(state.n, np.maximum(probs, 0.0))
-
-
-def to_fourier_rep(state: WalkState) -> FourierState:
-    """First column of the complex image of each amplitude pair."""
     psi = state.psi
-    phi = np.empty((psi.shape[0], 4), dtype=np.complex128)
-    phi[:, 0] = psi[:, 0, 0] + 1j * psi[:, 0, 1]
-    phi[:, 1] = psi[:, 0, 2] - 1j * psi[:, 0, 3]
-    phi[:, 2] = psi[:, 1, 0] + 1j * psi[:, 1, 1]
-    phi[:, 3] = psi[:, 1, 2] - 1j * psi[:, 1, 3]
-    return FourierState(state.n, phi)
-
-
-def init_fourier(alpha: Quaternion, beta: Quaternion,
-                 tol: float = 1e-10) -> FourierState:
-    return to_fourier_rep(init_state(alpha, beta, tol=tol))
-
-
-def step_fourier(state: FourierState, coin: Coin) -> FourierState:
-    cp = chi_p(coin)
-    cq = chi_q(coin)
-    return FourierState(state.n + 1, _step_c4(state.phi, cp, cq))
-
-
-def evolve_fourier(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
-                   with_norms: bool = False):
-    """Evolve in the 4-component complex representation; as `evolve`."""
-    out, norms = _evolve_c4(coin, alpha, beta, steps, with_norms)
-    return (out, norms) if with_norms else out
-
-
-def distribution_fourier(state: FourierState) -> Distribution:
-    probs = np.sum(np.abs(state.phi) ** 2, axis=1)
+    probs = np.sum(psi * psi, axis=(1, 2))
     return Distribution(state.n, np.maximum(probs, 0.0))
 
 

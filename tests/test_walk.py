@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqwalk import Coin, NormDriftError, NotNormalizedError, Quaternion
 from qqwalk.coin import COIN_CLASSES, hadamard_coin, load_coin, random_coin, split_pq
@@ -10,13 +11,11 @@ from qqwalk.exact import boundary_prob
 from qqwalk.walk import (
     distribution,
     evolve,
-    evolve_fourier,
     init_fourier,
     init_state,
     moment,
     step,
     step_fourier,
-    to_fourier_rep,
 )
 
 from helpers import dict_distribution, dict_evolve, random_spinor
@@ -187,8 +186,7 @@ def test_fourier_rep_components():
 
 
 def test_fourier_rep_real_state_is_real():
-    st = init_state(Quaternion(S), Quaternion(S))
-    phi = to_fourier_rep(st).phi
+    phi = init_state(Quaternion(S), Quaternion(S)).phi
     assert np.max(np.abs(phi.imag)) == 0.0
     assert phi[0, 0] == pytest.approx(S)
 
@@ -198,23 +196,26 @@ def test_fourier_norm_matches():
     coin = random_coin(rng)
     alpha, beta = random_spinor(rng)
     st = evolve(coin, alpha, beta, 40)
-    fr = to_fourier_rep(st)
     psi_norms = np.sum(st.psi * st.psi, axis=(1, 2))
-    phi_norms = np.sum(np.abs(fr.phi) ** 2, axis=1)
+    phi_norms = np.sum(np.abs(st.phi) ** 2, axis=1)
     assert np.max(np.abs(psi_norms - phi_norms)) <= 1e-13
 
 
 def test_convert_then_evolve_commutes():
-    # evolving quaternion amplitudes then converting equals converting the
-    # initial state and evolving with the complex images of P and Q
+    # stepping in quaternion arithmetic and converting once gives the
+    # complex amplitudes that the propagator computes from the converted
+    # initial state with the complex images of P and Q
     rng = np.random.default_rng(37)
     for kind in ("general", "case5"):
         coin = random_coin(rng, kind)
         alpha, beta = random_spinor(rng)
+        ops = split_pq(coin)
         n = 25
-        converted = to_fourier_rep(evolve(coin, alpha, beta, n))
-        evolved = evolve_fourier(coin, alpha, beta, n)
-        assert np.max(np.abs(converted.phi - evolved.phi)) <= 1e-12
+        stepped = init_state(alpha, beta)
+        for _ in range(n):
+            stepped = step(stepped, ops)
+        evolved = evolve(coin, alpha, beta, n)
+        assert np.max(np.abs(stepped.phi - evolved.phi)) <= 1e-12
 
 
 def test_fourier_step_matches_evolve():
@@ -224,8 +225,39 @@ def test_fourier_step_matches_evolve():
     st = init_fourier(alpha, beta)
     for _ in range(5):
         st = step_fourier(st, coin)
-    direct = evolve_fourier(coin, alpha, beta, 5)
+    direct = evolve(coin, alpha, beta, 5)
     assert np.max(np.abs(st.phi - direct.phi)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=0, max_value=24))
+def test_steppers_propagator_and_oracle_agree(kind, seed, n):
+    # amplitude by amplitude: quaternion stepping, complex stepping, the
+    # propagator and the dict-based oracle, read through phi, psi and
+    # amplitude(x)
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng, kind)
+    alpha, beta = random_spinor(rng)
+    ops = split_pq(coin)
+    quat = comp = init_state(alpha, beta)
+    for _ in range(n):
+        quat = step(quat, ops)
+        comp = step_fourier(comp, coin)
+    prop = evolve(coin, alpha, beta, n)
+    for other in (comp, prop):
+        assert other.n == quat.n == n
+        assert np.max(np.abs(other.phi - quat.phi)) <= 1e-13
+        assert np.max(np.abs(other.psi - quat.psi)) <= 1e-13
+    ref = dict_evolve(coin, alpha, beta, n)
+    zero = Quaternion.zero()
+    for x in range(-n - 1, n + 2):
+        want = ref.get(x, (zero, zero))
+        for state in (quat, comp, prop):
+            left, right = state.amplitude(x)
+            assert left.approx_eq(want[0], 1e-13)
+            assert right.approx_eq(want[1], 1e-13)
 
 
 def test_moments():
@@ -269,5 +301,3 @@ def test_norm_drift_raises():
         evolve(coin, one, zero, 1000)
     with pytest.raises(NormDriftError):
         evolve(coin, one, zero, 1000, with_norms=True)
-    with pytest.raises(NormDriftError):
-        evolve_fourier(coin, one, zero, 1000)
