@@ -37,9 +37,6 @@ from .exact import (
     closed_form_prob,
     xi_bruteforce,
     xi_closed,
-    xi_closed_case3,
-    xi_closed_case4,
-    xi_closed_complex,
 )
 from .quaternion import Quaternion, chi, chi_matrix, solve_sylvester, sylvester_residual
 from .spectral import (

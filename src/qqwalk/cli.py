@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 import numpy as np
 
@@ -155,8 +156,8 @@ def _cmd_xi(args) -> int:
         "position": ps.position,
         "matrix": ps.matrix.tolist(),
     }
-    if ps.n_paths is not None:
-        payload["paths"] = ps.n_paths
+    if args.brute:
+        payload["paths"] = comb(args.l + args.m, args.l)
     # C(l+m, l) has ~0.3 (l+m) digits; Python prints at most 4300 by default
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

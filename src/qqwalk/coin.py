@@ -53,6 +53,9 @@ __all__ = [
 
 COIN_CLASSES = ("case1", "case2", "case3", "case4", "case5", "general")
 
+UNITARITY_TOL = 1e-10  # largest residual `validate_coin` accepts
+ZERO_TOL = 1e-12  # components (and entries) this small count as zero
+
 
 @dataclass(frozen=True)
 class Coin:
@@ -70,9 +73,10 @@ class Coin:
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return self.a, self.b, self.c, self.d
 
-    def is_complex(self, tol: float = 1e-12) -> bool:
+    def is_complex(self) -> bool:
         """True when every entry has vanishing j and k components."""
-        return all(abs(q.x2) <= tol and abs(q.x3) <= tol for q in self.entries())
+        return all(abs(q.x2) <= ZERO_TOL and abs(q.x3) <= ZERO_TOL
+                   for q in self.entries())
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,7 @@ def unitarity_residuals(a: Quaternion, b: Quaternion, c: Quaternion,
     }
 
 
-def validate_coin(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion,
-                  tol: float = 1e-10) -> Coin:
+def validate_coin(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion) -> Coin:
     """Check the unitarity relations and return the coin.
 
     Raises NotUnitaryError naming the first violated relation; a NaN or
@@ -105,7 +108,7 @@ def validate_coin(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion,
     """
     residuals = unitarity_residuals(a, b, c, d)
     for relation, res in residuals.items():
-        if not res <= tol:
+        if not res <= UNITARITY_TOL:
             raise NotUnitaryError(relation, res)
     return Coin(a, b, c, d)
 
@@ -118,21 +121,21 @@ def split_pq(coin: Coin) -> MoveOperators:
     return MoveOperators(p, q)
 
 
-def classify(coin: Coin, tol: float = 1e-12) -> str:
+def classify(coin: Coin) -> str:
     """Structural class of the coin; first matching tag wins."""
     a, b, c, d = coin.entries()
 
     def zero(q: Quaternion) -> bool:
-        return q.norm() <= tol
+        return q.norm() <= ZERO_TOL
 
     def simplex_only(q: Quaternion) -> bool:
-        return abs(q.x2) <= tol and abs(q.x3) <= tol
+        return abs(q.x2) <= ZERO_TOL and abs(q.x3) <= ZERO_TOL
 
     def perplex_only(q: Quaternion) -> bool:
-        return abs(q.x0) <= tol and abs(q.x1) <= tol
+        return abs(q.x0) <= ZERO_TOL and abs(q.x1) <= ZERO_TOL
 
     def real_only(q: Quaternion) -> bool:
-        return q.imag_part().norm() <= tol
+        return q.imag_part().norm() <= ZERO_TOL
 
     if zero(b) and zero(c):
         return "case1"
@@ -143,7 +146,7 @@ def classify(coin: Coin, tol: float = 1e-12) -> str:
         return "case4"
     if real_only(a) and real_only(d):
         return "case3"
-    if abs(a.x0) <= tol and abs(d.x0) <= tol:
+    if abs(a.x0) <= ZERO_TOL and abs(d.x0) <= ZERO_TOL:
         return "case5"
     return "general"
 
@@ -174,7 +177,7 @@ def coin_to_json(coin: Coin) -> str:
     return json.dumps(payload)
 
 
-def coin_from_json(text: str, tol: float = 1e-10) -> Coin:
+def coin_from_json(text: str) -> Coin:
     """Parse and validate a coin.
 
     Raises ValueError (json.JSONDecodeError for malformed JSON) when the
@@ -193,13 +196,13 @@ def coin_from_json(text: str, tol: float = 1e-10) -> Coin:
                 or not all(type(v) in (int, float) for v in value)):
             raise ValueError(f"coin entry {key!r} must be an array of four numbers")
         entries.append(Quaternion(*(float(v) for v in value)))
-    return validate_coin(*entries, tol=tol)
+    return validate_coin(*entries)
 
 
-def load_coin(path, tol: float = 1e-10) -> Coin:
+def load_coin(path) -> Coin:
     """Read a coin file once and parse it with `coin_from_json`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return coin_from_json(fh.read(), tol=tol)
+        return coin_from_json(fh.read())
 
 
 def hadamard_coin() -> Coin:
@@ -247,8 +250,7 @@ def _complete(a_hat: Quaternion, b_hat: Quaternion, g: Quaternion,
     return a, b, c, d
 
 
-def random_coin(rng: np.random.Generator, kind: str = "general",
-                tol: float = 1e-10) -> Coin:
+def random_coin(rng: np.random.Generator, kind: str = "general") -> Coin:
     """Draw a random valid coin of the requested structural class."""
     if kind not in COIN_CLASSES and kind != "complex":
         raise ValueError(f"unknown coin kind {kind!r}")
@@ -302,7 +304,7 @@ def random_coin(rng: np.random.Generator, kind: str = "general",
             g = random_unit_quaternion(rng)
             entries = _complete(a_hat, b_hat, g, phi)
 
-        coin = validate_coin(*entries, tol=tol)
+        coin = validate_coin(*entries)
         wanted = "general" if kind == "complex" else kind
         if kind == "complex":
             if coin.is_complex():

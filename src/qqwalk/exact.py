@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from .walk import Distribution, _check_norm, _propagate, check_spinor
 __all__ = [
     "PathSum",
     "xi_bruteforce",
-    "xi_closed_complex",
-    "xi_closed_case3",
-    "xi_closed_case4",
     "xi_closed",
     "case4_subcoins",
     "boundary_prob",
@@ -56,7 +52,6 @@ class PathSum:
     l: int
     m: int
     matrix: np.ndarray  # (2, 2, 4)
-    n_paths: int | None = None
 
     @property
     def position(self) -> int:
@@ -82,7 +77,7 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
                       np.eye(4, dtype=np.complex128), n)
     # every column is a walk from a unit vector, so it keeps norm 1
     _check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
-    return PathSum(l, m, chi_inv_matrix(cols[m], tol=1e-8), n_paths=comb(n, l))
+    return PathSum(l, m, chi_inv_matrix(cols[m]))
 
 
 def _require_nonzero_entries(coin: Coin) -> None:
@@ -198,29 +193,18 @@ def _xi_complex(u: np.ndarray, l: int, m: int) -> np.ndarray:
     return (a / abs(a)) ** l * (d / abs(d)) ** m * top
 
 
-def xi_closed_complex(coin: Coin, l: int, m: int) -> PathSum:
-    """Closed form of the path sum for a coin with complex entries."""
-    _check_lm(l, m)
-    _require_nonzero_entries(coin)
-    if not coin.is_complex():
-        raise DomainError("coin entries must be complex (no j or k components)")
-    _require_interior(l, m)
-    u = np.array([[coin.a.simplex, coin.b.simplex],
-                  [coin.c.simplex, coin.d.simplex]])
-    top = _xi_complex(u, l, m)
+def _xi_complex_entries(coin: Coin, l: int, m: int) -> np.ndarray:
+    """Closed form for a coin with complex entries."""
+    top = _xi_complex(np.array([[coin.a.simplex, coin.b.simplex],
+                                [coin.c.simplex, coin.d.simplex]]), l, m)
     mat = np.zeros((2, 2, 4))
     mat[:, :, 0] = top.real
     mat[:, :, 1] = top.imag
-    return PathSum(l, m, mat)
+    return mat
 
 
-def xi_closed_case3(coin: Coin, l: int, m: int) -> PathSum:
+def _xi_case3(coin: Coin, l: int, m: int) -> np.ndarray:
     """Closed form for coins with real diagonal: d = s*a, c = -s*conj(b)."""
-    _check_lm(l, m)
-    if classify(coin) != "case3":
-        raise DomainError("coin must classify as case3")
-    _require_nonzero_entries(coin)
-    _require_interior(l, m)
     a0 = coin.a.re
     b = coin.b
     sign = 1.0 if abs(coin.d.re - a0) < abs(coin.d.re + a0) else -1.0
@@ -232,7 +216,7 @@ def xi_closed_case3(coin: Coin, l: int, m: int) -> PathSum:
     mat[1, 1, 0] = scale * m * s0
     mat[0, 1] = scale * (bsq * l * s0 - s1) / (a0 * bsq) * b.to_array()
     mat[1, 0] = scale * (s1 - bsq * m * s0) / (a0 * bsq) * b.conj().to_array()
-    return PathSum(l, m, mat)
+    return mat
 
 
 def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
@@ -250,16 +234,13 @@ def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def xi_closed_case4(coin: Coin, l: int, m: int) -> PathSum:
+def _xi_case4(coin: Coin, l: int, m: int) -> np.ndarray:
     """Closed form for case4 coins, assembled from the two subwalk sums."""
-    _check_lm(l, m)
     u1, u2 = case4_subcoins(coin)
-    _require_nonzero_entries(coin)
-    _require_interior(l, m)
     xi4 = np.zeros((4, 4), dtype=np.complex128)
     xi4[np.ix_((0, 3), (0, 3))] = _xi_complex(u1, l, m)
     xi4[np.ix_((1, 2), (1, 2))] = _xi_complex(u2, l, m)
-    return PathSum(l, m, chi_inv_matrix(xi4, tol=1e-8))
+    return chi_inv_matrix(xi4)
 
 
 def _closed_family(coin: Coin, what: str) -> str:
@@ -274,13 +255,20 @@ def _closed_family(coin: Coin, what: str) -> str:
 
 
 def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
-    """Dispatch to the closed form matching the coin's structure."""
+    """Closed form of the path sum Xi(l, m) for the coin's family: real
+    diagonal (case3), split structure (case4) or complex entries.
+
+    Raises DomainError for a coin outside these families, for a zero
+    entry (which rules out case1 and case2), and unless l, m >= 1.
+    """
     family = _closed_family(coin, "path sum")
-    if family == "case3":
-        return xi_closed_case3(coin, l, m)
-    if family == "case4":
-        return xi_closed_case4(coin, l, m)
-    return xi_closed_complex(coin, l, m)
+    _check_lm(l, m)
+    # case1 and case2 coins, the only ones here whose entries need not be
+    # complex, always fail this check
+    _require_nonzero_entries(coin)
+    _require_interior(l, m)
+    build = {"case3": _xi_case3, "case4": _xi_case4}.get(family, _xi_complex_entries)
+    return PathSum(l, m, build(coin, l, m))
 
 
 # ---------------------------------------------------------------------

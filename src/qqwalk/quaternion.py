@@ -1,9 +1,10 @@
 """Quaternion arithmetic over float64.
 
 Hamilton product, conjugation, the simplex/perplex decomposition, the 2x2
-complex embedding of a quaternion (and its blockwise extension to small
-quaternion matrices), and a closed-form solver for the one-sided linear
-equation a*x - x*b = c.
+complex embedding of a quaternion (its blockwise extension to small
+quaternion matrices, and the conversion of quaternion pairs to and from
+the first column of their image), and a closed-form solver for the
+one-sided linear equation a*x - x*b = c.
 
 Scalars are immutable `Quaternion` values; bulk operations are provided as
 vectorized functions over float64 arrays whose trailing axis holds the four
@@ -26,14 +27,10 @@ __all__ = [
     "chi_arr",
     "chi_matrix",
     "chi_inv_matrix",
-    "qmat_mul",
     "qmat_from_quaternions",
     "solve_sylvester",
     "sylvester_residual",
-    "random_quaternion",
     "random_unit_quaternion",
-    "max_abs",
-    "is_unitary",
 ]
 
 
@@ -71,11 +68,6 @@ class Quaternion:
     @staticmethod
     def from_complex(z: complex) -> "Quaternion":
         return Quaternion(z.real, z.imag, 0.0, 0.0)
-
-    @staticmethod
-    def from_parts(simplex: complex, perplex: complex) -> "Quaternion":
-        """Rebuild from x = simplex + perplex*j."""
-        return Quaternion(simplex.real, simplex.imag, perplex.real, perplex.imag)
 
     @staticmethod
     def from_array(arr) -> "Quaternion":
@@ -228,6 +220,25 @@ def chi(x: Quaternion) -> np.ndarray:
     return chi_arr(x.to_array())
 
 
+def _phi_of(psi: np.ndarray) -> np.ndarray:
+    """First column of the complex image of each quaternion pair:
+    (..., 2, 4) floats -> (..., 4) complex."""
+    phi = np.empty(psi.shape[:-2] + (4,), dtype=np.complex128)
+    phi[..., 0::2] = psi[..., 0] + 1j * psi[..., 1]
+    phi[..., 1::2] = psi[..., 2] - 1j * psi[..., 3]
+    return phi
+
+
+def _psi_of(phi: np.ndarray) -> np.ndarray:
+    """Inverse of `_phi_of`: (..., 4) complex -> (..., 2, 4) floats."""
+    psi = np.empty(phi.shape[:-1] + (2, 4))
+    psi[..., 0] = phi[..., 0::2].real
+    psi[..., 1] = phi[..., 0::2].imag
+    psi[..., 2] = phi[..., 1::2].real
+    psi[..., 3] = -phi[..., 1::2].imag
+    return psi
+
+
 # ---------------------------------------------------------------------
 # small quaternion matrices, stored as (rows, cols, 4) float arrays
 # ---------------------------------------------------------------------
@@ -235,18 +246,6 @@ def chi(x: Quaternion) -> np.ndarray:
 def qmat_from_quaternions(rows) -> np.ndarray:
     """Build an (r, c, 4) array from nested sequences of Quaternion."""
     return np.array([[q.to_array() for q in row] for row in rows])
-
-
-def qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of quaternion matrices given as (r, k, 4) and (k, c, 4)."""
-    r, k, _ = a.shape
-    k2, c, _ = b.shape
-    if k != k2:
-        raise ValueError("shape mismatch")
-    out = np.zeros((r, c, 4))
-    for t in range(k):
-        out += qmul_arr(a[:, t, None, :], b[None, t, :, :])
-    return out
 
 
 def chi_matrix(m: np.ndarray) -> np.ndarray:
@@ -261,11 +260,14 @@ def chi_matrix(m: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 
-def chi_inv_matrix(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+IMAGE_TOL = 1e-8  # largest block defect `chi_inv_matrix` accepts
+
+
+def chi_inv_matrix(m: np.ndarray) -> np.ndarray:
     """Read a (2n, 2n) complex matrix back as an (n, n, 4) quaternion matrix.
 
     Raises ValueError if the matrix does not have the 2x2-block structure of
-    a quaternion image within `tol`.
+    a quaternion image within IMAGE_TOL.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
@@ -278,21 +280,11 @@ def chi_inv_matrix(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             sp = blk[0, 0]
             pp = -blk[0, 1]
             defect = max(abs(blk[1, 0] - np.conj(pp)), abs(blk[1, 1] - np.conj(sp)))
-            if defect > tol:
+            if defect > IMAGE_TOL:
                 raise ValueError(f"block ({r},{c}) is not a quaternion image "
                                  f"(defect {defect:.3e})")
             out[r, c] = [sp.real, sp.imag, pp.real, pp.imag]
     return out
-
-
-def max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    eye = np.eye(m.shape[0], dtype=m.dtype)
-    return max_abs(m @ m.conj().T - eye) <= tol
 
 
 # ---------------------------------------------------------------------
@@ -350,10 +342,6 @@ def sylvester_residual(a: Quaternion, b: Quaternion, c: Quaternion,
 # ---------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------
-
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_array(rng.normal(scale=scale, size=4))
-
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     while True:

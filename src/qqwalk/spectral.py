@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coin import Coin, u_theta
+from .coin import ZERO_TOL, Coin, u_theta
 from .errors import DegenerateABError, DegenerateError, DomainError
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _phi_of
 from .walk import Distribution, distribution, evolve
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "CompareResult",
     "char_poly_coeffs",
     "eigen_system",
-    "eigen_angles",
     "appendix_ab",
     "eigenvector_params",
     "eigenvector_closed",
@@ -50,7 +49,6 @@ __all__ = [
     "qqw_limit_density",
     "weight_constant",
     "integrate_weighted_density",
-    "limit_moment",
     "limit_cdf",
     "kolmogorov_distance",
     "limit_compare",
@@ -100,11 +98,6 @@ def _angles(values: np.ndarray) -> np.ndarray:
     angles = np.angle(values)
     angles[angles >= math.pi] -= 2.0 * math.pi
     return angles
-
-
-def eigen_angles(coin: Coin, theta: float) -> np.ndarray:
-    """Sorted eigen-angles of U(theta) in [-pi, pi)."""
-    return np.sort(_angles(np.linalg.eigvals(u_theta(coin, theta))))
 
 
 def _real_positive(vec: np.ndarray) -> np.ndarray:
@@ -257,12 +250,7 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float,
             key=lambda q: q.norm())
     phase = Quaternion(math.cos(lam - theta), math.sin(lam - theta), 0.0, 0.0)
     t = (b.conj() / bsq) * (s * phase - coin.a * s)
-    vec = np.array([
-        s.simplex,
-        np.conj(s.perplex),
-        t.simplex,
-        np.conj(t.perplex),
-    ], dtype=np.complex128)
+    vec = _phi_of(np.array([s.to_array(), t.to_array()]))
     norm = np.linalg.norm(vec)
     if norm <= 1e-14:
         raise DegenerateABError("construction produced a null vector")
@@ -289,11 +277,11 @@ def group_velocities(coin: Coin, theta: float) -> np.ndarray:
                      for p in eigen_system(coin, theta)])
 
 
-def _case5_params(coin: Coin, tol: float = 1e-12) -> tuple[float, float]:
+def _case5_params(coin: Coin) -> tuple[float, float]:
     # The trace-free predicate (Re a = Re d = 0) is the actual domain of
     # the closed limit law; coins in the overlap with the split-structure
     # class carry the case4 tag but still satisfy it.
-    if abs(coin.a.re) > tol or abs(coin.d.re) > tol:
+    if abs(coin.a.re) > ZERO_TOL or abs(coin.d.re) > ZERO_TOL:
         raise DomainError("limit law requires vanishing real parts of a and d")
     if any(q.is_zero() for q in coin.entries()):
         raise DomainError("limit law requires a, b, c, d all nonzero")
@@ -354,7 +342,6 @@ class LimitDensity:
     a_sq: float
     rebc: float
     kind: str
-    weight: float = 0.0
 
 
 def _g_constant(u: float, s: float) -> float:
@@ -555,20 +542,15 @@ def _weighted_integrals(params: LimitDensity, weight_c: float, moment: int,
     return np.sum(w[None, :] * integrand, axis=1) * half
 
 
+DENSITY_NODES = 2000  # Gauss-Legendre nodes of `integrate_weighted_density`
+
+
 def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
-                               moment: int = 0, n_nodes: int = 2000) -> float:
+                               moment: int = 0) -> float:
     """integral of y^moment (1 - C y) f(y) dy over (-r, r)."""
     whole = np.array([0.5 * math.pi])
-    return float(_weighted_integrals(params, weight_c, moment, whole, n_nodes)[0])
-
-
-def limit_moment(coin: Coin, alpha: Quaternion, beta: Quaternion,
-                 order: int, n_nodes: int = 2000) -> float:
-    """Moment of the limit law: integral of y^order (1 - C y) f(y) dy."""
-    params = qqw_limit_params(coin)
-    c = weight_constant(coin, alpha, beta)
-    return integrate_weighted_density(params, weight_c=c, moment=order,
-                                      n_nodes=n_nodes)
+    return float(_weighted_integrals(params, weight_c, moment, whole,
+                                     DENSITY_NODES)[0])
 
 
 def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .coin import Coin, MoveOperators, chi_p, chi_q
 from .errors import NormDriftError, NotNormalizedError
-from .quaternion import Quaternion, qmul_arr
+from .quaternion import Quaternion, _phi_of, _psi_of, qmul_arr
 
 __all__ = [
     "WalkState",
@@ -105,25 +105,6 @@ class Distribution(_Sublattice):
 
     def total(self) -> float:
         return float(np.sum(self.probs))
-
-
-def _phi_of(psi: np.ndarray) -> np.ndarray:
-    """First column of the complex image of each amplitude pair:
-    (..., 2, 4) floats -> (..., 4) complex."""
-    phi = np.empty(psi.shape[:-2] + (4,), dtype=np.complex128)
-    phi[..., 0::2] = psi[..., 0] + 1j * psi[..., 1]
-    phi[..., 1::2] = psi[..., 2] - 1j * psi[..., 3]
-    return phi
-
-
-def _psi_of(phi: np.ndarray) -> np.ndarray:
-    """Inverse of `_phi_of`: (..., 4) complex -> (..., 2, 4) floats."""
-    psi = np.empty(phi.shape[:-1] + (2, 4))
-    psi[..., 0] = phi[..., 0::2].real
-    psi[..., 1] = phi[..., 0::2].imag
-    psi[..., 2] = phi[..., 1::2].real
-    psi[..., 3] = -phi[..., 1::2].imag
-    return psi
 
 
 def check_spinor(alpha: Quaternion, beta: Quaternion) -> None:

@@ -5,8 +5,10 @@ definitions but through a different computational route, so agreement is
 meaningful: a dict-based walk evolution, path sums by enumeration of every
 path, the alternating sums in exact rational arithmetic, the case4 split
 into two commuting subwalks, a determinant-sampling route to
-characteristic-polynomial coefficients, group velocities by finite
-differences of the eigen-angles, and tiny utilities.
+characteristic-polynomial coefficients, eigen-angles from numpy's
+`eigvals` and group velocities by their finite differences, the product
+of small quaternion matrices by scalar quaternion products, and tiny
+utilities (`max_abs`, `is_unitary`, random quaternions and spinors).
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 
 from qqwalk import DomainError, Quaternion
 from qqwalk.coin import Coin, MoveOperators, classify, split_pq, u_theta, validate_coin
-from qqwalk.quaternion import chi_inv_matrix, chi_matrix
-from qqwalk.spectral import eigen_angles
+from qqwalk.quaternion import chi_inv_matrix, chi_matrix, qmul_arr
 
 
 def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
@@ -61,7 +62,7 @@ def enumerate_xi(ops: MoveOperators, l: int, m: int) -> np.ndarray:
         for t in range(n):
             prod = (p4 if t in left else q4) @ prod
         total += prod
-    return chi_inv_matrix(total, tol=1e-8)
+    return chi_inv_matrix(total)
 
 
 def exact_s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
@@ -127,6 +128,13 @@ def numeric_char_poly(coin: Coin, theta: float) -> np.ndarray:
     return np.linalg.solve(vander, vals)
 
 
+def eigen_angles(coin: Coin, theta: float) -> np.ndarray:
+    """Sorted eigen-angles of U(theta) in [-pi, pi), from `eigvals` alone."""
+    angles = np.angle(np.linalg.eigvals(u_theta(coin, theta)))
+    angles[angles >= math.pi] -= 2.0 * math.pi
+    return np.sort(angles)
+
+
 def central_difference_velocities(coin: Coin, theta: float,
                                   h: float = 1e-5) -> np.ndarray:
     """d lambda / d theta of the angle-sorted branches by central differences.
@@ -160,8 +168,30 @@ def quat_mat_to_complex(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_array(rng.normal(scale=scale, size=4))
+def qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of quaternion matrices given as (r, k, 4) and (k, c, 4)."""
+    r, k, _ = a.shape
+    k2, c, _ = b.shape
+    if k != k2:
+        raise ValueError("shape mismatch")
+    out = np.zeros((r, c, 4))
+    for t in range(k):
+        out += qmul_arr(a[:, t, None, :], b[None, t, :, :])
+    return out
+
+
+def max_abs(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
+
+
+def is_unitary(m: np.ndarray, tol: float) -> bool:
+    m = np.asarray(m)
+    eye = np.eye(m.shape[0], dtype=m.dtype)
+    return max_abs(m @ m.conj().T - eye) <= tol
+
+
+def random_quaternion(rng: np.random.Generator) -> Quaternion:
+    return Quaternion.from_array(rng.normal(size=4))
 
 
 def random_spinor(rng: np.random.Generator) -> tuple[Quaternion, Quaternion]:

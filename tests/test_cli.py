@@ -23,6 +23,9 @@ ALPHA = "[1, 0, 0, 0]"
 BETA = "[0, 0, 0, 0]"
 TOO_BIG = str(cli.MAX_SIZE + 1)
 OUT = "<out>"
+TRACEFREE_IJ = os.path.join(os.path.dirname(__file__), os.pardir, "coins",
+                            "tracefree_ij.json")
+QUAT_INIT = ["--alpha", "[0.5, 0.5, 0, 0]", "--beta", "[0, 0, 0.5, 0.5]"]
 
 
 @pytest.fixture
@@ -126,6 +129,31 @@ def test_xi_brute_prints_long_path_counts(hadamard_file, capsys):
     assert sys.get_int_max_str_digits() == limit
     digits = re.search(r'"paths": (\d+)', capsys.readouterr().out).group(1)
     assert Decimal(digits) == Decimal(math.comb(16000, 8000))
+
+
+@pytest.mark.parametrize("args", [
+    ["classify"],
+    ["simulate", *QUAT_INIT, "--steps", "120", "--out", OUT],
+    ["exact", *QUAT_INIT, "--steps", "120", "--out", OUT],
+    ["xi", "--l", "3", "--m", "4"],
+    ["xi", "--l", "3", "--m", "4", "--brute"],
+    ["spectrum", "--theta", "0.4"],
+    ["limit", *QUAT_INIT, "--grid", "101", "--out", OUT],
+    ["compare", *QUAT_INIT, "--steps", "120"],
+], ids=["classify", "simulate", "exact", "xi", "xi-brute", "spectrum", "limit",
+        "compare"])
+def test_rerun_is_byte_identical(tmp_path, capsys, args):
+    # the second run in the same process meets warm caches
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"{k}.csv"
+        argv = [args[0], "--coin", TRACEFREE_IJ, *(str(out) if a == OUT else a
+                                                   for a in args[1:])]
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out,
+                     out.read_bytes() if OUT in args else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] or runs[0][1]
 
 
 def test_spectrum_json(ij_file, capsys):

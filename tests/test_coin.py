@@ -17,7 +17,9 @@ from qqwalk.coin import (
     unitarity_residuals,
     validate_coin,
 )
-from qqwalk.quaternion import chi_matrix, is_unitary, max_abs, qmat_mul
+from qqwalk.quaternion import chi_matrix
+
+from helpers import is_unitary, max_abs, qmat_mul
 
 S = math.sqrt(0.5)
 I = Quaternion.i()

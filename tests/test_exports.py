@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -14,3 +16,14 @@ def test_every_exported_name_exists(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing
+
+
+def test_package_imports_only_public_names():
+    # qqwalk re-exports names only from the __all__ of their module
+    for node in ast.parse(inspect.getsource(qqwalk)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = getattr(importlib.import_module(f"qqwalk.{node.module}"),
+                             "__all__", None)
+            if public is not None:
+                hidden = [a.name for a in node.names if a.name not in public]
+                assert not hidden, (node.module, hidden)

@@ -14,7 +14,6 @@ from qqwalk.spectral import (
     case5_angle,
     case5_group_velocity,
     char_poly_coeffs,
-    eigen_angles,
     eigen_system,
     eigenvector_closed,
     eigenvector_params,
@@ -23,7 +22,6 @@ from qqwalk.spectral import (
     kolmogorov_distance,
     limit_cdf,
     limit_compare,
-    limit_moment,
     qqw_limit_density,
     qqw_limit_params,
     qw_limit_density,
@@ -35,7 +33,7 @@ from qqwalk.spectral import (
 )
 from qqwalk.walk import distribution, evolve, moment
 
-from helpers import central_difference_velocities, numeric_char_poly, random_spinor
+from helpers import central_difference_velocities, eigen_angles, numeric_char_poly, random_spinor
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -423,7 +421,8 @@ def test_second_moment_route():
     n = 2000
     dist = distribution(evolve(coin, alpha, beta, n))
     emp = moment(dist, 2) / n ** 2
-    lim = limit_moment(coin, alpha, beta, 2)
+    lim = integrate_weighted_density(qqw_limit_params(coin),
+                                     weight_constant(coin, alpha, beta), 2)
     assert abs(emp - lim) <= 5e-3
 
 
@@ -444,7 +443,9 @@ def test_first_moment_from_quaternionic_spinor():
     alpha, beta = random_spinor(rng)
     n = 2000
     emp = moment(distribution(evolve(coin, alpha, beta, n)), 1) / n
-    assert abs(emp - limit_moment(coin, alpha, beta, 1)) <= 1e-3
+    lim = integrate_weighted_density(qqw_limit_params(coin),
+                                     weight_constant(coin, alpha, beta), 1)
+    assert abs(emp - lim) <= 1e-3
 
 
 def test_supports_differ_between_walk_families():
