@@ -14,8 +14,7 @@ import json
 import sys
 from math import comb
 
-import numpy as np
-
+from . import _numpy as np
 from .coin import Coin, classify, load_coin, split_pq, unitarity_residuals
 from .errors import (
     DegenerateABError,

@@ -23,8 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import NotUnitaryError
 from .quaternion import (
     Quaternion,

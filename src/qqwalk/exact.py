@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import _numpy as np
 from .coin import Coin, MoveOperators, classify
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
@@ -227,6 +226,11 @@ def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     """
     if classify(coin) != "case4":
         raise DomainError("coin must classify as case4")
+    return _case4_subcoins(coin)
+
+
+def _case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
+    """`case4_subcoins` for a coin already classified as case4."""
     ap, bp = coin.a.simplex, coin.b.perplex
     cp, dp = coin.c.perplex, coin.d.simplex
     u1 = np.array([[ap, -bp], [np.conj(cp), np.conj(dp)]], dtype=np.complex128)
@@ -236,7 +240,7 @@ def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
 
 def _xi_case4(coin: Coin, l: int, m: int) -> np.ndarray:
     """Closed form for case4 coins, assembled from the two subwalk sums."""
-    u1, u2 = case4_subcoins(coin)
+    u1, u2 = _case4_subcoins(coin)
     xi4 = np.zeros((4, 4), dtype=np.complex128)
     xi4[np.ix_((0, 3), (0, 3))] = _xi_complex(u1, l, m)
     xi4[np.ix_((1, 2), (1, 2))] = _xi_complex(u2, l, m)

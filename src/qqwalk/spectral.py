@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import _numpy as np
 from .coin import ZERO_TOL, Coin, u_theta
 from .errors import DegenerateABError, DegenerateError, DomainError
 from .quaternion import Quaternion, _phi_of
@@ -263,7 +262,7 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float,
 
 # U(theta) = diag(e^{it}, e^{it}, e^{-it}, e^{-it}) chi(coin), so
 # dU/dtheta = i SIGMA U with SIGMA = diag(1, 1, -1, -1)
-_SIGMA = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGMA = (1.0, 1.0, -1.0, -1.0)
 
 
 def group_velocities(coin: Coin, theta: float) -> np.ndarray:
@@ -273,7 +272,8 @@ def group_velocities(coin: Coin, theta: float) -> np.ndarray:
     (Hellmann-Feynman) gives d lambda / d theta = v^H SIGMA v exactly.
     Raises DegenerateError where `eigen_system` does.
     """
-    return np.array([_SIGMA @ np.abs(p.vector) ** 2
+    sigma = np.array(_SIGMA)
+    return np.array([sigma @ np.abs(p.vector) ** 2
                      for p in eigen_system(coin, theta)])
 
 

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .coin import Coin, MoveOperators, chi_p, chi_q
 from .errors import NormDriftError, NotNormalizedError
 from .quaternion import Quaternion, _phi_of, _psi_of, qmul_arr

@@ -1,11 +1,21 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qqwalk.exact as exact_module
 from qqwalk import DomainError, NormDriftError, Quaternion
-from qqwalk.coin import COIN_CLASSES, MoveOperators, hadamard_coin, random_coin, split_pq, validate_coin
+from qqwalk.coin import (
+    COIN_CLASSES,
+    MoveOperators,
+    classify,
+    hadamard_coin,
+    random_coin,
+    split_pq,
+    validate_coin,
+)
 from qqwalk.exact import (
     boundary_prob,
     case4_subcoins,
@@ -254,6 +264,20 @@ def test_xi_closed_matches_propagator(kind, seed, l, m):
     assert max_abs(closed - xi_bruteforce(split_pq(coin), l, m).matrix) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ("case3", "case4", "complex"))
+def test_xi_closed_classifies_once(kind, monkeypatch):
+    coin = random_coin(np.random.default_rng(57), kind)
+    calls = []
+
+    def counting_classify(c):
+        calls.append(c)
+        return classify(c)
+
+    monkeypatch.setattr(exact_module, "classify", counting_classify)
+    xi_closed(coin, 5, 7)
+    assert len(calls) == 1
+
+
 def test_closed_dispatch():
     rng = np.random.default_rng(57)
     assert xi_closed(random_coin(rng, "case3"), 2, 2).matrix is not None
@@ -349,6 +373,23 @@ def test_closed_form_distribution_matches_walk(kind, seed, n):
     sim = distribution(evolve(coin, alpha, beta, n))
     exact = closed_form_distribution(coin, alpha, beta, n)
     assert np.max(np.abs(sim.probs - exact.probs)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", (50, 301))
+def test_closed_form_distribution_small_a(n):
+    # at |a|^2 = 1e-4 the interior form c0 s0^2 + 2 c1 s0 s1 + c2 s1^2
+    # cancels about three digits of s0 and s1: 3e-13 (n = 50) and 7e-13
+    # (n = 301) from the walk here; this pins that accuracy
+    asq = 1e-4
+    a = math.sqrt(asq) * cmath.exp(0.7j)
+    b = math.sqrt(1.0 - asq) * cmath.exp(2.1j)
+    det = cmath.exp(1.3j)
+    coin = validate_coin(*(Quaternion.from_complex(z) for z in
+                           (a, b, -det * b.conjugate(), det * a.conjugate())))
+    alpha, beta = random_spinor(np.random.default_rng(0))
+    sim = distribution(evolve(coin, alpha, beta, n))
+    exact = closed_form_distribution(coin, alpha, beta, n)
+    assert np.max(np.abs(sim.probs - exact.probs)) <= 1e-11
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
