@@ -60,7 +60,6 @@ from .walk import (
     evolve,
     init_state,
     moment,
-    step,
 )
 
 __version__ = "0.1.0"

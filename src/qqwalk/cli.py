@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
+from math import comb, isfinite
 
 from . import _numpy as np
 from .coin import Coin, classify, load_coin, split_pq, unitarity_residuals
@@ -52,13 +52,11 @@ def _fmt(value: float) -> str:
 
 def _parse_quaternion(text: str, flag: str) -> Quaternion:
     try:
-        data = json.loads(text)
+        return Quaternion.from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag}: malformed JSON array (line {exc.lineno})") from exc
-    if (not isinstance(data, list) or len(data) != 4
-            or not all(isinstance(v, (int, float)) for v in data)):
-        raise UsageError(f"{flag}: expected a JSON array of four numbers")
-    return Quaternion(*(float(v) for v in data))
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _check_size(flag: str, size: int) -> None:
@@ -169,6 +167,8 @@ def _cmd_xi(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     coin = _load_coin(args.coin)
+    if not isfinite(args.theta):
+        raise UsageError(f"--theta must be finite, got {args.theta}")
     pairs = eigen_system(coin, args.theta)
     payload = {
         "theta": args.theta,

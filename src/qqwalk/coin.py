@@ -190,11 +190,10 @@ def coin_from_json(text: str) -> Coin:
     for key in ("a", "b", "c", "d"):
         if key not in payload:
             raise ValueError(f"coin JSON is missing entry {key!r}")
-        value = payload[key]
-        if (not isinstance(value, list) or len(value) != 4
-                or not all(type(v) in (int, float) for v in value)):
-            raise ValueError(f"coin entry {key!r} must be an array of four numbers")
-        entries.append(Quaternion(*(float(v) for v in value)))
+        try:
+            entries.append(Quaternion.from_json(payload[key]))
+        except ValueError as exc:
+            raise ValueError(f"coin entry {key!r}: {exc}") from None
     return validate_coin(*entries)
 
 

@@ -76,6 +76,22 @@ class Quaternion:
             raise ValueError(f"expected 4 components, got shape {a.shape}")
         return Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
+    @staticmethod
+    def from_json(value) -> "Quaternion":
+        """The quaternion of a decoded JSON array of four numbers.
+
+        Raises ValueError when value is not a list of four ints or floats
+        (booleans are not numbers here) or holds an integer beyond the
+        float range.
+        """
+        if (not isinstance(value, list) or len(value) != 4
+                or not all(type(v) in (int, float) for v in value)):
+            raise ValueError("expected a JSON array of four numbers")
+        try:
+            return Quaternion(*(float(v) for v in value))
+        except OverflowError:
+            raise ValueError("number outside the float range") from None
+
     # -- structure ----------------------------------------------------
 
     @property

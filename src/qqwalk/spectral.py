@@ -44,6 +44,7 @@ __all__ = [
     "support_radius_alt",
     "support_radius_scan",
     "qw_limit_density",
+    "qw_limit_params",
     "qqw_limit_params",
     "qqw_limit_density",
     "weight_constant",
@@ -225,8 +226,7 @@ def eigenvector_params(coin: Coin, theta: float, lam: float,
     return EigenvectorParams(big.imag_part() / bsq, bsq, t_quat)
 
 
-def eigenvector_closed(coin: Coin, theta: float, lam: float,
-                       formula: str = "appendix") -> np.ndarray:
+def eigenvector_closed(coin: Coin, theta: float, lam: float) -> np.ndarray:
     """Unit eigenvector of U(theta) for eigenvalue e^{i lam}, built from
 
     the closed construction: s = p - C p i with seed p = |b|^2, then
@@ -241,8 +241,7 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float,
     bsq = b.norm_sq()
     if bsq <= 1e-20:
         raise DegenerateABError("construction needs b != 0")
-    params = eigenvector_params(coin, theta, lam, formula=formula)
-    cq = params.c
+    cq = eigenvector_params(coin, theta, lam).c
     unit_i = Quaternion.i()
     candidates = [Quaternion(bsq), Quaternion(0.0, 0.0, bsq, 0.0)]
     s = max((p - cq * p * unit_i for p in candidates),
@@ -487,13 +486,12 @@ def _density(params: LimitDensity, y):
     return out
 
 
-def qqw_limit_density(params: LimitDensity | Coin, y):
-    """The trace-free limit density; reduces to the complex-walk density
+def qqw_limit_density(params: LimitDensity, y):
+    """The trace-free limit density of `qqw_limit_params(coin)`; reduces to
 
-    with support |a|^2 when Re(bc) = 0.  Vectorized in y.
+    the complex-walk density with support |a|^2 when Re(bc) = 0.
+    Vectorized in y.
     """
-    if isinstance(params, Coin):
-        params = qqw_limit_params(params)
     return _density(params, y)
 
 

@@ -15,11 +15,11 @@ Its n+1 coefficients are the amplitudes on the n+1 sites of the support,
 and a polynomial of degree n is fixed by its values at the n+1 roots of
 unity: the length-(n+1) inverse DFT recovers them exactly, without
 aliasing.  The matrix power costs about log2(n) batched 4x4 products, so
-an evolution is O(n log n) instead of the O(n^2) of stepping.  With
-`with_norms=True` it steps site by site instead, the only route that sees
-the norm after every step.  The steppers remain the references the
-propagator is tested against: `step` multiplies quaternions, and
-`step_fourier` multiplies by the complex images of the move operators.
+an evolution is O(n log n) instead of the O(n^2) of stepping.  It is the
+only evolution route in the package.  The site-by-site steppers it is
+tested against are oracles in `tests/helpers.py`: `step` in quaternion
+arithmetic, its twin on the complex images of the move operators, and
+`step_walk`, which also records the norm after every step.
 
 Total probability is asserted, never renormalized: an evolution whose
 final state misses 1 by more than NORM_TOL raises NormDriftError, and
@@ -33,20 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _numpy as np
-from .coin import Coin, MoveOperators, chi_p, chi_q
+from .coin import Coin, chi_p, chi_q
 from .errors import NormDriftError, NotNormalizedError
-from .quaternion import Quaternion, _phi_of, _psi_of, qmul_arr
+from .quaternion import Quaternion, _phi_of, _psi_of
 
 __all__ = [
     "WalkState",
     "Distribution",
     "check_spinor",
     "init_state",
-    "step",
     "evolve",
     "distribution",
-    "init_fourier",
-    "step_fourier",
     "moment",
 ]
 
@@ -123,34 +120,6 @@ def init_state(alpha: Quaternion, beta: Quaternion) -> WalkState:
     return WalkState(0, _phi_of(np.array([[alpha.to_array(), beta.to_array()]])))
 
 
-init_fourier = init_state
-
-
-def step(state: WalkState, ops: MoveOperators) -> WalkState:
-    """One evolution step in quaternion arithmetic; coin entries multiply
-    amplitudes from the left."""
-    coin = ops.p + ops.q
-    cur = state.psi
-    nxt = np.zeros((cur.shape[0] + 1, 2, 4))
-    nxt[:-1, 0] = qmul_arr(coin[0, 0], cur[:, 0]) + qmul_arr(coin[0, 1], cur[:, 1])
-    nxt[1:, 1] = qmul_arr(coin[1, 0], cur[:, 0]) + qmul_arr(coin[1, 1], cur[:, 1])
-    return WalkState(state.n + 1, _phi_of(nxt))
-
-
-def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
-    """One update of the 4-component complex amplitudes: (N, 4) -> (N + 1, 4)."""
-    n = cur.shape[0]
-    nxt = np.zeros((n + 1, 4), dtype=np.complex128)
-    nxt[:n] = cur @ cp.T
-    nxt[1:] += cur @ cq.T
-    return nxt
-
-
-def step_fourier(state: WalkState, coin: Coin) -> WalkState:
-    """One evolution step by the complex images of the move operators."""
-    return WalkState(state.n + 1, _step_c4(state.phi, chi_p(coin), chi_q(coin)))
-
-
 def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
                n: int) -> np.ndarray:
     """Coefficients (n + 1, 4, k) of (cp + z cq)^n cols: the walk from each
@@ -190,29 +159,21 @@ def _check_norm(totals, steps: int) -> None:
         raise NormDriftError(drift, steps)
 
 
-def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int,
-           with_norms: bool = False):
-    """Run `steps` updates from the origin state (alpha, beta).
+def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion,
+           steps: int) -> WalkState:
+    """Run `steps` updates from the origin state (alpha, beta) by the
+    momentum-space propagator.
 
-    Propagates in momentum space; with `with_norms=True` it steps instead
-    and also returns the total probability after every step (length
-    steps + 1).  Raises NormDriftError when the total probability of the
-    returned state misses 1 by more than NORM_TOL.
+    Raises NormDriftError when the total probability of the returned state
+    misses 1 by more than NORM_TOL.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     state = init_state(alpha, beta)
-    cp, cq = chi_p(coin), chi_q(coin)
-    if with_norms:
-        norms = np.zeros(steps + 1)
-        norms[0] = state.total_probability()
-        for s in range(steps):
-            state = WalkState(s + 1, _step_c4(state.phi, cp, cq))
-            norms[s + 1] = state.total_probability()
-    else:
-        state = WalkState(steps, _propagate(cp, cq, state.phi.T, steps)[:, :, 0])
+    state = WalkState(steps, _propagate(chi_p(coin), chi_q(coin),
+                                        state.phi.T, steps)[:, :, 0])
     _check_norm(state.total_probability(), steps)
-    return (state, norms) if with_norms else state
+    return state
 
 
 def distribution(state: WalkState) -> Distribution:

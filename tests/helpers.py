@@ -2,8 +2,11 @@
 
 Everything here is deliberately written against the package's public
 definitions but through a different computational route, so agreement is
-meaningful: a dict-based walk evolution, path sums by enumeration of every
-path, the alternating sums in exact rational arithmetic, the case4 split
+meaningful: a dict-based walk evolution, the site-by-site steppers the
+momentum-space propagator of `qqwalk.walk.evolve` is checked against
+(`step` in quaternion arithmetic, `step_fourier` by the complex images of
+the move operators, and `step_walk`, which also records the total
+probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic, the case4 split
 into two commuting subwalks, a determinant-sampling route to
 characteristic-polynomial coefficients, eigen-angles from numpy's
 `eigvals` and group velocities by their finite differences, the product
@@ -21,8 +24,18 @@ from math import comb
 import numpy as np
 
 from qqwalk import DomainError, Quaternion
-from qqwalk.coin import Coin, MoveOperators, classify, split_pq, u_theta, validate_coin
-from qqwalk.quaternion import chi_inv_matrix, chi_matrix, qmul_arr
+from qqwalk.coin import (
+    Coin,
+    MoveOperators,
+    chi_p,
+    chi_q,
+    classify,
+    split_pq,
+    u_theta,
+    validate_coin,
+)
+from qqwalk.quaternion import _phi_of, chi_inv_matrix, chi_matrix, qmul_arr
+from qqwalk.walk import WalkState, init_state
 
 
 def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
@@ -44,6 +57,48 @@ def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
             hi[1] = hi[1] + c * left + d * right
         state = {x: (v[0], v[1]) for x, v in nxt.items()}
     return state
+
+
+def step(state: WalkState, ops: MoveOperators) -> WalkState:
+    """One evolution step in quaternion arithmetic; coin entries multiply
+    amplitudes from the left."""
+    coin = ops.p + ops.q
+    cur = state.psi
+    nxt = np.zeros((cur.shape[0] + 1, 2, 4))
+    nxt[:-1, 0] = qmul_arr(coin[0, 0], cur[:, 0]) + qmul_arr(coin[0, 1], cur[:, 1])
+    nxt[1:, 1] = qmul_arr(coin[1, 0], cur[:, 0]) + qmul_arr(coin[1, 1], cur[:, 1])
+    return WalkState(state.n + 1, _phi_of(nxt))
+
+
+def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
+    """One update of the 4-component complex amplitudes: (N, 4) -> (N + 1, 4)."""
+    n = cur.shape[0]
+    nxt = np.zeros((n + 1, 4), dtype=np.complex128)
+    nxt[:n] = cur @ cp.T
+    nxt[1:] += cur @ cq.T
+    return nxt
+
+
+def step_fourier(state: WalkState, coin: Coin) -> WalkState:
+    """One evolution step by the complex images of the move operators."""
+    return WalkState(state.n + 1, _step_c4(state.phi, chi_p(coin), chi_q(coin)))
+
+
+def step_walk(coin: Coin, alpha: Quaternion, beta: Quaternion,
+              steps: int) -> tuple[WalkState, np.ndarray]:
+    """Step the complex amplitudes `steps` times from the origin state.
+
+    Returns the final state and the total probability after every step
+    (length steps + 1).  The move images are built once per walk.
+    """
+    phi = init_state(alpha, beta).phi
+    cp, cq = chi_p(coin), chi_q(coin)
+    norms = np.zeros(steps + 1)
+    norms[0] = np.vdot(phi, phi).real
+    for s in range(steps):
+        phi = _step_c4(phi, cp, cq)
+        norms[s + 1] = np.vdot(phi, phi).real
+    return WalkState(steps, phi), norms
 
 
 def enumerate_xi(ops: MoveOperators, l: int, m: int) -> np.ndarray:

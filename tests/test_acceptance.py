@@ -46,16 +46,9 @@ from qqwalk.spectral import (
     support_radius_scan,
     weight_constant,
 )
-from qqwalk.walk import (
-    distribution,
-    evolve,
-    init_fourier,
-    init_state,
-    step,
-    step_fourier,
-)
+from qqwalk.walk import distribution, evolve, init_state
 
-from helpers import enumerate_xi, numeric_char_poly, random_spinor
+from helpers import enumerate_xi, numeric_char_poly, random_spinor, step, step_walk
 
 COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 S = math.sqrt(0.5)
@@ -156,8 +149,10 @@ def test_criterion_03_conservation():
         for _ in range(10):
             alpha, beta = random_spinor(rng)
             n = int(rng.integers(50, 201))
-            _, norms = evolve(coin, alpha, beta, n, with_norms=True)
-            worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+            _, norms = step_walk(coin, alpha, beta, n)
+            total = evolve(coin, alpha, beta, n).total_probability()
+            worst = max(worst, float(np.max(np.abs(norms - 1.0))),
+                        abs(total - 1.0))
     assert worst <= 1e-10
 
     # parity: amplitudes exist only on x = -n, -n+2, ..., n, and off-parity
@@ -184,12 +179,10 @@ def test_criterion_04_dual_representation():
         ops = split_pq(coin)
         alpha, beta = random_spinor(rng)
         st = init_state(alpha, beta)
-        fr = init_fourier(alpha, beta)
-        for _ in range(100):
+        for n in range(1, 101):
             st = step(st, ops)
-            fr = step_fourier(fr, coin)
             dq = distribution(st).probs
-            dc = distribution(fr).probs
+            dc = distribution(evolve(coin, alpha, beta, n)).probs
             worst = max(worst, float(np.max(np.abs(dq - dc))))
     assert worst <= 1e-12
     _report(4, f"5 coins, every n <= 100; worst distribution gap {worst:.2e}")
@@ -205,22 +198,16 @@ def test_criterion_05_degenerate_coin_families():
     for _ in range(5):
         coin = random_coin(rng, "case1")
         alpha, beta = random_spinor(rng)
-        st = init_state(alpha, beta)
-        ops = split_pq(coin)
         for n in range(1, 101):
-            st = step(st, ops)
-            dist = distribution(st)
+            dist = distribution(evolve(coin, alpha, beta, n))
             worst = max(worst, abs(dist.prob(-n) - alpha.norm_sq()))
             worst = max(worst, abs(dist.prob(n) - beta.norm_sq()))
             worst = max(worst, dist.total() - dist.prob(-n) - dist.prob(n))
     for _ in range(5):
         coin = random_coin(rng, "case2")
         alpha, beta = random_spinor(rng)
-        st = init_state(alpha, beta)
-        ops = split_pq(coin)
         for n in range(1, 101):
-            st = step(st, ops)
-            dist = distribution(st)
+            dist = distribution(evolve(coin, alpha, beta, n))
             if n % 2 == 0:
                 worst = max(worst, abs(dist.prob(0) - 1.0))
             else:

@@ -269,6 +269,41 @@ def test_malformed_coin_is_usage_error(tmp_path, capsys, payload):
     assert str(bad) in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("alpha", ["[true, false, false, false]",
+                                   f"[{HUGE}, 0, 0, 0]"],
+                         ids=["boolean", "oversized"])
+def test_bad_spinor_number_is_usage_error(hadamard_file, tmp_path, capsys, alpha):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--coin", hadamard_file, "--alpha", alpha,
+                 "--beta", BETA, "--steps", "4", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --alpha: ")
+    assert not out.exists()
+
+
+def test_oversized_coin_number_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text(f'{{"a": [{HUGE}, 0, 0, 0], "b": [0, 0, 0, 0], '
+                   '"c": [0, 0, 0, 0], "d": [1, 0, 0, 0]}', encoding="utf-8")
+    assert main(["classify", "--coin", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert str(bad) in captured.err and "float range" in captured.err
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_nonfinite_theta_is_usage_error(hadamard_file, capsys, theta):
+    assert main(["spectrum", "--coin", hadamard_file, f"--theta={theta}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--theta" in captured.err
+
+
 def test_unwritable_out_is_usage_error(hadamard_file, tmp_path, capsys):
     out = tmp_path / "missing-dir" / "x.csv"
     code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA,

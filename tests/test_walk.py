@@ -8,17 +8,16 @@ from hypothesis import given, settings, strategies as st
 from qqwalk import Coin, NormDriftError, NotNormalizedError, Quaternion
 from qqwalk.coin import COIN_CLASSES, hadamard_coin, load_coin, random_coin, split_pq
 from qqwalk.exact import boundary_prob
-from qqwalk.walk import (
-    distribution,
-    evolve,
-    init_fourier,
-    init_state,
-    moment,
+from qqwalk.walk import distribution, evolve, init_state, moment
+
+from helpers import (
+    dict_distribution,
+    dict_evolve,
+    random_spinor,
     step,
     step_fourier,
+    step_walk,
 )
-
-from helpers import dict_distribution, dict_evolve, random_spinor
 
 COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 S = math.sqrt(0.5)
@@ -55,7 +54,7 @@ def test_spinor_check_rejects_nan():
 
 def test_hadamard_one_step():
     coin = hadamard_coin()
-    st = step(init_state(Quaternion(1), Quaternion.zero()), split_pq(coin))
+    st = evolve(coin, Quaternion(1), Quaternion.zero(), 1)
     left, right = st.amplitude(-1)
     assert left.approx_eq(Quaternion(S), 1e-15)
     assert right.approx_eq(Quaternion.zero())
@@ -133,13 +132,13 @@ def test_engine_matches_dict_oracle():
 
 
 def test_propagator_matches_stepper_long():
-    # the propagator against the per-step stepper behind with_norms=True
+    # the propagator against stepping the complex amplitudes
     n = 2000
     for name in ("superposition", "tracefree_mixed"):
         coin = load_coin(os.path.join(COINS_DIR, name + ".json"))
         for alpha, beta in ((Quaternion(1), Quaternion.zero()), (Quaternion(S), S * J)):
             fast = distribution(evolve(coin, alpha, beta, n))
-            stepped, _ = evolve(coin, alpha, beta, n, with_norms=True)
+            stepped, _ = step_walk(coin, alpha, beta, n)
             assert np.max(np.abs(fast.probs - distribution(stepped).probs)) <= 1e-12
 
 
@@ -160,10 +159,12 @@ def test_probability_conservation_and_parity():
     for _ in range(5):
         coin = random_coin(rng)
         alpha, beta = random_spinor(rng)
-        st, norms = evolve(coin, alpha, beta, 120, with_norms=True)
+        stepped, norms = step_walk(coin, alpha, beta, 120)
         assert norms.shape == (121,)
-        assert norms[-1] == pytest.approx(st.total_probability(), abs=1e-15)
+        assert norms[-1] == pytest.approx(stepped.total_probability(), abs=1e-15)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
+        st = evolve(coin, alpha, beta, 120)
+        assert abs(st.total_probability() - 1.0) <= 1e-12
     # the propagator stays normalized on long walks
     st = evolve(coin, alpha, beta, 20000)
     assert abs(st.total_probability() - 1.0) <= 1e-10
@@ -178,7 +179,7 @@ def test_fourier_rep_components():
     beta = Quaternion(0.5, 0.6, 0.7, 0.8)
     scale = 1.0 / math.sqrt(alpha.norm_sq() + beta.norm_sq())
     alpha, beta = scale * alpha, scale * beta
-    phi = init_fourier(alpha, beta).phi[0]
+    phi = init_state(alpha, beta).phi[0]
     assert phi[0] == pytest.approx(alpha.simplex)
     assert phi[1] == pytest.approx(np.conj(alpha.perplex))
     assert phi[2] == pytest.approx(beta.simplex)
@@ -222,7 +223,7 @@ def test_fourier_step_matches_evolve():
     rng = np.random.default_rng(38)
     coin = random_coin(rng)
     alpha, beta = random_spinor(rng)
-    st = init_fourier(alpha, beta)
+    st = init_state(alpha, beta)
     for _ in range(5):
         st = step_fourier(st, coin)
     direct = evolve(coin, alpha, beta, 5)
@@ -299,5 +300,3 @@ def test_norm_drift_raises():
     one, zero = Quaternion(1), Quaternion.zero()
     with pytest.raises(NormDriftError):
         evolve(coin, one, zero, 1000)
-    with pytest.raises(NormDriftError):
-        evolve(coin, one, zero, 1000, with_norms=True)
