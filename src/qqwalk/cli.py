@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import comb, isfinite
 
@@ -224,8 +225,20 @@ def _add_init_args(sub) -> None:
                      help="initial right amplitude as a JSON array [x0,x1,x2,x3]")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a word that starts with '-' for an option unless it is a
+    plain decimal, so `--theta -1e-3` or `--theta -inf` would fail with
+    "expected one argument".  Here every word that starts with -<digit>,
+    -.<digit>, -inf or -nan is a value; the flag's type then checks it.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qqwalk",
         description="quaternionic coined quantum walks on the line")
     subs = parser.add_subparsers(dest="command", required=True)

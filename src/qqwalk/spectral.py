@@ -8,11 +8,12 @@ conditioned and a double root comes out split only by round-off.  Since
 dU/dtheta = i SIGMA U with SIGMA = diag(1, 1, -1, -1), the group velocity
 of a branch with unit eigenvector v is exactly v^H SIGMA v.  The module
 also gives the quartic characteristic polynomial in closed form, the
-closed quaternionic eigenvector construction, and the two limit densities:
-the arcsine-type law of complex-coin walks and its generalization for
-trace-free coins (vanishing real parts of the diagonal), including
-quadrature that absorbs the inverse-square-root edge singularity by the
-substitution y = r sin(phi).
+closed quaternionic eigenvector construction, and the one weak-limit law:
+the arcsine-type density f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2)
+sqrt(r^2 - y^2)), where only the support radius r depends on the coin
+(r = |a| for complex coins, `support_radius` for trace-free coins, whose
+diagonal has vanishing real parts), with quadrature that absorbs the
+inverse-square-root edge singularity by the substitution y = r sin(phi).
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ def char_poly_coeffs(coin: Coin, theta: float) -> np.ndarray:
     a0 = coin.a.re
     d0 = coin.d.re
     asq = coin.a.norm_sq()
-    rebc = (coin.b * coin.c).re
+    re_bc = (coin.b * coin.c).re
     eit = np.exp(1j * theta)
     emit = np.exp(-1j * theta)
     return np.array([
         1.0,
         -2.0 * (a0 * eit + d0 * emit),
-        2.0 * (2.0 * a0 * d0 - rebc + asq * math.cos(2.0 * theta)),
+        2.0 * (2.0 * a0 * d0 - re_bc + asq * math.cos(2.0 * theta)),
         -2.0 * (d0 * eit + a0 * emit),
         1.0,
     ], dtype=np.complex128)
@@ -214,11 +215,11 @@ def eigenvector_params(coin: Coin, theta: float, lam: float,
                - 2.0 * re_aabc * sm * sp
                + bnorm * s2l * s2l)
     elif formula == "case5":
-        rebc = (b * c).re
-        g = 1.0 + anorm * anorm - rebc * rebc
+        re_bc = (b * c).re
+        g = 1.0 + anorm * anorm - re_bc * re_bc
         big = (2.0 * bnorm * sm) * a + sp * t_quat \
             + (b * c) * (s2l + anorm * s2t)
-        bsq = 2.0 * anorm * rebc * math.cos(2.0 * theta) + g - 2.0 * anorm * anorm
+        bsq = 2.0 * anorm * re_bc * math.cos(2.0 * theta) + g - 2.0 * anorm * anorm
     else:
         raise ValueError(f"unknown formula {formula!r}")
     if abs(bsq) <= 1e-12:
@@ -328,19 +329,14 @@ def case5_group_velocity(coin: Coin, theta: float) -> float:
 
 @dataclass
 class LimitDensity:
-    """Parameters of a weak-limit density.
+    """Parameters of the weak-limit law f_r of a coin.
 
-    kind "qw": the arcsine-type law with support radius r = |a|.
-    kind "qqw-case5": the trace-free generalization with
-    G = 1 + |a|^4 - Re(bc)^2 and
-    r = sqrt((G - sqrt(G^2 - 4 |a|^4)) / 2).
+    r is the support radius: |a| for a complex coin, `support_radius`
+    for a trace-free one.  g = 1 + |a|^4 - Re(bc)^2 is the paper's G.
     """
 
     r: float
     g: float
-    a_sq: float
-    rebc: float
-    kind: str
 
 
 def _g_constant(u: float, s: float) -> float:
@@ -424,15 +420,13 @@ def qw_limit_params(coin: Coin) -> LimitDensity:
         raise DomainError("limit law requires a, b, c, d all nonzero")
     u = coin.a.norm_sq()
     s = (coin.b * coin.c).re
-    return LimitDensity(r=math.sqrt(u), g=_g_constant(u, s),
-                        a_sq=u, rebc=s, kind="qw")
+    return LimitDensity(r=math.sqrt(u), g=_g_constant(u, s))
 
 
 def qqw_limit_params(coin: Coin) -> LimitDensity:
     """Limit-density parameters of a trace-free quaternionic coin."""
     u, s = _case5_params(coin)
-    return LimitDensity(r=support_radius(coin), g=_g_constant(u, s),
-                        a_sq=u, rebc=s, kind="qqw-case5")
+    return LimitDensity(r=support_radius(coin), g=_g_constant(u, s))
 
 
 def qw_limit_density(y, r: float):
@@ -442,44 +436,22 @@ def qw_limit_density(y, r: float):
     """
     if not 0.0 < r < 1.0:
         raise DomainError("support radius must satisfy 0 < r < 1")
-    return _density(LimitDensity(r=r, g=0.0, a_sq=r * r, rebc=0.0, kind="qw"), y)
+    return _density(r, y)
 
 
-def _qqw_edge_free(params: LimitDensity, y: np.ndarray) -> np.ndarray:
-    """f(y) * sqrt(r^2 - y^2), bounded up to the support edge."""
-    g, u = params.g, params.a_sq
-    disc = math.sqrt(max(0.0, (g - 2.0 * u) * (g + 2.0 * u)))
-    big_rsq = (g + disc) / 2.0
-    num = np.maximum((g - 2.0) * y * y + (g - 2.0 * u * u)
-                     + (1.0 - y * y) * disc, 0.0)
-    den = np.sqrt(np.maximum(big_rsq - y * y, 0.0))
-    # den vanishes together with num at |y| = r on the double-root
-    # boundary; those points carry zero quadrature weight
-    safe = np.where(den > 0.0, den, 1.0)
-    return np.where(den > 0.0,
-                    math.sqrt(2.0) * np.sqrt(num)
-                    / (2.0 * math.pi * (1.0 - y * y) * safe),
-                    0.0)
+def _edge_free_factor(r: float, y: np.ndarray) -> np.ndarray:
+    """f_r(y) * sqrt(r^2 - y^2) = sqrt(1 - r^2) / (pi (1 - y^2))."""
+    return math.sqrt(1.0 - r * r) / (math.pi * (1.0 - y * y))
 
 
-def _edge_free_factor(params: LimitDensity, y: np.ndarray) -> np.ndarray:
-    """f(y) * sqrt(r^2 - y^2) for either density family."""
-    y = np.asarray(y, dtype=float)
-    if params.kind == "qw":
-        r = params.r
-        return math.sqrt(1.0 - r * r) / (math.pi * (1.0 - y * y))
-    return _qqw_edge_free(params, y)
-
-
-def _density(params: LimitDensity, y):
-    """f(y) as the edge-free factor over sqrt(r^2 - y^2) on (-r, r); zero
+def _density(r: float, y):
+    """f_r(y) as the edge-free factor over sqrt(r^2 - y^2) on (-r, r); zero
     outside; +inf exactly at the edges.  Vectorized in y."""
-    r = params.r
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     inside = np.abs(y) < r
     yy = y[inside]
-    out[inside] = _edge_free_factor(params, yy) / np.sqrt(r * r - yy * yy)
+    out[inside] = _edge_free_factor(r, yy) / np.sqrt(r * r - yy * yy)
     out[np.abs(y) == r] = math.inf
     if out.ndim == 0:
         return float(out)
@@ -487,12 +459,15 @@ def _density(params: LimitDensity, y):
 
 
 def qqw_limit_density(params: LimitDensity, y):
-    """The trace-free limit density of `qqw_limit_params(coin)`; reduces to
+    """The trace-free limit density of `qqw_limit_params(coin)`.
 
-    the complex-walk density with support |a|^2 when Re(bc) = 0.
-    Vectorized in y.
+    The paper writes it through G = 1 + |a|^4 - Re(bc)^2.  With r^2 and
+    R^2 the roots of z^2 - G z + |a|^4 its numerator
+    (G - 2) y^2 + G - 2|a|^4 + (1 - y^2)(R^2 - r^2) is 2 (1 - r^2)(R^2 - y^2),
+    so the density is the arcsine-type law `qw_limit_density(y, r)` at the
+    trace-free support radius r.  Vectorized in y.
     """
-    return _density(params, y)
+    return _density(params.r, y)
 
 
 def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
@@ -536,7 +511,7 @@ def _weighted_integrals(params: LimitDensity, weight_c: float, moment: int,
     factor = 1.0 - weight_c * t
     if moment:  # limit_cdf's moment 0 skips a power over its (ny, nn) grid
         factor = (t ** moment) * factor
-    integrand = factor * _edge_free_factor(params, t)
+    integrand = factor * _edge_free_factor(params.r, t)
     return np.sum(w[None, :] * integrand, axis=1) * half
 
 

@@ -8,7 +8,8 @@ momentum-space propagator of `qqwalk.walk.evolve` is checked against
 the move operators, and `step_walk`, which also records the total
 probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic, the case4 split
 into two commuting subwalks, a determinant-sampling route to
-characteristic-polynomial coefficients, eigen-angles from numpy's
+characteristic-polynomial coefficients, the paper's printed G-form of the
+trace-free limit density, eigen-angles from numpy's
 `eigvals` and group velocities by their finite differences, the product
 of small quaternion matrices by scalar quaternion products, and tiny
 utilities (`max_abs`, `is_unitary`, random quaternions and spinors).
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -101,23 +101,27 @@ def step_walk(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return WalkState(steps, phi), norms
 
 
-def enumerate_xi(ops: MoveOperators, l: int, m: int) -> np.ndarray:
-    """Path sum Xi(l, m) as a (2, 2, 4) quaternion matrix, by enumeration.
+def enumerate_xi(ops: MoveOperators, n_max: int) -> dict[tuple[int, int], np.ndarray]:
+    """Every path sum Xi(l, m) with l + m <= n_max, keyed by (l, m), as
+    (2, 2, 4) quaternion matrices, by enumeration.
 
-    Sums all C(l+m, l) interleavings of l copies of P and m copies of Q in
-    time order (the factor for the latest step multiplies from the left),
-    on the 4x4 complex images of P and Q.
+    Visits every word of at most n_max copies of P and Q depth first, on
+    the 4x4 complex images of P and Q, and adds its product to the sum of
+    its letter counts.  Words are in time order: each product is the one
+    of its prefix with the factor for the latest step multiplied from the
+    left, so every path is still multiplied out, once.
     """
-    n = l + m
     p4, q4 = chi_matrix(ops.p), chi_matrix(ops.q)
-    total = np.zeros((4, 4), dtype=np.complex128)
-    for left_slots in combinations(range(n), l):
-        left = set(left_slots)
-        prod = np.eye(4, dtype=np.complex128)
-        for t in range(n):
-            prod = (p4 if t in left else q4) @ prod
-        total += prod
-    return chi_inv_matrix(total)
+    sums: dict[tuple[int, int], np.ndarray] = {}
+
+    def visit(prod: np.ndarray, l: int, m: int) -> None:
+        sums[l, m] = sums[l, m] + prod if (l, m) in sums else prod
+        if l + m < n_max:
+            visit(p4 @ prod, l + 1, m)
+            visit(q4 @ prod, l, m + 1)
+
+    visit(np.eye(4, dtype=np.complex128), 0, 0)
+    return {key: chi_inv_matrix(total) for key, total in sums.items()}
 
 
 def exact_s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
@@ -206,6 +210,28 @@ def central_difference_velocities(coin: Coin, theta: float,
         return lam0 + diff[np.arange(4), np.argmin(np.abs(diff), axis=1)]
 
     return (shifted(theta + h) - shifted(theta - h)) / (2.0 * h)
+
+
+def paper_qqw_density(coin: Coin, y: np.ndarray) -> np.ndarray:
+    """The paper's printed limit density of a trace-free coin, on |y| < r.
+
+    With G = 1 + |a|^4 - Re(bc)^2 and r^2 <= R^2 the roots of
+    z^2 - G z + |a|^4,
+
+        f(y) = sqrt(2) sqrt((G - 2) y^2 + G - 2|a|^4
+                            + (1 - y^2) sqrt(G^2 - 4|a|^4))
+               / (2 pi (1 - y^2) sqrt(R^2 - y^2) sqrt(r^2 - y^2)).
+    """
+    u = coin.a.norm_sq()
+    s = (coin.b * coin.c).re
+    g = 1.0 + (u * u - s * s)
+    disc = math.sqrt(max(0.0, (g - 2.0 * u) * (g + 2.0 * u)))
+    y = np.asarray(y, dtype=float)
+    num = np.maximum((g - 2.0) * y * y + (g - 2.0 * u * u)
+                     + (1.0 - y * y) * disc, 0.0)
+    return (math.sqrt(2.0) * np.sqrt(num)
+            / (2.0 * math.pi * (1.0 - y * y) * np.sqrt((g + disc) / 2.0 - y * y)
+               * np.sqrt((g - disc) / 2.0 - y * y)))
 
 
 def quat_mat_to_complex(mat: np.ndarray) -> np.ndarray:

@@ -304,6 +304,23 @@ def test_nonfinite_theta_is_usage_error(hadamard_file, capsys, theta):
     assert "--theta" in captured.err
 
 
+@pytest.mark.parametrize("theta", ["-1e-3", "-1E2", "-.5", "-inf", "-nan"])
+def test_negative_theta_is_a_value(capsys, theta):
+    # a separate word that is not a plain decimal must still reach --theta;
+    # tracefree_ij, since hadamard is degenerate at every theta
+    code = main(["spectrum", "--coin", TRACEFREE_IJ, "--theta", theta])
+    split = capsys.readouterr()
+    if math.isfinite(float(theta)):
+        assert code == 0
+        assert main(["spectrum", "--coin", TRACEFREE_IJ, f"--theta={theta}"]) == 0
+        assert capsys.readouterr().out == split.out
+        assert json.loads(split.out)["theta"] == float(theta)
+    else:
+        assert code == 1
+        assert split.out == "" and split.err.count("\n") == 1
+        assert "--theta must be finite" in split.err
+
+
 def test_unwritable_out_is_usage_error(hadamard_file, tmp_path, capsys):
     out = tmp_path / "missing-dir" / "x.csv"
     code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA,

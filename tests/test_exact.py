@@ -112,9 +112,10 @@ def test_bruteforce_matches_enumeration(kind, seed):
     # included.  The zeros of enumeration come out exact where the reach
     # rule sets them (case1, case2); elsewhere they are round-off.
     ops = split_pq(random_coin(np.random.default_rng(seed), kind))
+    table = enumerate_xi(ops, 9)
     for n in range(10):
         for m in range(n + 1):
-            want = enumerate_xi(ops, n - m, m)
+            want = table[n - m, m]
             got = xi_bruteforce(ops, n - m, m).matrix
             assert max_abs(got - want) <= 1e-13, (n - m, m)
             if kind in ("case1", "case2"):
@@ -148,20 +149,20 @@ def test_closed_complex_hadamard_small():
     for coin in (hadamard_coin(), validate_coin(S * I, Quaternion(S), Quaternion(S), S * I)):
         ops = split_pq(coin)
         assert np.allclose(xi_closed(coin, 1, 1).matrix,
-                           enumerate_xi(ops, 1, 1), atol=1e-12)
+                           enumerate_xi(ops, 2)[1, 1], atol=1e-12)
         assert np.allclose(xi_closed(coin, 1, 3).matrix,
-                           enumerate_xi(ops, 1, 3), atol=1e-12)
+                           enumerate_xi(ops, 4)[1, 3], atol=1e-12)
 
 
 def test_closed_complex_random():
     rng = np.random.default_rng(53)
     for _ in range(5):
         coin = random_coin(rng, "complex")
-        ops = split_pq(coin)
+        table = enumerate_xi(split_pq(coin), 8)
         for l in range(1, 5):
             for m in range(1, 5):
                 closed = xi_closed(coin, l, m).matrix
-                brute = enumerate_xi(ops, l, m)
+                brute = table[l, m]
                 assert max_abs(closed - brute) <= 1e-10
 
 
@@ -182,11 +183,11 @@ def test_closed_case3_both_signs():
     for _ in range(20):
         coin = random_coin(rng, "case3")
         seen.add(1 if abs(coin.d.re - coin.a.re) < 1e-9 else -1)
-        ops = split_pq(coin)
+        table = enumerate_xi(split_pq(coin), 6)
         for l in range(1, 4):
             for m in range(1, 4):
                 closed = xi_closed(coin, l, m).matrix
-                brute = enumerate_xi(ops, l, m)
+                brute = table[l, m]
                 assert max_abs(closed - brute) <= 1e-10
     assert seen == {1, -1}
 
@@ -224,11 +225,11 @@ def test_closed_case4_random():
     rng = np.random.default_rng(56)
     for _ in range(5):
         coin = random_coin(rng, "case4")
-        ops = split_pq(coin)
+        table = enumerate_xi(split_pq(coin), 6)
         for l in range(1, 4):
             for m in range(1, 4):
                 closed = xi_closed(coin, l, m).matrix
-                brute = enumerate_xi(ops, l, m)
+                brute = table[l, m]
                 assert max_abs(closed - brute) <= 1e-10
 
 

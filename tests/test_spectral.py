@@ -33,7 +33,8 @@ from qqwalk.spectral import (
 )
 from qqwalk.walk import distribution, evolve, moment
 
-from helpers import central_difference_velocities, eigen_angles, numeric_char_poly, random_spinor
+from helpers import (central_difference_velocities, eigen_angles, numeric_char_poly,
+                     paper_qqw_density, random_spinor)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -322,8 +323,7 @@ def test_qw_density_normalizes():
     for r in rng.uniform(0.2, 0.95, size=50):
         from qqwalk.spectral import LimitDensity
 
-        params = LimitDensity(r=float(r), g=0.0, a_sq=float(r) ** 2,
-                              rebc=0.0, kind="qw")
+        params = LimitDensity(r=float(r), g=0.0)
         total = integrate_weighted_density(params)
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -332,13 +332,49 @@ def test_qqw_density_reduces_when_bc_imaginary():
     # Re(bc) = 0: the density equals the complex-walk law at radius |a|^2,
     # which is smaller than |a|
     coin = jk_coin()
+    assert (coin.b * coin.c).re == pytest.approx(0.0, abs=1e-15)
     params = qqw_limit_params(coin)
-    assert params.rebc == pytest.approx(0.0, abs=1e-15)
     assert params.r == pytest.approx(0.5, abs=1e-12)
     ys = np.linspace(-params.r, params.r, 1003)[1:-1]
     got = qqw_limit_density(params, ys)
     want = qw_limit_density(ys, 0.5)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def _tracefree_file_coins():
+    return [file_coin(name) for name in ("tracefree_ij", "tracefree_jk",
+                                         "tracefree_mixed")]
+
+
+def test_qqw_density_matches_paper_form():
+    # the arcsine-type law at the trace-free radius against the paper's
+    # printed G-form; tracefree_ij has real bc, so r = R = |a| there
+    rng = np.random.default_rng(87)
+    coins = _tracefree_file_coins() + [random_coin(rng, "case5") for _ in range(24)]
+    bc = coins[0].b * coins[0].c
+    assert bc.norm() == pytest.approx(abs(bc.re), abs=1e-15)
+    for coin in coins:
+        params = qqw_limit_params(coin)
+        ys = np.linspace(-0.9 * params.r, 0.9 * params.r, 401)
+        want = paper_qqw_density(coin, ys)
+        rel = np.abs(qqw_limit_density(params, ys) - want) / want
+        assert np.max(rel) <= 1e-12
+
+
+@pytest.mark.parametrize("weight_c", (0.0, 1.0, -0.6))
+def test_limit_cdf_matches_closed_form(weight_c):
+    # F(y) = 1/2 + atan2(y sqrt(1 - r^2), sqrt(r^2 - y^2)) / pi
+    #        + (C / pi) atan2(sqrt(r^2 - y^2), sqrt(1 - r^2))
+    for coin in _tracefree_file_coins():
+        params = qqw_limit_params(coin)
+        r = params.r
+        ys = np.linspace(-r, r, 401)
+        inner = np.sqrt(np.maximum(r * r - ys * ys, 0.0))
+        outer = math.sqrt(1.0 - r * r)
+        want = (0.5 + np.arctan2(ys * outer, inner) / math.pi
+                + weight_c / math.pi * np.arctan2(inner, outer))
+        got = limit_cdf(params, weight_c, ys)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_qqw_density_outside_support():

@@ -231,6 +231,17 @@ def test_fourier_step_matches_evolve():
 
 
 @pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=0, max_value=300))
+def test_total_probability_is_one(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    state = evolve(random_coin(rng, kind), *random_spinor(rng), n)
+    assert abs(state.total_probability() - 1.0) <= 1e-12
+    assert abs(distribution(state).total() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=0, max_value=24))
