@@ -8,12 +8,16 @@ conditioned and a double root comes out split only by round-off.  Since
 dU/dtheta = i SIGMA U with SIGMA = diag(1, 1, -1, -1), the group velocity
 of a branch with unit eigenvector v is exactly v^H SIGMA v.  The module
 also gives the quartic characteristic polynomial in closed form, the
-closed quaternionic eigenvector construction, and the one weak-limit law:
-the arcsine-type density f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2)
+closed quaternionic eigenvector construction through the direction
+C = B^{-1} A of `appendix_ab`, and the one weak-limit law: the
+arcsine-type density f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2)
 sqrt(r^2 - y^2)), where only the support radius r depends on the coin
-(r = |a| for complex coins, `support_radius` for trace-free coins, whose
-diagonal has vanishing real parts), with quadrature that absorbs the
-inverse-square-root edge singularity by the substitution y = r sin(phi).
+(r = |a| for complex coins, the closed form `support_radius` for
+trace-free coins, whose diagonal has vanishing real parts), with
+quadrature that absorbs the inverse-square-root edge singularity by the
+substitution y = r sin(phi).  Each quantity has one route here; the
+paper's other printings of C and r and a numeric scan for r are test
+oracles.
 """
 
 from __future__ import annotations
@@ -30,20 +34,16 @@ from .walk import Distribution, distribution, evolve
 
 __all__ = [
     "EigenPair",
-    "EigenvectorParams",
     "LimitDensity",
     "CompareResult",
     "char_poly_coeffs",
     "eigen_system",
     "appendix_ab",
-    "eigenvector_params",
     "eigenvector_closed",
     "group_velocities",
     "case5_angle",
     "case5_group_velocity",
     "support_radius",
-    "support_radius_alt",
-    "support_radius_scan",
     "qw_limit_density",
     "qw_limit_params",
     "qqw_limit_params",
@@ -160,77 +160,12 @@ def appendix_ab(coin: Coin, theta: float, lam: float) -> tuple[Quaternion, Quate
     return av, bv
 
 
-@dataclass
-class EigenvectorParams:
-    """Direction quaternion C (unit, pure imaginary at true eigen-angles),
-
-    the squared magnitude of B, and T = b d conj(b) + conj(c) d c.
-    """
-
-    c: Quaternion
-    bsq: float
-    t: Quaternion
-
-
-def _t_quaternion(coin: Coin) -> Quaternion:
-    b, c, d = coin.b, coin.c, coin.d
-    return b * d * b.conj() + c.conj() * d * c
-
-
-def eigenvector_params(coin: Coin, theta: float, lam: float,
-                       formula: str = "appendix") -> EigenvectorParams:
-    """Compute the eigenvector direction parameter C.
-
-    formula="appendix": C = B^{-1} A from the defining relation (exact).
-    formula="general":  the printed general-momentum expression
-                        Im(2|b|^2 sin(l-t) a + sin(l+t) T + b c sin 2l
-                           - b conj(d)^2 c sin 2t) / |B|^2.
-    formula="case5":    the trace-free variant
-                        Im(2|b|^2 a sin(l-t) + T sin(l+t)
-                           + b c (sin 2l + |a|^2 sin 2t)) / |B|^2,
-                        |B|^2 = 2|a|^2 Re(bc) cos 2t + G - 2|a|^4.
-    """
-    a, b, c, d = coin.entries()
-    av, bv = appendix_ab(coin, theta, lam)
-    t_quat = _t_quaternion(coin)
-    bsq_exact = bv.norm_sq()
-    if formula == "appendix":
-        if av.norm() * bv.norm() <= 1e-10:
-            raise DegenerateABError(f"|A||B| ~ 0 at theta={theta!r}, lambda={lam!r}")
-        return EigenvectorParams(bv.inverse() * av, bsq_exact, t_quat)
-
-    sm = math.sin(lam - theta)
-    sp = math.sin(lam + theta)
-    s2l = math.sin(2.0 * lam)
-    s2t = math.sin(2.0 * theta)
-    bnorm = b.norm_sq()
-    anorm = a.norm_sq()
-    if formula == "general":
-        big = (2.0 * bnorm * sm) * a + sp * t_quat + (b * c) * s2l \
-            - (b * d.conj() * d.conj() * c) * s2t
-        a0, d0 = a.re, d.re
-        re_aabc = (a.conj() * a.conj() * b * c).re
-        bsq = (anorm * bnorm * (sm * sm + sp * sp)
-               - 2.0 * bnorm * (a0 * sp + d0 * sm) * s2l
-               - 2.0 * re_aabc * sm * sp
-               + bnorm * s2l * s2l)
-    elif formula == "case5":
-        re_bc = (b * c).re
-        g = 1.0 + anorm * anorm - re_bc * re_bc
-        big = (2.0 * bnorm * sm) * a + sp * t_quat \
-            + (b * c) * (s2l + anorm * s2t)
-        bsq = 2.0 * anorm * re_bc * math.cos(2.0 * theta) + g - 2.0 * anorm * anorm
-    else:
-        raise ValueError(f"unknown formula {formula!r}")
-    if abs(bsq) <= 1e-12:
-        raise DegenerateABError(f"|B|^2 ~ 0 at theta={theta!r}, lambda={lam!r}")
-    return EigenvectorParams(big.imag_part() / bsq, bsq, t_quat)
-
-
 def eigenvector_closed(coin: Coin, theta: float, lam: float) -> np.ndarray:
     """Unit eigenvector of U(theta) for eigenvalue e^{i lam}, built from
 
-    the closed construction: s = p - C p i with seed p = |b|^2, then
+    the closed construction: C = B^{-1} A from `appendix_ab` is the
+    direction quaternion (unit and pure imaginary at true eigen-angles);
+    s = p - C p i with seed p = |b|^2, then
     t = (conj(b)/|b|^2) (s e^{i(lam-theta)} - a s); the vector is
     (s', conj(s''), t', conj(t'')).
 
@@ -242,7 +177,10 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float) -> np.ndarray:
     bsq = b.norm_sq()
     if bsq <= 1e-20:
         raise DegenerateABError("construction needs b != 0")
-    cq = eigenvector_params(coin, theta, lam).c
+    av, bv = appendix_ab(coin, theta, lam)
+    if av.norm() * bv.norm() <= 1e-10:
+        raise DegenerateABError(f"|A||B| ~ 0 at theta={theta!r}, lambda={lam!r}")
+    cq = bv.inverse() * av
     unit_i = Quaternion.i()
     candidates = [Quaternion(bsq), Quaternion(0.0, 0.0, bsq, 0.0)]
     s = max((p - cq * p * unit_i for p in candidates),
@@ -358,60 +296,6 @@ def support_radius(coin: Coin) -> float:
     return math.sqrt(max(0.0, (g - math.sqrt(disc)) / 2.0))
 
 
-def support_radius_alt(coin: Coin) -> float:
-    """The equivalent surd form
-
-    (sqrt((1 + |a|^2)^2 - Re(bc)^2) - sqrt((1 - |a|^2)^2 - Re(bc)^2)) / 2,
-    with both radicands factored into ((1 +- |a|^2) - Re(bc)) *
-    ((1 +- |a|^2) + Re(bc)) and clamped, for the same boundary reason.
-    """
-    u, s = _case5_params(coin)
-    hi = max(0.0, ((1.0 + u) - s) * ((1.0 + u) + s))
-    lo = max(0.0, ((1.0 - u) - s) * ((1.0 - u) + s))
-    return (math.sqrt(hi) - math.sqrt(lo)) / 2.0
-
-
-SCAN_GRID = 4096  # theta nodes of `support_radius_scan` before refinement
-
-
-def support_radius_scan(coin: Coin) -> float:
-    """sup over theta of |d lambda / d theta| by grid scan plus golden-
-
-    section refinement of the analytic branch derivative.
-    """
-    _case5_params(coin)
-
-    def speed(th: float) -> float:
-        val = case5_group_velocity(coin, th)
-        return abs(val) if math.isfinite(val) else -math.inf
-
-    thetas = (np.arange(SCAN_GRID) + 0.5) * (math.pi / SCAN_GRID)
-    values = np.array([speed(t) for t in thetas])
-    k = int(np.argmax(values))
-    # the supremum can sit at a band-touching endpoint, so widen the
-    # refinement bracket to the interval edge when the best grid point
-    # is the first or last one
-    lo = thetas[k - 1] if k > 0 else 0.0
-    hi = thetas[k + 1] if k < SCAN_GRID - 1 else math.pi
-    # golden-section maximization on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = speed(x1), speed(x2)
-    for _ in range(200):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = speed(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = speed(x1)
-        if hi - lo < 1e-13:
-            break
-    return max(values[k], f1, f2)
-
-
 def qw_limit_params(coin: Coin) -> LimitDensity:
     """Limit-density parameters of a complex-coin walk: support |a|."""
     if not coin.is_complex():
@@ -434,13 +318,16 @@ def qw_limit_density(y, r: float):
 
     on (-r, r); zero outside; +inf exactly at the edges.  Vectorized in y.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError("support radius must satisfy 0 < r < 1")
     return _density(r, y)
 
 
 def _edge_free_factor(r: float, y: np.ndarray) -> np.ndarray:
-    """f_r(y) * sqrt(r^2 - y^2) = sqrt(1 - r^2) / (pi (1 - y^2))."""
+    """f_r(y) * sqrt(r^2 - y^2) = sqrt(1 - r^2) / (pi (1 - y^2)).
+
+    Every route to the limit law passes here, so the radius is checked here.
+    """
+    if not 0.0 < r < 1.0:
+        raise DomainError("support radius must satisfy 0 < r < 1")
     return math.sqrt(1.0 - r * r) / (math.pi * (1.0 - y * y))
 
 

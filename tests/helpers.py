@@ -9,7 +9,12 @@ the move operators, and `step_walk`, which also records the total
 probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic, the case4 split
 into two commuting subwalks, a determinant-sampling route to
 characteristic-polynomial coefficients, the paper's printed G-form of the
-trace-free limit density, eigen-angles from numpy's
+trace-free limit density, the paper's general-momentum and trace-free
+printings of the eigenvector direction C and |B|^2 (`paper_direction`),
+its surd form of the trace-free support radius
+(`paper_support_radius_surd`), the radius as the supremum of the group
+velocity by grid scan and golden-section search
+(`scan_support_radius`), eigen-angles from numpy's
 `eigvals` and group velocities by their finite differences, the product
 of small quaternion matrices by scalar quaternion products, and tiny
 utilities (`max_abs`, `is_unitary`, random quaternions and spinors).
@@ -23,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from qqwalk import DomainError, Quaternion
+from qqwalk import DegenerateABError, DomainError, Quaternion
 from qqwalk.coin import (
     Coin,
     MoveOperators,
@@ -35,6 +40,7 @@ from qqwalk.coin import (
     validate_coin,
 )
 from qqwalk.quaternion import _phi_of, chi_inv_matrix, chi_matrix, qmul_arr
+from qqwalk.spectral import case5_group_velocity
 from qqwalk.walk import WalkState, init_state
 
 
@@ -232,6 +238,104 @@ def paper_qqw_density(coin: Coin, y: np.ndarray) -> np.ndarray:
     return (math.sqrt(2.0) * np.sqrt(num)
             / (2.0 * math.pi * (1.0 - y * y) * np.sqrt((g + disc) / 2.0 - y * y)
                * np.sqrt((g - disc) / 2.0 - y * y)))
+
+
+def paper_direction(coin: Coin, theta: float, lam: float,
+                    formula: str) -> tuple[Quaternion, float]:
+    """The paper's printed direction quaternion C and |B|^2, for comparison
+    with C = B^{-1} A from `appendix_ab`.  With T = b d conj(b) + conj(c) d c:
+
+    formula="general":  C = Im(2|b|^2 sin(l-t) a + sin(l+t) T + b c sin 2l
+                               - b conj(d)^2 c sin 2t) / |B|^2,
+                        |B|^2 in the general-momentum printing;
+    formula="case5":    the trace-free variant
+                        C = Im(2|b|^2 a sin(l-t) + T sin(l+t)
+                               + b c (sin 2l + |a|^2 sin 2t)) / |B|^2,
+                        |B|^2 = 2|a|^2 Re(bc) cos 2t + G - 2|a|^4.
+    """
+    a, b, c, d = coin.entries()
+    t_quat = b * d * b.conj() + c.conj() * d * c
+    sm = math.sin(lam - theta)
+    sp = math.sin(lam + theta)
+    s2l = math.sin(2.0 * lam)
+    s2t = math.sin(2.0 * theta)
+    bnorm = b.norm_sq()
+    anorm = a.norm_sq()
+    if formula == "general":
+        big = (2.0 * bnorm * sm) * a + sp * t_quat + (b * c) * s2l \
+            - (b * d.conj() * d.conj() * c) * s2t
+        a0, d0 = a.re, d.re
+        re_aabc = (a.conj() * a.conj() * b * c).re
+        bsq = (anorm * bnorm * (sm * sm + sp * sp)
+               - 2.0 * bnorm * (a0 * sp + d0 * sm) * s2l
+               - 2.0 * re_aabc * sm * sp
+               + bnorm * s2l * s2l)
+    elif formula == "case5":
+        re_bc = (b * c).re
+        g = 1.0 + anorm * anorm - re_bc * re_bc
+        big = (2.0 * bnorm * sm) * a + sp * t_quat \
+            + (b * c) * (s2l + anorm * s2t)
+        bsq = 2.0 * anorm * re_bc * math.cos(2.0 * theta) + g - 2.0 * anorm * anorm
+    else:
+        raise ValueError(f"unknown formula {formula!r}")
+    if abs(bsq) <= 1e-12:
+        raise DegenerateABError(f"|B|^2 ~ 0 at theta={theta!r}, lambda={lam!r}")
+    return big.imag_part() / bsq, bsq
+
+
+def paper_support_radius_surd(coin: Coin) -> float:
+    """The paper's surd form of the trace-free support radius,
+
+    (sqrt((1 + |a|^2)^2 - Re(bc)^2) - sqrt((1 - |a|^2)^2 - Re(bc)^2)) / 2,
+    with both radicands factored into ((1 +- |a|^2) - Re(bc)) *
+    ((1 +- |a|^2) + Re(bc)) and clamped: coins with real b*c sit exactly on
+    the double-root boundary, where representation noise would otherwise
+    make a radicand negative.
+    """
+    u = coin.a.norm_sq()
+    s = (coin.b * coin.c).re
+    hi = max(0.0, ((1.0 + u) - s) * ((1.0 + u) + s))
+    lo = max(0.0, ((1.0 - u) - s) * ((1.0 - u) + s))
+    return (math.sqrt(hi) - math.sqrt(lo)) / 2.0
+
+
+SCAN_GRID = 4096  # theta nodes of `scan_support_radius` before refinement
+
+
+def scan_support_radius(coin: Coin) -> float:
+    """sup over theta of |d lambda / d theta| of a trace-free coin, by a
+    grid scan plus golden-section refinement of the package's analytic
+    branch derivative `case5_group_velocity`.
+    """
+    def speed(th: float) -> float:
+        val = case5_group_velocity(coin, th)
+        return abs(val) if math.isfinite(val) else -math.inf
+
+    thetas = (np.arange(SCAN_GRID) + 0.5) * (math.pi / SCAN_GRID)
+    values = np.array([speed(t) for t in thetas])
+    k = int(np.argmax(values))
+    # the supremum can sit at a band-touching endpoint, so widen the
+    # refinement bracket to the interval edge when the best grid point
+    # is the first or last one
+    lo = thetas[k - 1] if k > 0 else 0.0
+    hi = thetas[k + 1] if k < SCAN_GRID - 1 else math.pi
+    # golden-section maximization on [lo, hi]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = speed(x1), speed(x2)
+    for _ in range(200):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = speed(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = speed(x1)
+        if hi - lo < 1e-13:
+            break
+    return max(values[k], f1, f2)
 
 
 def quat_mat_to_complex(mat: np.ndarray) -> np.ndarray:

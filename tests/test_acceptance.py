@@ -37,18 +37,17 @@ from qqwalk.spectral import (
     eigenvector_closed,
     integrate_weighted_density,
     limit_compare,
-    qqw_limit_density,
     qqw_limit_params,
     qw_limit_density,
     qw_limit_params,
     support_radius,
-    support_radius_alt,
-    support_radius_scan,
     weight_constant,
 )
 from qqwalk.walk import distribution, evolve, init_state
 
-from helpers import enumerate_xi, numeric_char_poly, random_spinor, step, step_walk
+from helpers import (enumerate_xi, numeric_char_poly, paper_qqw_density,
+                     paper_support_radius_surd, random_spinor, scan_support_radius,
+                     step, step_walk)
 
 COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 S = math.sqrt(0.5)
@@ -340,17 +339,17 @@ def test_criterion_10_support_radius():
     ij = _coin("tracefree_ij")
     target = math.sqrt(0.5)
     assert abs(support_radius(ij) - target) <= 1e-9
-    assert abs(support_radius_alt(ij) - target) <= 1e-9
-    assert abs(support_radius_scan(ij) - target) <= 1e-9
+    assert abs(paper_support_radius_surd(ij) - target) <= 1e-9
+    assert abs(scan_support_radius(ij) - target) <= 1e-9
 
     jk = _coin("tracefree_jk")
     assert abs(support_radius(jk) - 0.5) <= 1e-9
-    assert abs(support_radius_alt(jk) - 0.5) <= 1e-9
-    assert abs(support_radius_scan(jk) - 0.5) <= 1e-9
+    assert abs(paper_support_radius_surd(jk) - 0.5) <= 1e-9
+    assert abs(scan_support_radius(jk) - 0.5) <= 1e-9
 
-    params = qqw_limit_params(jk)
+    # the paper's printed G-form against the arcsine-type law at r = 1/2
     ys = np.linspace(-0.5, 0.5, 1003)[1:-1]
-    gap = np.max(np.abs(qqw_limit_density(params, ys) - qw_limit_density(ys, 0.5)))
+    gap = np.max(np.abs(paper_qqw_density(jk, ys) - qw_limit_density(ys, 0.5)))
     assert gap <= 1e-10
     _report(10, f"r(ij) = sqrt(1/2) and r(jk) = 1/2 by all three routes; "
                 f"density reduction gap {gap:.2e}")

@@ -10,13 +10,13 @@ from qqwalk.coin import (COIN_CLASSES, hadamard_coin, load_coin, random_coin, u_
                          validate_coin)
 from qqwalk.errors import DegenerateABError, DegenerateError
 from qqwalk.spectral import (
+    LimitDensity,
     appendix_ab,
     case5_angle,
     case5_group_velocity,
     char_poly_coeffs,
     eigen_system,
     eigenvector_closed,
-    eigenvector_params,
     group_velocities,
     integrate_weighted_density,
     kolmogorov_distance,
@@ -27,14 +27,13 @@ from qqwalk.spectral import (
     qw_limit_density,
     qw_limit_params,
     support_radius,
-    support_radius_alt,
-    support_radius_scan,
     weight_constant,
 )
 from qqwalk.walk import distribution, evolve, moment
 
 from helpers import (central_difference_velocities, eigen_angles, numeric_char_poly,
-                     paper_qqw_density, random_spinor)
+                     paper_direction, paper_qqw_density, paper_support_radius_surd,
+                     random_spinor, scan_support_radius)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -200,13 +199,10 @@ def test_direction_parameter_invariants():
     coins = [mixed_case5_coin(), random_coin(rng), random_coin(rng, "case4")]
     for coin in coins:
         for theta, pr in _branch_sweep(coin, np.linspace(-2.5, 2.5, 7)):
-            params = eigenvector_params(coin, theta, pr.lam)
-            assert abs(params.c.norm() - 1.0) <= 1e-9
-            assert abs(params.c.re) <= 1e-9
-            # T = b d conj(b) + conj(c) d c
-            t_direct = (coin.b * coin.d * coin.b.conj()
-                        + coin.c.conj() * coin.d * coin.c)
-            assert (params.t - t_direct).norm() <= 1e-12
+            av, bv = appendix_ab(coin, theta, pr.lam)
+            cq = bv.inverse() * av
+            assert abs(cq.norm() - 1.0) <= 1e-9
+            assert abs(cq.re) <= 1e-9
 
 
 def test_direction_parameter_printed_formulas():
@@ -217,17 +213,15 @@ def test_direction_parameter_printed_formulas():
              ("tracefree", jk_coin()), ("tracefree", mixed_case5_coin())]
     for scope, coin in coins:
         for theta, pr in _branch_sweep(coin, np.linspace(-2.8, 2.8, 7)):
-            base = eigenvector_params(coin, theta, pr.lam, "appendix")
             av, bv = appendix_ab(coin, theta, pr.lam)
             if bv.norm_sq() < 1e-6:  # display quotients degrade near B = 0
                 continue
-            gen = eigenvector_params(coin, theta, pr.lam, "general")
-            assert (gen.c - base.c).norm() <= 1e-9
-            assert abs(gen.bsq - bv.norm_sq()) <= 1e-12
-            if scope == "tracefree":
-                c5 = eigenvector_params(coin, theta, pr.lam, "case5")
-                assert (c5.c - base.c).norm() <= 1e-9
-                assert abs(c5.bsq - bv.norm_sq()) <= 1e-12
+            base = bv.inverse() * av
+            formulas = ("general", "case5") if scope == "tracefree" else ("general",)
+            for formula in formulas:
+                cq, bsq = paper_direction(coin, theta, pr.lam, formula)
+                assert (cq - base).norm() <= 1e-9
+                assert abs(bsq - bv.norm_sq()) <= 1e-12
 
 
 def test_construction_needs_offdiagonal():
@@ -235,6 +229,17 @@ def test_construction_needs_offdiagonal():
     coin = random_coin(rng, "case1")
     with pytest.raises(DegenerateABError):
         eigenvector_closed(coin, 0.4, 0.2)
+
+
+def test_construction_needs_nondegenerate_ab():
+    # the Hadamard coin is real: every eigen-angle of its symbol is double,
+    # A and B both vanish there up to round-off, and C = B^{-1} A is undefined
+    coin = file_coin("hadamard")
+    for lam in eigen_angles(coin, 0.3):
+        av, bv = appendix_ab(coin, 0.3, float(lam))
+        assert av.norm() * bv.norm() <= 4e-32
+        with pytest.raises(DegenerateABError, match=r"^\|A\|\|B\| ~ 0 at theta=0\.3,"):
+            eigenvector_closed(coin, 0.3, float(lam))
 
 
 # ---------------------------------------------------------------------
@@ -290,8 +295,8 @@ def test_support_radius_formulas_agree():
         random_coin(rng, "case5") for _ in range(5)]
     for coin in coins:
         r1 = support_radius(coin)
-        r2 = support_radius_alt(coin)
-        r3 = support_radius_scan(coin)
+        r2 = paper_support_radius_surd(coin)
+        r3 = scan_support_radius(coin)
         assert r1 == pytest.approx(r2, abs=1e-12)
         assert r1 == pytest.approx(r3, abs=1e-9)
         assert 0.0 < r1 < 1.0
@@ -299,8 +304,8 @@ def test_support_radius_formulas_agree():
 
 def test_support_radius_examples():
     assert support_radius(ij_coin()) == pytest.approx(S, abs=1e-12)
-    assert support_radius_alt(ij_coin()) == pytest.approx(S, abs=1e-12)
-    assert support_radius_scan(ij_coin()) == pytest.approx(S, abs=1e-9)
+    assert paper_support_radius_surd(ij_coin()) == pytest.approx(S, abs=1e-12)
+    assert scan_support_radius(ij_coin()) == pytest.approx(S, abs=1e-9)
     assert support_radius(jk_coin()) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -318,11 +323,23 @@ def test_qw_density_values():
         qw_limit_density(0.0, 1.5)
 
 
+@pytest.mark.parametrize("r", (1.5, 0.0))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # limit_cdf's y / r
+def test_limit_law_rejects_radius_out_of_range(r):
+    # every public route to f_r checks 0 < r < 1 the same way
+    params = LimitDensity(r=r, g=1.0)
+    routes = (lambda: qw_limit_density(0.0, r),
+              lambda: qqw_limit_density(params, 0.0),
+              lambda: limit_cdf(params, 0.0, [0.0]),
+              lambda: integrate_weighted_density(params))
+    for route in routes:
+        with pytest.raises(DomainError, match="0 < r < 1"):
+            route()
+
+
 def test_qw_density_normalizes():
     rng = np.random.default_rng(80)
     for r in rng.uniform(0.2, 0.95, size=50):
-        from qqwalk.spectral import LimitDensity
-
         params = LimitDensity(r=float(r), g=0.0)
         total = integrate_weighted_density(params)
         assert total == pytest.approx(1.0, abs=1e-6)
