@@ -98,8 +98,8 @@ def _write_csv(path: str, lines: list[str]) -> None:
 
 def _write_dist_csv(path: str, dist) -> None:
     lines = ["x,probability"]
-    for x, p in zip(dist.positions(), dist.probs):
-        lines.append(f"{int(x)},{_fmt(float(p))}")
+    for x, p in zip(range(-dist.n, dist.n + 1, 2), dist.probs):
+        lines.append(f"{x},{_fmt(float(p))}")
     _write_csv(path, lines)
 
 
@@ -152,7 +152,7 @@ def _cmd_xi(args) -> int:
         "l": ps.l,
         "m": ps.m,
         "position": ps.position,
-        "matrix": ps.matrix.tolist(),
+        "matrix": ps.matrix,
     }
     if args.brute:
         payload["paths"] = comb(args.l + args.m, args.l)

@@ -19,6 +19,12 @@ O(t) steps.  The recurrence carries a mantissa and a binary exponent, the
 scaling by |a|^(2h) with h = (n - 1) // 2 is applied in the same form, and
 the result is rounded once.  What the callers multiply on top is bounded:
 unit phases and |a| or |a|^2.
+
+The closed forms compute on Python floats and complex numbers and never
+load numpy: a `PathSum.matrix` is a nested 2 x 2 x 4 list from every
+route, and a closed-form `Distribution` holds its probabilities as a list.
+Only `xi_bruteforce`, which runs the propagator, and the array boundary
+of `case4_subcoins` use numpy.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class PathSum:
 
     l: int
     m: int
-    matrix: np.ndarray  # (2, 2, 4)
+    matrix: list[list[list[float]]]  # 2 x 2 quaternions, 4 components each
 
     @property
     def position(self) -> int:
@@ -76,7 +82,7 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
                       np.eye(4, dtype=np.complex128), n)
     # every column is a walk from a unit vector, so it keeps norm 1
     _check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
-    return PathSum(l, m, chi_inv_matrix(cols[m]))
+    return PathSum(l, m, chi_inv_matrix(cols[m]).tolist())
 
 
 def _require_nonzero_entries(coin: Coin) -> None:
@@ -182,27 +188,24 @@ def _path_sums(asq: float, bsq: float, l: int, m: int) -> tuple[float, float]:
     return rest * s0, rest * s1
 
 
-def _xi_complex(u: np.ndarray, l: int, m: int) -> np.ndarray:
+def _xi_complex(u: list[list[complex]], l: int, m: int) -> list[list[complex]]:
     """Closed-form path sum Xi(l, m) of a complex coin u = [[a, b], [c, d]]."""
     (a, b), (c, d) = u
     s0, s1 = _path_sums(abs(a) ** 2, abs(b) ** 2, l, m)
     det = a * d - b * c
-    top = np.array([[l * s0, (b * c * l * s0 + det * s1) / (a * c)],
-                    [(b * c * m * s0 + det * s1) / (b * d), m * s0]])
-    return (a / abs(a)) ** l * (d / abs(d)) ** m * top
+    phase = (a / abs(a)) ** l * (d / abs(d)) ** m
+    return [[phase * (l * s0), phase * ((b * c * l * s0 + det * s1) / (a * c))],
+            [phase * ((b * c * m * s0 + det * s1) / (b * d)), phase * (m * s0)]]
 
 
-def _xi_complex_entries(coin: Coin, l: int, m: int) -> np.ndarray:
+def _xi_complex_entries(coin: Coin, l: int, m: int) -> list[list[list[float]]]:
     """Closed form for a coin with complex entries."""
-    top = _xi_complex(np.array([[coin.a.simplex, coin.b.simplex],
-                                [coin.c.simplex, coin.d.simplex]]), l, m)
-    mat = np.zeros((2, 2, 4))
-    mat[:, :, 0] = top.real
-    mat[:, :, 1] = top.imag
-    return mat
+    top = _xi_complex([[coin.a.simplex, coin.b.simplex],
+                       [coin.c.simplex, coin.d.simplex]], l, m)
+    return [[[z.real, z.imag, 0.0, 0.0] for z in row] for row in top]
 
 
-def _xi_case3(coin: Coin, l: int, m: int) -> np.ndarray:
+def _xi_case3(coin: Coin, l: int, m: int) -> list[list[list[float]]]:
     """Closed form for coins with real diagonal: d = s*a, c = -s*conj(b)."""
     a0 = coin.a.re
     b = coin.b
@@ -210,12 +213,10 @@ def _xi_case3(coin: Coin, l: int, m: int) -> np.ndarray:
     bsq = b.norm_sq()
     s0, s1 = _path_sums(a0 * a0, bsq, l, m)
     scale = sign ** m * math.copysign(1.0, a0) ** (l + m)
-    mat = np.zeros((2, 2, 4))
-    mat[0, 0, 0] = scale * l * s0
-    mat[1, 1, 0] = scale * m * s0
-    mat[0, 1] = scale * (bsq * l * s0 - s1) / (a0 * bsq) * b.to_array()
-    mat[1, 0] = scale * (s1 - bsq * m * s0) / (a0 * bsq) * b.conj().to_array()
-    return mat
+    upper = scale * (bsq * l * s0 - s1) / (a0 * bsq)
+    lower = scale * (s1 - bsq * m * s0) / (a0 * bsq)
+    return [[[scale * l * s0, 0.0, 0.0, 0.0], [upper * x for x in b.to_list()]],
+            [[lower * x for x in b.conj().to_list()], [scale * m * s0, 0.0, 0.0, 0.0]]]
 
 
 def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
@@ -226,25 +227,38 @@ def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     """
     if classify(coin) != "case4":
         raise DomainError("coin must classify as case4")
-    return _case4_subcoins(coin)
+    return tuple(np.array(u, dtype=np.complex128) for u in _case4_subcoins(coin))
 
 
-def _case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
-    """`case4_subcoins` for a coin already classified as case4."""
+def _case4_subcoins(coin: Coin) -> tuple[list[list[complex]], list[list[complex]]]:
+    """`case4_subcoins` as nested lists, for a coin already classified as
+    case4."""
     ap, bp = coin.a.simplex, coin.b.perplex
     cp, dp = coin.c.perplex, coin.d.simplex
-    u1 = np.array([[ap, -bp], [np.conj(cp), np.conj(dp)]], dtype=np.complex128)
-    u2 = np.array([[np.conj(ap), np.conj(bp)], [-cp, dp]], dtype=np.complex128)
+    u1 = [[ap, -bp], [cp.conjugate(), dp.conjugate()]]
+    u2 = [[ap.conjugate(), bp.conjugate()], [-cp, dp]]
     return u1, u2
 
 
-def _xi_case4(coin: Coin, l: int, m: int) -> np.ndarray:
-    """Closed form for case4 coins, assembled from the two subwalk sums."""
+def _from_image_row(left: complex, right: complex) -> list[float]:
+    """The quaternion sp + pp j whose 2x2 complex image has the top row
+    [sp, -pp] = [left, right]."""
+    pp = -right
+    return [left.real, left.imag, pp.real, pp.imag]
+
+
+def _xi_case4(coin: Coin, l: int, m: int) -> list[list[list[float]]]:
+    """Closed form for case4 coins, assembled from the two subwalk sums.
+
+    In the 4x4 complex image the first subwalk fills rows and columns
+    (0, 3), the second (1, 2); the top row of each 2x2 block fixes its
+    quaternion, so each entry reads one subwalk sum and a zero.
+    """
     u1, u2 = _case4_subcoins(coin)
-    xi4 = np.zeros((4, 4), dtype=np.complex128)
-    xi4[np.ix_((0, 3), (0, 3))] = _xi_complex(u1, l, m)
-    xi4[np.ix_((1, 2), (1, 2))] = _xi_complex(u2, l, m)
-    return chi_inv_matrix(xi4)
+    (x00, x01), _ = _xi_complex(u1, l, m)
+    _, (x10, x11) = _xi_complex(u2, l, m)
+    return [[_from_image_row(x00, 0j), _from_image_row(0j, x01)],
+            [_from_image_row(0j, x10), _from_image_row(x11, 0j)]]
 
 
 def _closed_family(coin: Coin, what: str) -> str:
@@ -383,5 +397,4 @@ def closed_form_distribution(coin: Coin, alpha: Quaternion, beta: Quaternion,
                              n: int) -> Distribution:
     """Closed-form P(X_n = x) over the whole parity support."""
     family = _checked_family(coin, alpha, beta, n)
-    probs = np.array(_site_probs(coin, alpha, beta, n, range(-n, n + 1, 2), family))
-    return Distribution(n, probs)
+    return Distribution(n, _site_probs(coin, alpha, beta, n, range(-n, n + 1, 2), family))

@@ -321,13 +321,18 @@ def qw_limit_density(y, r: float):
     return _density(r, y)
 
 
+def _check_radius(r: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise DomainError("support radius must satisfy 0 < r < 1")
+
+
 def _edge_free_factor(r: float, y: np.ndarray) -> np.ndarray:
     """f_r(y) * sqrt(r^2 - y^2) = sqrt(1 - r^2) / (pi (1 - y^2)).
 
-    Every route to the limit law passes here, so the radius is checked here.
+    Every route to the limit law passes here, so the radius is checked here;
+    `limit_cdf`, which divides by r first, checks it before that too.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError("support radius must satisfy 0 < r < 1")
+    _check_radius(r)
     return math.sqrt(1.0 - r * r) / (math.pi * (1.0 - y * y))
 
 
@@ -415,6 +420,7 @@ def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
 
 def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
     """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt, vectorized over ys."""
+    _check_radius(params.r)
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     phi_hi = np.arcsin(np.clip(ys / params.r, -1.0, 1.0))
     return _weighted_integrals(params, weight_c, 0, phi_hi, n_nodes)

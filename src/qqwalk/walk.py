@@ -30,6 +30,7 @@ closed forms in `exact` and the CLI use it too.  Both checks fail on NaN.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import _numpy as np
@@ -93,7 +94,7 @@ class WalkState(_Sublattice):
 class Distribution(_Sublattice):
     """Position probabilities on the parity sublattice after n steps."""
 
-    probs: np.ndarray  # (n+1,)
+    probs: Sequence[float]  # n+1 entries: an array from a walk, a list from a closed form
 
     def prob(self, x: int) -> float:
         i = self._row(x)

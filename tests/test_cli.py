@@ -121,6 +121,27 @@ def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["paths"] == 35
 
 
+@pytest.mark.parametrize("kind", ("case4", "complex"))
+def test_xi_closed_and_brute_case4_and_complex(kind, tmp_path, capsys):
+    # these closed forms divide and raise unit phases to powers in Python
+    # complex arithmetic, which rounds unlike numpy's; l = m = 150 takes
+    # the power past 100, where Python switches to the polar form
+    path = TRACEFREE_IJ
+    if kind == "complex":
+        path = str(tmp_path / "complex.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(coin_to_json(random_coin(np.random.default_rng(92), "complex")))
+    for l, m in ((1, 3), (12, 17), (150, 150)):
+        args = ["xi", "--coin", path, "--l", str(l), "--m", str(m)]
+        assert main(args) == 0
+        closed = json.loads(capsys.readouterr().out)
+        assert main([*args, "--brute"]) == 0
+        brute = json.loads(capsys.readouterr().out)
+        assert closed["position"] == brute["position"] == m - l
+        assert np.max(np.abs(np.array(closed["matrix"])
+                             - np.array(brute["matrix"]))) <= 1e-12, (l, m)
+
+
 def test_xi_brute_prints_long_path_counts(hadamard_file, capsys):
     # C(16000, 8000) has 4815 digits, more than Python prints by default
     limit = sys.get_int_max_str_digits()

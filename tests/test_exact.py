@@ -90,7 +90,7 @@ def test_bruteforce_pure_powers():
 def test_bruteforce_identity():
     ops = split_pq(hadamard_coin())
     ident = xi_bruteforce(ops, 0, 0)
-    assert ident.matrix[0, 0, 0] == 1.0 and ident.matrix[1, 1, 0] == 1.0
+    assert ident.matrix[0][0][0] == 1.0 and ident.matrix[1][1][0] == 1.0
 
 
 def test_bruteforce_asserts_total_probability():
@@ -116,7 +116,7 @@ def test_bruteforce_matches_enumeration(kind, seed):
     for n in range(10):
         for m in range(n + 1):
             want = table[n - m, m]
-            got = xi_bruteforce(ops, n - m, m).matrix
+            got = np.array(xi_bruteforce(ops, n - m, m).matrix)
             assert max_abs(got - want) <= 1e-13, (n - m, m)
             if kind in ("case1", "case2"):
                 assert np.all(got[want == 0.0] == 0.0), (n - m, m)
@@ -133,7 +133,7 @@ def test_bruteforce_reconstructs_amplitudes():
     for x in range(-n, n + 1, 2):
         l = (n - x) // 2
         m = (n + x) // 2
-        xi = xi_bruteforce(ops, l, m).matrix
+        xi = np.array(xi_bruteforce(ops, l, m).matrix)
         left = (Quaternion.from_array(xi[0, 0]) * alpha
                 + Quaternion.from_array(xi[0, 1]) * beta)
         right = (Quaternion.from_array(xi[1, 0]) * alpha
@@ -243,7 +243,7 @@ def test_closed_matches_propagator_columns():
     cases.append((ratio4_coin(), 530, 530))
     one, zero = Quaternion.one(), Quaternion.zero()
     for coin, l, m in cases:
-        xi = xi_closed(coin, l, m).matrix
+        xi = np.array(xi_closed(coin, l, m).matrix)
         gap = max_abs(xi - xi_bruteforce(split_pq(coin), l, m).matrix)
         assert gap <= 1e-12, (l, m, gap)
         for col, (alpha, beta) in enumerate(((one, zero), (zero, one))):
@@ -261,7 +261,7 @@ def test_closed_matches_propagator_columns():
 def test_xi_closed_matches_propagator(kind, seed, l, m):
     # every family xi_closed dispatches to, case3 coins with both signs
     coin = random_coin(np.random.default_rng(seed), kind)
-    closed = xi_closed(coin, l, m).matrix
+    closed = np.array(xi_closed(coin, l, m).matrix)
     assert max_abs(closed - xi_bruteforce(split_pq(coin), l, m).matrix) <= 1e-12
 
 
@@ -279,11 +279,17 @@ def test_xi_closed_classifies_once(kind, monkeypatch):
     assert len(calls) == 1
 
 
+def _nested_types(value):
+    return [_nested_types(v) for v in value] if type(value) is list else type(value)
+
+
 def test_closed_dispatch():
+    # both routes give the same plain type: 2 x 2 lists of 4 floats
     rng = np.random.default_rng(57)
-    assert xi_closed(random_coin(rng, "case3"), 2, 2).matrix is not None
-    assert xi_closed(random_coin(rng, "case4"), 2, 2).matrix is not None
-    assert xi_closed(random_coin(rng, "complex"), 2, 2).matrix is not None
+    for kind in ("case3", "case4", "complex"):
+        coin = random_coin(rng, kind)
+        for ps in (xi_closed(coin, 2, 2), xi_bruteforce(split_pq(coin), 2, 2)):
+            assert _nested_types(ps.matrix) == [[[float] * 4] * 2] * 2, kind
     with pytest.raises(DomainError):
         xi_closed(random_coin(rng, "case5"), 2, 2)
 
@@ -412,6 +418,7 @@ def test_distribution_sums_to_one():
         alpha, beta = random_spinor(rng)
         for n in (13, 30):
             exact = closed_form_distribution(coin, alpha, beta, n)
+            assert _nested_types(exact.probs) == [float] * (n + 1)
             assert exact.total() == pytest.approx(1.0, abs=1e-9)
 
 

@@ -324,9 +324,10 @@ def test_qw_density_values():
 
 
 @pytest.mark.parametrize("r", (1.5, 0.0))
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # limit_cdf's y / r
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_limit_law_rejects_radius_out_of_range(r):
-    # every public route to f_r checks 0 < r < 1 the same way
+    # every public route to f_r checks 0 < r < 1 the same way, before any
+    # arithmetic on r can warn
     params = LimitDensity(r=r, g=1.0)
     routes = (lambda: qw_limit_density(0.0, r),
               lambda: qqw_limit_density(params, 0.0),
