@@ -13,9 +13,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import islice
 from math import comb, isfinite
 
-from . import _numpy as np
 from .coin import Coin, classify, load_coin, split_pq, unitarity_residuals
 from .errors import (
     DegenerateABError,
@@ -41,6 +41,7 @@ EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
 MAX_SIZE = 10**6  # largest --steps, --grid and --l + --m; checked before allocating
+CSV_CHUNK = 4096  # CSV rows formatted and written at a time
 
 
 class UsageError(Exception):
@@ -88,19 +89,33 @@ def _parse_init(args) -> tuple[Quaternion, Quaternion]:
     return alpha, beta
 
 
-def _write_csv(path: str, lines: list[str]) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the header and then each row of an iterable of strings, every
+    line ending in LF.  Rows are consumed CSV_CHUNK at a time, so no list
+    of all rows is held."""
+    rows = iter(rows)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            while chunk := list(islice(rows, CSV_CHUNK)):
+                fh.write("\n".join(chunk) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_dist_csv(path: str, dist) -> None:
-    lines = ["x,probability"]
-    for x, p in zip(range(-dist.n, dist.n + 1, 2), dist.probs):
-        lines.append(f"{x},{_fmt(float(p))}")
-    _write_csv(path, lines)
+    _write_csv(path, "x,probability",
+               (f"{x},{_fmt(float(p))}"
+                for x, p in zip(range(-dist.n, dist.n + 1, 2), dist.probs)))
+
+
+def _linspace(start: float, stop: float, num: int):
+    """The num >= 2 points of numpy.linspace(start, stop, num), term by
+    term as numpy computes them: i * step + start, the last one stop."""
+    step = (stop - start) / (num - 1)
+    for i in range(num - 1):
+        yield i * step + start
+    yield stop
 
 
 def _complex_json(z: complex) -> list[float]:
@@ -190,12 +205,10 @@ def _cmd_limit(args) -> int:
     _check_size("--grid", args.grid)
     params = qqw_limit_params(coin)
     c = weight_constant(coin, alpha, beta)
-    ys = np.linspace(-1.0, 1.0, args.grid)
-    dens = qqw_limit_density(params, ys) * (1.0 - c * ys)
-    lines = ["y,density"]
-    for y, f in zip(ys, dens):
-        lines.append(f"{_fmt(float(y))},{_fmt(float(f))}")
-    _write_csv(args.out, lines)
+    dens = qqw_limit_density(params, _linspace(-1.0, 1.0, args.grid))
+    _write_csv(args.out, "y,density",
+               (f"{_fmt(y)},{_fmt(f * (1.0 - c * y))}"
+                for y, f in zip(_linspace(-1.0, 1.0, args.grid), dens)))
     return 0
 
 

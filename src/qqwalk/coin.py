@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from .errors import NotUnitaryError
 from .quaternion import (
     Quaternion,
+    _Frozen,
     chi_matrix,
     qmat_from_quaternions,
     random_unit_quaternion,
@@ -56,14 +57,16 @@ UNITARITY_TOL = 1e-10  # largest residual `validate_coin` accepts
 ZERO_TOL = 1e-12  # components (and entries) this small count as zero
 
 
-@dataclass(frozen=True)
-class Coin:
+class Coin(_Frozen):
     """A validated unitary coin [[a, b], [c, d]] over the quaternions."""
 
-    a: Quaternion
-    b: Quaternion
-    c: Quaternion
-    d: Quaternion
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def matrix(self) -> np.ndarray:
         """(2, 2, 4) component array."""
@@ -78,8 +81,7 @@ class Coin:
                    for q in self.entries())
 
 
-@dataclass(frozen=True)
-class MoveOperators:
+class MoveOperators(NamedTuple):
     """Left-move and right-move halves of a coin, as (2, 2, 4) arrays."""
 
     p: np.ndarray

@@ -30,8 +30,8 @@ of `case4_subcoins` use numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import _numpy as np
 from .coin import Coin, MoveOperators, classify
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class PathSum:
+class PathSum(NamedTuple):
     """2x2 quaternion matrix mapping the initial spinor to position m - l."""
 
     l: int

@@ -14,7 +14,6 @@ components (x0, x1, x2, x3) of x0 + x1*i + x2*j + x3*k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _numpy as np
 
@@ -34,14 +33,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class _Frozen:
+    """An immutable record whose fields are the subclass's __slots__.
+
+    Records are equal and hash alike when their classes and fields are
+    equal, copy and pickle through their constructor, and print as
+    Name(field=value, ...).  Assigning or deleting a field raises
+    AttributeError; a constructor sets them with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Quaternion(_Frozen):
     """x0 + x1*i + x2*j + x3*k with real float64 components."""
 
-    x0: float = 0.0
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
+    __slots__ = ("x0", "x1", "x2", "x3")
+
+    def __init__(self, x0: float = 0.0, x1: float = 0.0, x2: float = 0.0,
+                 x3: float = 0.0):
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "x3", x3)
 
     # -- constructors -------------------------------------------------
 

@@ -23,8 +23,8 @@ oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import _numpy as np
 from .coin import ZERO_TOL, Coin, u_theta
@@ -85,8 +85,7 @@ def char_poly_coeffs(coin: Coin, theta: float) -> np.ndarray:
 DEGENERACY_TOL = 1e-8  # eigenvalues closer than this count as one
 
 
-@dataclass
-class EigenPair:
+class EigenPair(NamedTuple):
     theta: float
     lam: float                 # eigen-angle in [-pi, pi)
     value: complex             # e^{i lam}
@@ -265,8 +264,7 @@ def case5_group_velocity(coin: Coin, theta: float) -> float:
 # limit densities
 # ---------------------------------------------------------------------
 
-@dataclass
-class LimitDensity:
+class LimitDensity(NamedTuple):
     """Parameters of the weak-limit law f_r of a coin.
 
     r is the support radius: |a| for a complex coin, `support_radius`
@@ -316,9 +314,10 @@ def qqw_limit_params(coin: Coin) -> LimitDensity:
 def qw_limit_density(y, r: float):
     """The arcsine-type density sqrt(1 - r^2) / (pi (1 - y^2) sqrt(r^2 - y^2))
 
-    on (-r, r); zero outside; +inf exactly at the edges.  Vectorized in y.
+    on (-r, r); zero outside; +inf exactly at the edges.  y is a float,
+    giving a float, or an iterable of floats, giving a list.
     """
-    return _density(r, y)
+    return _density_at(r, y)
 
 
 def _check_radius(r: float) -> None:
@@ -326,28 +325,29 @@ def _check_radius(r: float) -> None:
         raise DomainError("support radius must satisfy 0 < r < 1")
 
 
-def _edge_free_factor(r: float, y: np.ndarray) -> np.ndarray:
-    """f_r(y) * sqrt(r^2 - y^2) = sqrt(1 - r^2) / (pi (1 - y^2)).
-
-    Every route to the limit law passes here, so the radius is checked here;
-    `limit_cdf`, which divides by r first, checks it before that too.
-    """
-    _check_radius(r)
+def _edge_free_factor(r: float, y):
+    """f_r(y) * sqrt(r^2 - y^2) = sqrt(1 - r^2) / (pi (1 - y^2)), for a
+    float or an array y.  The callers check the radius."""
     return math.sqrt(1.0 - r * r) / (math.pi * (1.0 - y * y))
 
 
-def _density(r: float, y):
-    """f_r(y) as the edge-free factor over sqrt(r^2 - y^2) on (-r, r); zero
-    outside; +inf exactly at the edges.  Vectorized in y."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = np.abs(y) < r
-    yy = y[inside]
-    out[inside] = _edge_free_factor(r, yy) / np.sqrt(r * r - yy * yy)
-    out[np.abs(y) == r] = math.inf
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _density(r: float, y: float) -> float:
+    """f_r(y) for one float y as the edge-free factor over sqrt(r^2 - y^2)
+    on (-r, r); zero outside; +inf at the edges and wherever r^2 - y^2
+    rounds to zero."""
+    if abs(y) < r:
+        root = math.sqrt(r * r - y * y)
+        return _edge_free_factor(r, y) / root if root else math.inf
+    return math.inf if abs(y) == r else 0.0
+
+
+def _density_at(r: float, y):
+    """`_density` at a float y, or at each float of an iterable y as a
+    list, with the radius checked once."""
+    _check_radius(r)
+    if isinstance(y, (int, float)):
+        return _density(r, float(y))
+    return [_density(r, v) for v in map(float, y)]
 
 
 def qqw_limit_density(params: LimitDensity, y):
@@ -357,9 +357,10 @@ def qqw_limit_density(params: LimitDensity, y):
     R^2 the roots of z^2 - G z + |a|^4 its numerator
     (G - 2) y^2 + G - 2|a|^4 + (1 - y^2)(R^2 - r^2) is 2 (1 - r^2)(R^2 - y^2),
     so the density is the arcsine-type law `qw_limit_density(y, r)` at the
-    trace-free support radius r.  Vectorized in y.
+    trace-free support radius r.  y is a float, giving a float, or an
+    iterable of floats, giving a list.
     """
-    return _density(params.r, y)
+    return _density_at(params.r, y)
 
 
 def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
@@ -385,26 +386,35 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+QUAD_BLOCK = 64  # rows of ys per block of `_weighted_integrals`
+
+
 def _weighted_integrals(params: LimitDensity, weight_c: float, moment: int,
                         phi_hi: np.ndarray, n_nodes: int) -> np.ndarray:
     """integral of t^moment (1 - C t) f(t) dt from -r to r sin(phi_hi), for
-    each entry of phi_hi in [-pi/2, pi/2].
+    each entry of phi_hi in [-pi/2, pi/2].  The caller checks the radius.
 
     Under t = r sin(phi) the Jacobian cancels the inverse-square-root edge
     factor analytically, so the integrand is the bounded function
     t^moment (1 - C t) [f(t) sqrt(r^2 - t^2)], sampled at open
-    Gauss-Legendre nodes on each (-pi/2, phi_hi).
+    Gauss-Legendre nodes on each (-pi/2, phi_hi).  The (rows, nodes) grids
+    are built QUAD_BLOCK rows at a time, so they stay in cache whatever the
+    number of ys; each row is summed on its own, as in one whole grid.
     """
     x, w = _gauss_legendre(n_nodes)
     half = 0.5 * (phi_hi + 0.5 * math.pi)          # (ny,)
     mid = 0.5 * (phi_hi - 0.5 * math.pi)
-    phi = mid[:, None] + half[:, None] * x[None, :]  # (ny, nn)
-    t = params.r * np.sin(phi)
-    factor = 1.0 - weight_c * t
-    if moment:  # limit_cdf's moment 0 skips a power over its (ny, nn) grid
-        factor = (t ** moment) * factor
-    integrand = factor * _edge_free_factor(params.r, t)
-    return np.sum(w[None, :] * integrand, axis=1) * half
+    out = np.empty_like(half)
+    for lo in range(0, half.size, QUAD_BLOCK):
+        rows = slice(lo, lo + QUAD_BLOCK)
+        phi = mid[rows, None] + half[rows, None] * x[None, :]  # (block, nn)
+        t = params.r * np.sin(phi)
+        factor = 1.0 - weight_c * t
+        if moment:  # limit_cdf's moment 0 skips a power over its grid
+            factor = (t ** moment) * factor
+        integrand = factor * _edge_free_factor(params.r, t)
+        out[rows] = np.sum(w[None, :] * integrand, axis=1) * half[rows]
+    return out
 
 
 DENSITY_NODES = 2000  # Gauss-Legendre nodes of `integrate_weighted_density`
@@ -413,13 +423,14 @@ DENSITY_NODES = 2000  # Gauss-Legendre nodes of `integrate_weighted_density`
 def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
                                moment: int = 0) -> float:
     """integral of y^moment (1 - C y) f(y) dy over (-r, r)."""
+    _check_radius(params.r)
     whole = np.array([0.5 * math.pi])
     return float(_weighted_integrals(params, weight_c, moment, whole,
                                      DENSITY_NODES)[0])
 
 
 def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
-    """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt, vectorized over ys."""
+    """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt at each of ys, as an array."""
     _check_radius(params.r)
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     phi_hi = np.arcsin(np.clip(ys / params.r, -1.0, 1.0))
@@ -444,8 +455,7 @@ def kolmogorov_distance(dist: Distribution, params: LimitDensity,
     return float(np.max(np.abs(cum - f_lim)))
 
 
-@dataclass
-class CompareResult:
+class CompareResult(NamedTuple):
     kolmogorov: float
     r: float
     g: float

@@ -31,7 +31,6 @@ closed forms in `exact` and the CLI use it too.  Both checks fail on NaN.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import _numpy as np
 from .coin import Coin, chi_p, chi_q
@@ -51,11 +50,16 @@ __all__ = [
 NORM_TOL = 1e-10
 
 
-@dataclass
 class _Sublattice:
-    """Data on the parity support {-n, -n+2, ..., n}, one row per site."""
+    """Data on the parity support {-n, -n+2, ..., n}, one row per site: the
+    base of two records with fields n and one per-site field of their own."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in ("n",) + self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
     def positions(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1, 2)
@@ -67,11 +71,14 @@ class _Sublattice:
         return (x + self.n) // 2
 
 
-@dataclass
 class WalkState(_Sublattice):
     """Amplitudes after n steps, as 4-component complex vectors."""
 
-    phi: np.ndarray  # (n+1, 4) complex128
+    __slots__ = ("phi",)
+
+    def __init__(self, n: int, phi: np.ndarray):
+        self.n = n
+        self.phi = phi  # (n+1, 4) complex128
 
     @property
     def psi(self) -> np.ndarray:
@@ -90,11 +97,14 @@ class WalkState(_Sublattice):
         return float(np.sum(np.abs(self.phi) ** 2))
 
 
-@dataclass
 class Distribution(_Sublattice):
     """Position probabilities on the parity sublattice after n steps."""
 
-    probs: Sequence[float]  # n+1 entries: an array from a walk, a list from a closed form
+    __slots__ = ("probs",)
+
+    def __init__(self, n: int, probs: Sequence[float]):
+        self.n = n
+        self.probs = probs  # n+1 entries: an array from a walk, a list from a closed form
 
     def prob(self, x: int) -> float:
         i = self._row(x)

@@ -9,7 +9,8 @@ the move operators, and `step_walk`, which also records the total
 probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic, the case4 split
 into two commuting subwalks, a determinant-sampling route to
 characteristic-polynomial coefficients, the paper's printed G-form of the
-trace-free limit density, the paper's general-momentum and trace-free
+trace-free limit density, the `limit` CSV and the limit CDF as whole-array
+numpy computations (`numpy_limit_csv`, `unblocked_limit_cdf`), the paper's general-momentum and trace-free
 printings of the eigenvector direction C and |B|^2 (`paper_direction`),
 its surd form of the trace-free support radius
 (`paper_support_radius_surd`), the radius as the supremum of the group
@@ -238,6 +239,42 @@ def paper_qqw_density(coin: Coin, y: np.ndarray) -> np.ndarray:
     return (math.sqrt(2.0) * np.sqrt(num)
             / (2.0 * math.pi * (1.0 - y * y) * np.sqrt((g + disc) / 2.0 - y * y)
                * np.sqrt((g - disc) / 2.0 - y * y)))
+
+
+def numpy_limit_csv(params, weight_c: float, grid: int) -> bytes:
+    """The bytes of `qqwalk limit` computed on whole numpy arrays: the
+    np.linspace(-1, 1, grid) points and (1 - C y) f_r(y), with f_r(y) the
+    edge-free factor sqrt(1 - r^2) / (pi (1 - y^2)) over sqrt(r^2 - y^2) on
+    |y| < r, +inf at |y| = r and zero outside."""
+    r = params.r
+    ys = np.linspace(-1.0, 1.0, grid)
+    dens = np.zeros_like(ys)
+    inside = np.abs(ys) < r
+    yy = ys[inside]
+    with np.errstate(divide="ignore"):
+        dens[inside] = (math.sqrt(1.0 - r * r) / (math.pi * (1.0 - yy * yy))
+                        / np.sqrt(r * r - yy * yy))
+    dens[np.abs(ys) == r] = math.inf
+    dens = dens * (1.0 - weight_c * ys)
+    lines = ["y,density"] + [f"{float(y):.17g},{float(f):.17g}"
+                             for y, f in zip(ys, dens)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def unblocked_limit_cdf(params, weight_c: float, ys, n_nodes: int = 400) -> np.ndarray:
+    """F(y) = integral_{-r}^{y} (1 - C t) f_r(t) dt under t = r sin(phi), on
+    one (len(ys), n_nodes) grid of Gauss-Legendre nodes, each row summed
+    along the nodes."""
+    r = params.r
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    phi_hi = np.arcsin(np.clip(ys / r, -1.0, 1.0))
+    half = 0.5 * (phi_hi + 0.5 * math.pi)
+    mid = 0.5 * (phi_hi - 0.5 * math.pi)
+    t = r * np.sin(mid[:, None] + half[:, None] * x[None, :])
+    integrand = (1.0 - weight_c * t) * (math.sqrt(1.0 - r * r)
+                                        / (math.pi * (1.0 - t * t)))
+    return np.sum(w[None, :] * integrand, axis=1) * half
 
 
 def paper_direction(coin: Coin, theta: float, lam: float,

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 import qqwalk.cli as cli
 from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
-from qqwalk.coin import coin_to_json, hadamard_coin, random_coin, validate_coin
+from qqwalk.coin import coin_to_json, hadamard_coin, load_coin, random_coin, validate_coin
+from qqwalk.spectral import qqw_limit_params, weight_constant
 
-from helpers import ratio4_coin
+from helpers import numpy_limit_csv, ratio4_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -23,8 +25,10 @@ ALPHA = "[1, 0, 0, 0]"
 BETA = "[0, 0, 0, 0]"
 TOO_BIG = str(cli.MAX_SIZE + 1)
 OUT = "<out>"
-TRACEFREE_IJ = os.path.join(os.path.dirname(__file__), os.pardir, "coins",
-                            "tracefree_ij.json")
+COIN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
+TRACEFREE_IJ = os.path.join(COIN_DIR, "tracefree_ij.json")
+TRACEFREE = [os.path.join(COIN_DIR, f"tracefree_{name}.json")
+             for name in ("ij", "jk", "mixed")]
 QUAT_INIT = ["--alpha", "[0.5, 0.5, 0, 0]", "--beta", "[0, 0, 0.5, 0.5]"]
 
 
@@ -200,6 +204,35 @@ def test_limit_csv(ij_file, tmp_path):
     r = math.sqrt(0.5)
     assert np.all(dens[np.abs(ys) > r] == 0.0)
     assert np.all(dens[np.abs(ys) < r - 0.05] > 0.0)
+
+
+@pytest.mark.parametrize("grid", (3, 4, 7, 1001, 20001))
+def test_limit_bytes_match_numpy_route(grid, tmp_path):
+    out = tmp_path / "density.csv"
+    for path in TRACEFREE:
+        coin = load_coin(path)
+        params = qqw_limit_params(coin)
+        for init in (["--alpha", ALPHA, "--beta", BETA], QUAT_INIT):
+            assert main(["limit", "--coin", path, *init, "--grid", str(grid),
+                         "--out", str(out)]) == 0
+            c = weight_constant(coin, Quaternion.from_json(json.loads(init[1])),
+                                Quaternion.from_json(json.loads(init[3])))
+            assert out.read_bytes() == numpy_limit_csv(params, c, grid)
+
+
+def test_limit_memory_does_not_grow_with_rows(tmp_path):
+    # a list of every CSV row costs about 170 bytes a grid point; only the
+    # densities, at most 32 bytes a point, are held
+    grid = 100001
+    args = ["limit", "--coin", TRACEFREE[2], "--alpha", ALPHA, "--beta", BETA,
+            "--grid", str(grid), "--out", str(tmp_path / "density.csv")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * grid
 
 
 def test_compare_json(ij_file, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from qqwalk.walk import distribution, evolve, moment
 
 from helpers import (central_difference_velocities, eigen_angles, numeric_char_poly,
                      paper_direction, paper_qqw_density, paper_support_radius_surd,
-                     random_spinor, scan_support_radius)
+                     random_spinor, scan_support_radius, unblocked_limit_cdf)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -354,8 +355,8 @@ def test_qqw_density_reduces_when_bc_imaginary():
     params = qqw_limit_params(coin)
     assert params.r == pytest.approx(0.5, abs=1e-12)
     ys = np.linspace(-params.r, params.r, 1003)[1:-1]
-    got = qqw_limit_density(params, ys)
-    want = qw_limit_density(ys, 0.5)
+    got = np.asarray(qqw_limit_density(params, ys))
+    want = np.asarray(qw_limit_density(ys, 0.5))
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -453,6 +454,34 @@ def test_limit_cdf_monotone_and_total():
     assert vals[0] == pytest.approx(0.0, abs=1e-9)
     assert vals[-1] == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+@pytest.mark.parametrize("ny", (1, 63, 64, 65, 2001))
+def test_limit_cdf_blocks_match_one_grid(ny):
+    # ny around the block size of 64 rows, and the 2001 points of compare
+    # at n = 2000: the blocked sum equals the one-grid sum bit for bit
+    rng = np.random.default_rng(ny)
+    for coin in _tracefree_file_coins():
+        params = qqw_limit_params(coin)
+        c = weight_constant(coin, *random_spinor(rng))
+        ys = np.sort(rng.uniform(-1.0, 1.0, ny))
+        got = limit_cdf(params, c, ys)
+        assert got.shape == (ny,)
+        assert np.array_equal(got, unblocked_limit_cdf(params, c, ys))
+
+
+def test_limit_cdf_memory_stays_in_blocks():
+    # the one (2001, 400) grid route peaks at about 31 MB
+    params = qqw_limit_params(mixed_case5_coin())
+    ys = np.linspace(-1.0, 1.0, 2001)
+    limit_cdf(params, 0.3, ys)  # Gauss-Legendre nodes cached outside the trace
+    tracemalloc.start()
+    try:
+        limit_cdf(params, 0.3, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_limit_compare_contract():

@@ -1,6 +1,7 @@
 """numpy loads on first array use: importing the package, classifying a
-coin and the closed forms of `exact` and `xi` run on Python floats alone,
-and never import it."""
+coin, the closed forms of `exact` and `xi` and the limit density of
+`limit` run on Python floats alone, and never import it.  No job imports
+`dataclasses`, whose import pulls in `inspect`."""
 
 import glob
 import os
@@ -19,12 +20,13 @@ COINS = sorted(glob.glob(os.path.join(COIN_DIR, "*.json")))
 QUAT_INIT = "'--alpha', '[0.5, 0.5, 0, 0]', '--beta', '[0, 0, 0.5, 0.5]'"
 
 
-def _numpy_loaded_after(code: str) -> bool:
-    """Run ``code`` in a fresh interpreter; report whether numpy was imported."""
+def _loaded_after(code: str, module: str = "numpy") -> bool:
+    """Run ``code`` in a fresh interpreter; report whether ``module`` was
+    imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    script = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    script = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     return out.splitlines()[-1] == "True"
@@ -32,7 +34,12 @@ def _numpy_loaded_after(code: str) -> bool:
 
 @pytest.mark.parametrize("module", ("qqwalk", "qqwalk.cli"))
 def test_import_leaves_numpy_unloaded(module):
-    assert not _numpy_loaded_after(f"import {module}")
+    assert not _loaded_after(f"import {module}")
+
+
+@pytest.mark.parametrize("module", ("dataclasses", "inspect"))
+def test_import_leaves_dataclasses_unloaded(module):
+    assert not _loaded_after("import qqwalk.cli", module)
 
 
 def test_classify_leaves_numpy_unloaded():
@@ -40,7 +47,7 @@ def test_classify_leaves_numpy_unloaded():
     code = ("from qqwalk.cli import main\n"
             + "".join(f"assert main(['classify', '--coin', {f!r}]) == 0\n"
                       for f in COINS))
-    assert not _numpy_loaded_after(code)
+    assert not _loaded_after(code)
 
 
 def test_simulate_loads_numpy(tmp_path):
@@ -49,7 +56,7 @@ def test_simulate_loads_numpy(tmp_path):
             f"assert main(['simulate', '--coin', {COINS[0]!r},"
             " '--alpha', '[1, 0, 0, 0]', '--beta', '[0, 0, 0, 0]',"
             f" '--steps', '4', '--out', {out!r}]) == 0\n")
-    assert _numpy_loaded_after(code)
+    assert _loaded_after(code)
 
 
 def _closed_form_coin(kind: str, tmp_path) -> str:
@@ -75,7 +82,7 @@ def test_closed_forms_leave_numpy_unloaded(kind, tmp_path):
             f"assert main(['exact', '--coin', {coin!r}, {QUAT_INIT},"
             f" '--steps', '40', '--out', {out!r}]) == 0\n"
             f"assert main(['xi', '--coin', {coin!r}, '--l', '12', '--m', '17']) == 0\n")
-    assert not _numpy_loaded_after(code)
+    assert not _loaded_after(code)
 
 
 def test_exact_out_of_scope_leaves_numpy_unloaded(tmp_path):
@@ -85,11 +92,30 @@ def test_exact_out_of_scope_leaves_numpy_unloaded(tmp_path):
     code = ("from qqwalk.cli import main\n"
             f"assert main(['exact', '--coin', {coin!r}, {QUAT_INIT},"
             f" '--steps', '40', '--out', {out!r}]) == 2\n")
-    assert not _numpy_loaded_after(code)
+    assert not _loaded_after(code)
 
 
 def test_xi_brute_loads_numpy():
     code = ("from qqwalk.cli import main\n"
             f"assert main(['xi', '--coin', {COINS[0]!r}, '--l', '3', '--m', '4',"
             " '--brute']) == 0\n")
-    assert _numpy_loaded_after(code)
+    assert _loaded_after(code)
+
+
+@pytest.mark.parametrize("name", ("tracefree_ij", "tracefree_jk", "tracefree_mixed"))
+def test_limit_leaves_numpy_unloaded(name, tmp_path):
+    coin = os.path.join(COIN_DIR, f"{name}.json")
+    out = str(tmp_path / "density.csv")
+    code = ("from qqwalk.cli import main\n"
+            f"assert main(['limit', '--coin', {coin!r}, {QUAT_INIT},"
+            f" '--grid', '1001', '--out', {out!r}]) == 0\n")
+    assert not _loaded_after(code)
+
+
+@pytest.mark.parametrize("job", (
+    ["spectrum", "--theta", "0.4"],
+    ["compare", "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"],
+), ids=("spectrum", "compare"))
+def test_spectrum_and_compare_load_numpy(job):
+    argv = job[:1] + ["--coin", os.path.join(COIN_DIR, "tracefree_ij.json")] + job[1:]
+    assert _loaded_after(f"from qqwalk.cli import main\nassert main({argv!r}) == 0\n")
