@@ -49,7 +49,6 @@ from .spectral import (
     limit_compare,
     qqw_limit_density,
     qqw_limit_params,
-    qw_limit_density,
     support_radius,
     weight_constant,
 )

@@ -6,9 +6,9 @@ quaternion matrices, and the conversion of quaternion pairs to and from
 the first column of their image), and a closed-form solver for the
 one-sided linear equation a*x - x*b = c.
 
-Scalars are immutable `Quaternion` values; bulk operations are provided as
-vectorized functions over float64 arrays whose trailing axis holds the four
-components (x0, x1, x2, x3) of x0 + x1*i + x2*j + x3*k.
+Scalars are immutable `Quaternion` values; the complex image `chi_arr` also
+takes float64 arrays whose trailing axis holds the four components
+(x0, x1, x2, x3) of x0 + x1*i + x2*j + x3*k.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from . import _numpy as np
 
 __all__ = [
     "Quaternion",
-    "qmul_arr",
-    "qconj_arr",
-    "qnorm_arr",
     "chi",
     "chi_arr",
     "chi_matrix",
@@ -221,36 +218,6 @@ class Quaternion(_Frozen):
 
     def __repr__(self) -> str:
         return f"Quaternion({self.x0!r}, {self.x1!r}, {self.x2!r}, {self.x3!r})"
-
-
-# ---------------------------------------------------------------------
-# vectorized component arithmetic: arrays of shape (..., 4)
-# ---------------------------------------------------------------------
-
-def qmul_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hamilton product, broadcast over leading axes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p0, p1, p2, p3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    q0, q1, q2, q3 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    return np.stack([
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-    ], axis=-1)
-
-
-def qconj_arr(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def qnorm_arr(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def chi_arr(x: np.ndarray) -> np.ndarray:

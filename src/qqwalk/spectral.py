@@ -12,12 +12,12 @@ closed quaternionic eigenvector construction through the direction
 C = B^{-1} A of `appendix_ab`, and the one weak-limit law: the
 arcsine-type density f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2)
 sqrt(r^2 - y^2)), where only the support radius r depends on the coin
-(r = |a| for complex coins, the closed form `support_radius` for
-trace-free coins, whose diagonal has vanishing real parts), with
-quadrature that absorbs the inverse-square-root edge singularity by the
-substitution y = r sin(phi).  Each quantity has one route here; the
-paper's other printings of C and r and a numeric scan for r are test
-oracles.
+(the closed form `support_radius` for trace-free coins, whose diagonal
+has vanishing real parts, and |a| for the case3, case4 and complex coins
+of `exact`'s closed family), with quadrature that absorbs the
+inverse-square-root edge singularity by the substitution y = r sin(phi).
+Each quantity has one route here; the paper's other printings of C and r
+and a numeric scan for r are test oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import NamedTuple
 from . import _numpy as np
 from .coin import ZERO_TOL, Coin, u_theta
 from .errors import DegenerateABError, DegenerateError, DomainError
+from .exact import _closed_family
 from .quaternion import Quaternion, _phi_of
 from .walk import Distribution, distribution, evolve
 
@@ -44,8 +45,6 @@ __all__ = [
     "case5_angle",
     "case5_group_velocity",
     "support_radius",
-    "qw_limit_density",
-    "qw_limit_params",
     "qqw_limit_params",
     "qqw_limit_density",
     "weight_constant",
@@ -214,14 +213,21 @@ def group_velocities(coin: Coin, theta: float) -> np.ndarray:
                      for p in eigen_system(coin, theta)])
 
 
-def _case5_params(coin: Coin) -> tuple[float, float]:
-    # The trace-free predicate (Re a = Re d = 0) is the actual domain of
-    # the closed limit law; coins in the overlap with the split-structure
-    # class carry the case4 tag but still satisfy it.
-    if abs(coin.a.re) > ZERO_TOL or abs(coin.d.re) > ZERO_TOL:
-        raise DomainError("limit law requires vanishing real parts of a and d")
+def _is_trace_free(coin: Coin) -> bool:
+    # Re a = Re d = 0; trace-free coins with split structure carry the
+    # case4 tag but still have the closed radius of `support_radius`
+    return abs(coin.a.re) <= ZERO_TOL and abs(coin.d.re) <= ZERO_TOL
+
+
+def _require_nonzero_entries(coin: Coin) -> None:
     if any(q.is_zero() for q in coin.entries()):
         raise DomainError("limit law requires a, b, c, d all nonzero")
+
+
+def _case5_params(coin: Coin) -> tuple[float, float]:
+    if not _is_trace_free(coin):
+        raise DomainError("limit law requires vanishing real parts of a and d")
+    _require_nonzero_entries(coin)
     return coin.a.norm_sq(), (coin.b * coin.c).re
 
 
@@ -265,11 +271,9 @@ def case5_group_velocity(coin: Coin, theta: float) -> float:
 # ---------------------------------------------------------------------
 
 class LimitDensity(NamedTuple):
-    """Parameters of the weak-limit law f_r of a coin.
-
-    r is the support radius: |a| for a complex coin, `support_radius`
-    for a trace-free one.  g = 1 + |a|^4 - Re(bc)^2 is the paper's G.
-    """
+    """Parameters of the weak-limit law f_r of a coin: the support radius r
+    (`support_radius` for a trace-free coin, |a| for a case3, case4 or
+    complex one) and the paper's G = 1 + |a|^4 - Re(bc)^2 as g."""
 
     r: float
     g: float
@@ -283,41 +287,34 @@ def _g_constant(u: float, s: float) -> float:
 def support_radius(coin: Coin) -> float:
     """r = sqrt((G - sqrt(G^2 - 4 |a|^4)) / 2) for a trace-free coin.
 
-    The discriminant is computed as (G - 2|a|^2)(G + 2|a|^2) and clamped
-    at zero: coins whose b*c is real sit exactly on the double-root
-    boundary, where the naive expression would turn representation noise
-    of order 1e-16 into an error of order 1e-8 in r.
+    The discriminant is computed as (G - 2|a|^2)(G + 2|a|^2).  Coins whose
+    b*c is real sit on the double-root boundary G = 2|a|^2, where rounding
+    noise of order 1e-16 in G - 2|a|^2 would become an error of order 1e-8
+    in r; below 1e-6 that factor is taken in its exact form |Im(bc)|^2
+    (= |b|^4 - Re(bc)^2 on a unitary coin), which vanishes there.
     """
     u, s = _case5_params(coin)
     g = _g_constant(u, s)
-    disc = max(0.0, (g - 2.0 * u) * (g + 2.0 * u))
+    gap = g - 2.0 * u
+    if gap < 1e-6:
+        gap = (coin.b * coin.c).imag_part().norm_sq()
+    disc = max(0.0, gap * (g + 2.0 * u))
     return math.sqrt(max(0.0, (g - math.sqrt(disc)) / 2.0))
 
 
-def qw_limit_params(coin: Coin) -> LimitDensity:
-    """Limit-density parameters of a complex-coin walk: support |a|."""
-    if not coin.is_complex():
-        raise DomainError("coin entries must be complex")
-    if any(q.is_zero() for q in coin.entries()):
-        raise DomainError("limit law requires a, b, c, d all nonzero")
-    u = coin.a.norm_sq()
-    s = (coin.b * coin.c).re
-    return LimitDensity(r=math.sqrt(u), g=_g_constant(u, s))
-
-
 def qqw_limit_params(coin: Coin) -> LimitDensity:
-    """Limit-density parameters of a trace-free quaternionic coin."""
-    u, s = _case5_params(coin)
-    return LimitDensity(r=support_radius(coin), g=_g_constant(u, s))
+    """Limit-density parameters of a coin: r = `support_radius` when it is
 
-
-def qw_limit_density(y, r: float):
-    """The arcsine-type density sqrt(1 - r^2) / (pi (1 - y^2) sqrt(r^2 - y^2))
-
-    on (-r, r); zero outside; +inf exactly at the edges.  y is a float,
-    giving a float, or an iterable of floats, giving a list.
+    trace-free, else r = |a| when it is in `exact`'s closed family (case3,
+    case4, complex).  DomainError for other coins and for a zero entry.
     """
-    return _density_at(r, y)
+    if _is_trace_free(coin):
+        r = support_radius(coin)
+    else:
+        _closed_family(coin, "limit law")
+        _require_nonzero_entries(coin)
+        r = math.sqrt(coin.a.norm_sq())
+    return LimitDensity(r=r, g=_g_constant(coin.a.norm_sq(), (coin.b * coin.c).re))
 
 
 def _check_radius(r: float) -> None:
@@ -341,26 +338,22 @@ def _density(r: float, y: float) -> float:
     return math.inf if abs(y) == r else 0.0
 
 
-def _density_at(r: float, y):
-    """`_density` at a float y, or at each float of an iterable y as a
-    list, with the radius checked once."""
-    _check_radius(r)
-    if isinstance(y, (int, float)):
-        return _density(r, float(y))
-    return [_density(r, v) for v in map(float, y)]
-
-
 def qqw_limit_density(params: LimitDensity, y):
-    """The trace-free limit density of `qqw_limit_params(coin)`.
+    """The arcsine-type density f_r of `qqw_limit_params(coin)`:
 
-    The paper writes it through G = 1 + |a|^4 - Re(bc)^2.  With r^2 and
-    R^2 the roots of z^2 - G z + |a|^4 its numerator
+    sqrt(1 - r^2) / (pi (1 - y^2) sqrt(r^2 - y^2)) on (-r, r); zero
+    outside; +inf exactly at the edges.  The paper writes the trace-free
+    law through G = 1 + |a|^4 - Re(bc)^2.  With r^2 and R^2 the roots of
+    z^2 - G z + |a|^4 its numerator
     (G - 2) y^2 + G - 2|a|^4 + (1 - y^2)(R^2 - r^2) is 2 (1 - r^2)(R^2 - y^2),
-    so the density is the arcsine-type law `qw_limit_density(y, r)` at the
-    trace-free support radius r.  y is a float, giving a float, or an
-    iterable of floats, giving a list.
+    which leaves f_r at the trace-free support radius r.  y is a float,
+    giving a float, or an iterable of floats, giving a list; the radius is
+    checked once.
     """
-    return _density_at(params.r, y)
+    _check_radius(params.r)
+    if isinstance(y, (int, float)):
+        return _density(params.r, float(y))
+    return [_density(params.r, v) for v in map(float, y)]
 
 
 def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
@@ -466,7 +459,7 @@ def limit_compare(coin: Coin, alpha: Quaternion, beta: Quaternion,
                   n: int) -> CompareResult:
     """Kolmogorov distance between the exact rescaled distribution at time n
 
-    and the weak-limit CDF of a trace-free coin.
+    and the weak-limit CDF of the coin's law from `qqw_limit_params`.
     """
     if n < 100 or n % 2:
         raise DomainError("comparison is defined for even n >= 100")

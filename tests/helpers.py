@@ -8,7 +8,8 @@ momentum-space propagator of `qqwalk.walk.evolve` is checked against
 the move operators, and `step_walk`, which also records the total
 probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic, the case4 split
 into two commuting subwalks, a determinant-sampling route to
-characteristic-polynomial coefficients, the paper's printed G-form of the
+characteristic-polynomial coefficients, the arcsine-type law f_r as one
+numpy expression (`arcsine_density`), the paper's printed G-form of the
 trace-free limit density, the `limit` CSV and the limit CDF as whole-array
 numpy computations (`numpy_limit_csv`, `unblocked_limit_cdf`), the paper's general-momentum and trace-free
 printings of the eigenvector direction C and |B|^2 (`paper_direction`),
@@ -19,6 +20,9 @@ velocity by grid scan and golden-section search
 `eigvals` and group velocities by their finite differences, the product
 of small quaternion matrices by scalar quaternion products, and tiny
 utilities (`max_abs`, `is_unitary`, random quaternions and spinors).
+The componentwise array arithmetic `qmul_arr`, `qconj_arr` and
+`qnorm_arr` over (..., 4) float arrays serves the steppers and the bulk
+algebra checks.
 """
 
 from __future__ import annotations
@@ -40,9 +44,36 @@ from qqwalk.coin import (
     u_theta,
     validate_coin,
 )
-from qqwalk.quaternion import _phi_of, chi_inv_matrix, chi_matrix, qmul_arr
+from qqwalk.quaternion import _phi_of, chi_inv_matrix, chi_matrix
 from qqwalk.spectral import case5_group_velocity
 from qqwalk.walk import WalkState, init_state
+
+
+def qmul_arr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hamilton product of float arrays of shape (..., 4), broadcast over
+    leading axes, componentwise rather than through `Quaternion`."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p0, p1, p2, p3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    q0, q1, q2, q3 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    return np.stack([
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+    ], axis=-1)
+
+
+def qconj_arr(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def qnorm_arr(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
@@ -217,6 +248,13 @@ def central_difference_velocities(coin: Coin, theta: float,
         return lam0 + diff[np.arange(4), np.argmin(np.abs(diff), axis=1)]
 
     return (shifted(theta + h) - shifted(theta - h)) / (2.0 * h)
+
+
+def arcsine_density(r: float, y: np.ndarray) -> np.ndarray:
+    """f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2) sqrt(r^2 - y^2)) on |y| < r,
+    as one numpy expression."""
+    y = np.asarray(y, dtype=float)
+    return math.sqrt(1.0 - r * r) / (math.pi * (1.0 - y * y) * np.sqrt(r * r - y * y))
 
 
 def paper_qqw_density(coin: Coin, y: np.ndarray) -> np.ndarray:

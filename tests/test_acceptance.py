@@ -22,14 +22,7 @@ from qqwalk.coin import (
 )
 from qqwalk.errors import DegenerateABError, DegenerateError
 from qqwalk.exact import closed_form_distribution, xi_closed
-from qqwalk.quaternion import (
-    chi_arr,
-    qconj_arr,
-    qmul_arr,
-    qnorm_arr,
-    solve_sylvester,
-    sylvester_residual,
-)
+from qqwalk.quaternion import chi_arr, solve_sylvester, sylvester_residual
 from qqwalk.spectral import (
     appendix_ab,
     char_poly_coeffs,
@@ -38,16 +31,14 @@ from qqwalk.spectral import (
     integrate_weighted_density,
     limit_compare,
     qqw_limit_params,
-    qw_limit_density,
-    qw_limit_params,
     support_radius,
     weight_constant,
 )
 from qqwalk.walk import distribution, evolve, init_state
 
-from helpers import (enumerate_xi, numeric_char_poly, paper_qqw_density,
-                     paper_support_radius_surd, random_spinor, scan_support_radius,
-                     step, step_walk)
+from helpers import (arcsine_density, enumerate_xi, numeric_char_poly, paper_qqw_density,
+                     paper_support_radius_surd, qconj_arr, qmul_arr, qnorm_arr,
+                     random_spinor, scan_support_radius, step, step_walk)
 
 COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 S = math.sqrt(0.5)
@@ -349,7 +340,7 @@ def test_criterion_10_support_radius():
 
     # the paper's printed G-form against the arcsine-type law at r = 1/2
     ys = np.linspace(-0.5, 0.5, 1003)[1:-1]
-    gap = np.max(np.abs(paper_qqw_density(jk, ys) - qw_limit_density(ys, 0.5)))
+    gap = np.max(np.abs(paper_qqw_density(jk, ys) - arcsine_density(0.5, ys)))
     assert gap <= 1e-10
     _report(10, f"r(ij) = sqrt(1/2) and r(jk) = 1/2 by all three routes; "
                 f"density reduction gap {gap:.2e}")
@@ -401,7 +392,7 @@ def test_criterion_12_weak_limit_convergence():
 # ---------------------------------------------------------------------
 
 def test_criterion_13_support_strictly_smaller():
-    qw_r = qw_limit_params(hadamard_coin()).r
+    qw_r = qqw_limit_params(hadamard_coin()).r
     assert qw_r == pytest.approx(S, abs=1e-15)
 
     mixed = _coin("tracefree_mixed")

@@ -245,6 +245,36 @@ def test_compare_json(ij_file, capsys):
     assert 0.0 < payload["kolmogorov"] < 0.2
 
 
+# the limit law holds for the trace-free coins (case5, and trace-free
+# case4) and for the case3, case4 and complex coins that walk like a
+# complex walk; every other coin is a domain error
+LAW_COINS = {"case1": 2, "case2": 2, "case3": 0, "case4": 0, "case5": 0,
+             "general": 2, "complex": 0, "hadamard.json": 0, "superposition.json": 2}
+
+
+@pytest.mark.parametrize("command", ("limit", "compare"))
+@pytest.mark.parametrize("kind", sorted(LAW_COINS))
+def test_limit_and_compare_by_coin_class(kind, command, tmp_path, capsys):
+    if kind.endswith(".json"):
+        path = os.path.join(COIN_DIR, kind)
+    else:
+        path = tmp_path / f"{kind}.json"
+        coin = random_coin(np.random.default_rng(95), kind)
+        path.write_text(coin_to_json(coin), encoding="utf-8")
+    args = [command, "--coin", str(path), *QUAT_INIT]
+    if command == "limit":
+        args += ["--grid", "11", "--out", str(tmp_path / "density.csv")]
+    else:
+        args += ["--steps", "100"]
+    assert main(args) == LAW_COINS[kind]
+    captured = capsys.readouterr()
+    if LAW_COINS[kind]:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+
+
 # ---------------------------------------------------------------------
 # error handling / exit codes
 # ---------------------------------------------------------------------

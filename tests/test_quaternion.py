@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from qqwalk import Quaternion, chi, chi_matrix, solve_sylvester, sylvester_residual
-from qqwalk.quaternion import (
-    chi_arr,
-    chi_inv_matrix,
-    qconj_arr,
-    qmul_arr,
-    qnorm_arr,
-    random_unit_quaternion,
-)
+from qqwalk.quaternion import chi_arr, chi_inv_matrix, random_unit_quaternion
 
-from helpers import is_unitary, qmat_mul, random_quaternion
+from helpers import (is_unitary, qconj_arr, qmat_mul, qmul_arr, qnorm_arr,
+                     random_quaternion)
 
 I = Quaternion.i()
 J = Quaternion.j()

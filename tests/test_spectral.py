@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqwalk import Quaternion, DomainError
-from qqwalk.coin import (COIN_CLASSES, hadamard_coin, load_coin, random_coin, u_theta,
-                         validate_coin)
+from qqwalk.coin import (COIN_CLASSES, classify, hadamard_coin, load_coin, random_coin,
+                         u_theta, validate_coin)
 from qqwalk.errors import DegenerateABError, DegenerateError
 from qqwalk.spectral import (
     LimitDensity,
@@ -25,16 +26,15 @@ from qqwalk.spectral import (
     limit_compare,
     qqw_limit_density,
     qqw_limit_params,
-    qw_limit_density,
-    qw_limit_params,
     support_radius,
     weight_constant,
 )
 from qqwalk.walk import distribution, evolve, moment
 
-from helpers import (central_difference_velocities, eigen_angles, numeric_char_poly,
-                     paper_direction, paper_qqw_density, paper_support_radius_surd,
-                     random_spinor, scan_support_radius, unblocked_limit_cdf)
+from helpers import (arcsine_density, central_difference_velocities, eigen_angles,
+                     numeric_char_poly, paper_direction, paper_qqw_density,
+                     paper_support_radius_surd, random_spinor, scan_support_radius,
+                     unblocked_limit_cdf)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -316,12 +316,13 @@ def test_support_radius_examples():
 
 def test_qw_density_values():
     # at y = 0: sqrt(1 - r^2) / (pi * r) with r = 1/sqrt2 gives 1/pi
-    assert qw_limit_density(0.0, S) == pytest.approx(1.0 / math.pi, abs=1e-14)
-    assert qw_limit_density(0.9, S) == 0.0
-    assert qw_limit_density(-0.9, S) == 0.0
-    assert math.isinf(qw_limit_density(S, S))
+    params = LimitDensity(r=S, g=1.0)
+    assert qqw_limit_density(params, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-14)
+    assert qqw_limit_density(params, 0.9) == 0.0
+    assert qqw_limit_density(params, -0.9) == 0.0
+    assert math.isinf(qqw_limit_density(params, S))
     with pytest.raises(DomainError):
-        qw_limit_density(0.0, 1.5)
+        qqw_limit_density(LimitDensity(r=1.5, g=1.0), 0.0)
 
 
 @pytest.mark.parametrize("r", (1.5, 0.0))
@@ -330,8 +331,7 @@ def test_limit_law_rejects_radius_out_of_range(r):
     # every public route to f_r checks 0 < r < 1 the same way, before any
     # arithmetic on r can warn
     params = LimitDensity(r=r, g=1.0)
-    routes = (lambda: qw_limit_density(0.0, r),
-              lambda: qqw_limit_density(params, 0.0),
+    routes = (lambda: qqw_limit_density(params, 0.0),
               lambda: limit_cdf(params, 0.0, [0.0]),
               lambda: integrate_weighted_density(params))
     for route in routes:
@@ -356,7 +356,7 @@ def test_qqw_density_reduces_when_bc_imaginary():
     assert params.r == pytest.approx(0.5, abs=1e-12)
     ys = np.linspace(-params.r, params.r, 1003)[1:-1]
     got = np.asarray(qqw_limit_density(params, ys))
-    want = np.asarray(qw_limit_density(ys, 0.5))
+    want = arcsine_density(0.5, ys)
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -417,11 +417,15 @@ def test_qqw_density_normalizes():
 
 
 def test_qqw_params_domain():
+    # the Hadamard coin (case3) walks like a complex walk: r = |a|
     rng = np.random.default_rng(82)
-    with pytest.raises(DomainError):
-        qqw_limit_params(hadamard_coin())          # real diagonal
+    assert qqw_limit_params(hadamard_coin()).r == pytest.approx(S, abs=1e-15)
     with pytest.raises(DomainError):
         qqw_limit_params(random_coin(rng, "case1"))  # b = c = 0
+    with pytest.raises(DomainError):
+        qqw_limit_params(random_coin(rng, "case2"))  # a = d = 0
+    with pytest.raises(DomainError, match="no closed-form limit law"):
+        qqw_limit_params(random_coin(rng, "general"))
 
 
 def test_weight_constant_values():
@@ -534,8 +538,56 @@ def test_first_moment_from_quaternionic_spinor():
 def test_supports_differ_between_walk_families():
     # same moduli as the Hadamard coin, but the trace-free walks spread
     # strictly slower whenever bc has an imaginary part or Re(bc) = 0
-    qw_r = qw_limit_params(hadamard_coin()).r
+    qw_r = qqw_limit_params(hadamard_coin()).r
     assert qw_r == pytest.approx(S, abs=1e-15)
     assert support_radius(jk_coin()) == pytest.approx(0.5, abs=1e-12)
     assert support_radius(jk_coin()) < qw_r
     assert support_radius(mixed_case5_coin()) < qw_r
+
+
+def test_trace_free_radius_is_abs_a_on_the_overlap():
+    # trace-free case4 coins (like tracefree_ij) and trace-free complex
+    # coins lie in both branches of `qqw_limit_params`; the two radii agree
+    # there, so the order of the branches cannot change r beyond rounding
+    rng = np.random.default_rng(92)
+    for _ in range(20):
+        phi = float(rng.uniform(0.15 * math.pi, 0.35 * math.pi))
+        sign = float(rng.choice((-1.0, 1.0)))
+        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+        a, d = cos_phi * I, (-sign * cos_phi) * I
+        v = rng.normal(size=2)
+        perplex = Quaternion(0.0, 0.0, *map(float, v / np.linalg.norm(v)))
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        unit = Quaternion(math.cos(angle), math.sin(angle), 0.0, 0.0)
+        case4 = validate_coin(a, sin_phi * perplex, (-sign * sin_phi) * perplex, d)
+        cplx = validate_coin(a, sin_phi * unit, (-sign * sin_phi) * unit.conj(), d)
+        assert classify(case4) == "case4" and cplx.is_complex()
+        for coin in (case4, cplx):
+            assert support_radius(coin) == pytest.approx(coin.a.norm(), abs=1e-12)
+
+
+def test_qw_law_separates_the_closed_family_from_the_others():
+    # Kolmogorov distance d to f_|a| at n = 2000 and 8000: the Hadamard,
+    # case3, case4 and complex walks converge to it like n^(-1/3) or
+    # faster, the case5 and general walks stay far from it
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(93)
+    follow = [(hadamard_coin(), Quaternion(1), Quaternion.zero())]
+    follow += [(random_coin(rng, kind), *random_spinor(rng))
+               for kind in ("case3", "case3", "case4", "case4", "complex", "complex")]
+    depart = [(random_coin(rng, kind), *random_spinor(rng))
+              for kind in ("case5", "case5", "general", "general")]
+    sizes = (2000, 8000)
+    for coin, alpha, beta in follow:
+        assert qqw_limit_params(coin).r == pytest.approx(coin.a.norm(), abs=1e-15)
+        d = [limit_compare(coin, alpha, beta, n).kolmogorov for n in sizes]
+        assert all(dn * n ** (1.0 / 3.0) <= 0.4 for dn, n in zip(d, sizes)), d
+        assert d[1] < d[0]
+    for coin, alpha, beta in depart:
+        u, s = coin.a.norm_sq(), (coin.b * coin.c).re
+        params = LimitDensity(r=coin.a.norm(), g=1.0 + u * u - s * s)
+        c = weight_constant(coin, alpha, beta)
+        for n in sizes:
+            dist = distribution(evolve(coin, alpha, beta, n))
+            assert kolmogorov_distance(dist, params, c) >= 0.2
+    assert time.perf_counter() - t0 < 4.0
