@@ -3,10 +3,10 @@
 The layers write ``from . import _numpy as np`` and use ``np.x`` as usual.
 The first access imports numpy and copies the requested name into this
 module's globals, so later accesses are ordinary module-attribute lookups.
-Coin classification, the closed forms and the limit density run on Python
-floats alone and never load numpy, which keeps ``import qqwalk`` and the
-``classify``, ``exact``, closed-form ``xi`` and ``limit`` jobs free of its
-import time.
+Coin classification, the closed forms, the eigensystem of U(theta) and the
+limit density run on Python floats alone and never load numpy, which keeps
+``import qqwalk`` and the ``classify``, ``exact``, closed-form ``xi``,
+``spectrum`` and ``limit`` jobs free of its import time.
 """
 
 

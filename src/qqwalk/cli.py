@@ -190,7 +190,7 @@ def _cmd_spectrum(args) -> int:
         "theta": args.theta,
         "eigenvalues": [_complex_json(p.value) for p in pairs],
         "angles": [p.lam for p in pairs],
-        "vectors": [[_complex_json(complex(z)) for z in p.vector] for p in pairs],
+        "vectors": [[_complex_json(z) for z in p.vector] for p in pairs],
         "residuals": [p.residual for p in pairs],
     }
     print(json.dumps(payload, sort_keys=True))

@@ -162,11 +162,20 @@ def chi_q(coin: Coin) -> np.ndarray:
     return chi_matrix(split_pq(coin).q)
 
 
+def _u_rows(coin: Coin, theta: float) -> list[list[complex]]:
+    """U(theta) as four rows of Python complexes: the complex image of each
+    coin row, times e^{it} for the top row and e^{-it} for the bottom one."""
+    phase = complex(math.cos(theta), math.sin(theta))
+    rows = []
+    for e, x, y in ((phase, coin.a, coin.b), (phase.conjugate(), coin.c, coin.d)):
+        rows += [[e * z for z in (x.simplex, -x.perplex, y.simplex, -y.perplex)],
+                 [e * z.conjugate() for z in (x.perplex, x.simplex, y.perplex, y.simplex)]]
+    return rows
+
+
 def u_theta(coin: Coin, theta: float) -> np.ndarray:
     """Momentum symbol: diag(e^{i t}, e^{i t}, e^{-i t}, e^{-i t}) @ chi(coin)."""
-    m = chi_matrix(coin.matrix())
-    phase = np.array([np.exp(1j * theta)] * 2 + [np.exp(-1j * theta)] * 2)
-    return phase[:, None] * m
+    return np.array(_u_rows(coin, theta))
 
 
 # ---------------------------------------------------------------------

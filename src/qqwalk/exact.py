@@ -84,9 +84,9 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
     return PathSum(l, m, chi_inv_matrix(cols[m]).tolist())
 
 
-def _require_nonzero_entries(coin: Coin) -> None:
+def _require_nonzero_entries(coin: Coin, what: str) -> None:
     if any(q.is_zero() for q in coin.entries()):
-        raise DomainError("closed form requires a, b, c, d all nonzero")
+        raise DomainError(f"{what} requires a, b, c, d all nonzero")
 
 
 def _require_interior(l: int, m: int) -> None:
@@ -282,7 +282,7 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     _check_lm(l, m)
     # case1 and case2 coins, the only ones here whose entries need not be
     # complex, always fail this check
-    _require_nonzero_entries(coin)
+    _require_nonzero_entries(coin, "closed form")
     _require_interior(l, m)
     build = {"case3": _xi_case3, "case4": _xi_case4}.get(family, _xi_complex_entries)
     return PathSum(l, m, build(coin, l, m))
@@ -348,7 +348,7 @@ def _checked_family(coin: Coin, alpha: Quaternion, beta: Quaternion,
         raise DomainError("n must be non-negative")
     family = _closed_family(coin, "distribution")
     if n > 0 and family not in ("case1", "case2"):
-        _require_nonzero_entries(coin)
+        _require_nonzero_entries(coin, "closed form")
     return family
 
 

@@ -2,8 +2,9 @@
 
 The 4x4 unitary symbol U(theta) of the walk has four eigen-angles
 lambda_m(theta); their theta-derivatives (group velocities) fill the
-support (-r, r) of the limit law of X_n / n.  The eigenpairs come from one
-eigen-solve of U(theta): U is normal, so its eigenvalues are perfectly
+support (-r, r) of the limit law of X_n / n.  The eigenpairs come from a
+Jacobi solve of a Hermitian part of U(theta) on Python complexes, so the
+spectrum needs no numpy; U is normal, so its eigenvalues are well
 conditioned and a double root comes out split only by round-off.  Since
 dU/dtheta = i SIGMA U with SIGMA = diag(1, 1, -1, -1), the group velocity
 of a branch with unit eigenvector v is exactly v^H SIGMA v.  The module
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import ZERO_TOL, Coin, u_theta
+from .coin import ZERO_TOL, Coin, _u_rows
 from .errors import DegenerateABError, DegenerateError, DomainError
-from .exact import _closed_family
+from .exact import _closed_family, _require_nonzero_entries
 from .quaternion import Quaternion, _phi_of
 from .walk import Distribution, distribution, evolve
 
@@ -82,55 +84,107 @@ def char_poly_coeffs(coin: Coin, theta: float) -> np.ndarray:
 
 
 DEGENERACY_TOL = 1e-8  # eigenvalues closer than this count as one
+MU = 0.5772156649015329  # weight of H2 in H(MU) = H1 + MU H2; any generic value
+CLUSTER_TOL = 1e-2  # H(MU) eigenvalues closer than this are split again by H2
 
 
 class EigenPair(NamedTuple):
     theta: float
     lam: float                 # eigen-angle in [-pi, pi)
     value: complex             # e^{i lam}
-    vector: np.ndarray         # (4,) complex, unit norm
+    vector: tuple              # four Python complexes, unit norm
     residual: float            # ||U v - value v||
 
 
-def _angles(values: np.ndarray) -> np.ndarray:
-    """Angles of unit-modulus values, in [-pi, pi)."""
-    angles = np.angle(values)
-    angles[angles >= math.pi] -= 2.0 * math.pi
-    return angles
+def _real_positive(vec) -> tuple:
+    """vec at unit norm with its largest component real and positive; of
+    components within a relative 1e-12 of the largest modulus the first is
+    chosen, so the choice does not depend on last-bit rounding."""
+    mod = [abs(z) for z in vec]
+    top = (1.0 - 1e-12) * max(mod)
+    k = next(i for i, m in enumerate(mod) if m >= top)
+    scale = vec[k] / mod[k] * math.hypot(*mod)
+    return tuple(z / scale for z in vec)
 
 
-def _real_positive(vec: np.ndarray) -> np.ndarray:
-    """vec times the unit phase that makes its largest component real and
-    positive.  Components within a relative 1e-12 of the largest modulus
-    count as tied, and the first of them is chosen, so the choice does not
-    depend on last-bit rounding."""
-    mod = np.abs(vec)
-    k = int(np.argmax(mod >= (1.0 - 1e-12) * mod.max()))
-    return vec / (vec[k] / mod[k])
+def _matvec(m, v) -> list:
+    return [sum(a * x for a, x in zip(row, v)) for row in m]
+
+
+def _vdot(v, w) -> complex:  # v^H w
+    return sum(x.conjugate() * y for x, y in zip(v, w))
+
+
+def _jacobi(u, vecs, w: complex, floor: float) -> list[float]:
+    """Rotate vecs (changed in place) to eigenvectors of w U + conj(w) U^H
+    on their span and return its eigenvalues: cyclic complex Jacobi on its
+    Hermitian matrix a in vecs, each rotation the real one of its 2 x 2
+    block once a phase on column q makes a_pq real; entries up to floor
+    count as zero."""
+    images = [_matvec(u, x) for x in vecs]
+    m = [[w * _vdot(v, ux) for ux in images] for v in vecs]
+    a = [[x + y.conjugate() for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
+    rotated = True
+    while rotated:
+        rotated = False
+        for p, q in combinations(range(len(a)), 2):
+            mod = abs(a[p][q])
+            if mod <= floor:
+                continue
+            rotated = True
+            f = a[p][q].conjugate() / mod
+            tau = (a[q][q].real - a[p][p].real) / (2.0 * mod)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            sf, cf, sg, cg = s * f, c * f, s * f.conjugate(), c * f.conjugate()
+            for row in a:  # a <- a J, then a <- J^H a
+                row[p], row[q] = c * row[p] - sf * row[q], s * row[p] + cf * row[q]
+            a[p], a[q] = ([c * x - sg * y for x, y in zip(a[p], a[q])],
+                          [s * x + cg * y for x, y in zip(a[p], a[q])])
+            a[p][q] = a[q][p] = 0j
+            vp, vq = vecs[p], vecs[q]
+            vp[:], vq[:] = ([c * x - sf * y for x, y in zip(vp, vq)],
+                            [s * x + cf * y for x, y in zip(vp, vq)])
+    return [row[i].real for i, row in enumerate(a)]
 
 
 def eigen_system(coin: Coin, theta: float) -> list[EigenPair]:
     """Four eigenpairs of U(theta), sorted by eigen-angle.
 
-    Each eigenvector is scaled to unit norm with its largest component
-    real and positive.  Raises DegenerateError when two eigenvalues are
-    closer than DEGENERACY_TOL; such momentum nodes must be excluded by
-    the caller.
+    U commutes with H1 = (U + U^H)/2 and H2 = (U - U^H)/(2i), which take
+    cos(lam) and sin(lam) on the branch e^{i lam}; the eigenvectors are
+    those of H(MU).  Branches with lam1 + lam2 = 2 atan(MU) (mod 2 pi), met
+    by most trace-free coins at some theta, share an eigenvalue of H(MU), so
+    each run of H(MU) eigenvalues closer than CLUSTER_TOL is rotated again
+    to diagonalize H2 on its span, skipping couplings up to 1e-14: near
+    lam = +-pi/2 H2 separates close branches only to second order, and
+    rotating on rounding noise would mix them.  Each vector v is scaled to
+    unit norm with its largest component real and positive, and its
+    eigenvalue is v^H U v at unit modulus.  Raises ValueError for a
+    non-finite theta, and DegenerateError when two eigenvalues are closer
+    than DEGENERACY_TOL; such momentum nodes must be excluded by the caller.
     """
-    u = u_theta(coin, theta)
-    values, vectors = np.linalg.eig(u)
-    gaps = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) < DEGENERACY_TOL:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    u = _u_rows(coin, theta)
+    vecs = [[complex(i == j) for i in range(4)] for j in range(4)]
+    diag = _jacobi(u, vecs, 0.5 - 0.5j * MU, 1e-18)  # to convergence
+    order = sorted(range(4), key=diag.__getitem__)
+    cuts = [n for n in (1, 2, 3) if diag[order[n]] - diag[order[n - 1]] >= CLUSTER_TOL]
+    for lo, hi in zip([0] + cuts, cuts + [4]):
+        _jacobi(u, [vecs[i] for i in order[lo:hi]], -0.5j, 1e-14)
+    lams = [math.atan2(z.imag, z.real) for z in (_vdot(v, _matvec(u, v)) for v in vecs)]
+    found = sorted(((lam - 2.0 * math.pi if lam >= math.pi else lam, v)
+                    for lam, v in zip(lams, vecs)), key=lambda pair: pair[0])
+    values = [complex(math.cos(lam), math.sin(lam)) for lam, _ in found]
+    if any(abs(x - y) < DEGENERACY_TOL for x, y in combinations(values, 2)):
         raise DegenerateError(theta)
-    angles = _angles(values)
     pairs = []
-    for idx in np.argsort(angles):
-        lam = float(angles[idx])
-        value = complex(np.exp(1j * lam))
-        vec = _real_positive(vectors[:, idx])
-        vec /= np.linalg.norm(vec)
-        residual = float(np.linalg.norm(u @ vec - value * vec))
+    for (lam, vec), value in zip(found, values):
+        vec = _real_positive(vec)
+        residual = math.hypot(*(abs(y - value * z)
+                                for y, z in zip(_matvec(u, vec), vec)))
         pairs.append(EigenPair(theta, lam, value, vec, residual))
     return pairs
 
@@ -186,10 +240,9 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float) -> np.ndarray:
     phase = Quaternion(math.cos(lam - theta), math.sin(lam - theta), 0.0, 0.0)
     t = (b.conj() / bsq) * (s * phase - coin.a * s)
     vec = _phi_of(np.array([s.to_array(), t.to_array()]))
-    norm = np.linalg.norm(vec)
-    if norm <= 1e-14:
+    if np.linalg.norm(vec) <= 1e-14:
         raise DegenerateABError("construction produced a null vector")
-    return _real_positive(vec / norm)
+    return np.array(_real_positive(vec))
 
 
 # ---------------------------------------------------------------------
@@ -208,8 +261,7 @@ def group_velocities(coin: Coin, theta: float) -> np.ndarray:
     (Hellmann-Feynman) gives d lambda / d theta = v^H SIGMA v exactly.
     Raises DegenerateError where `eigen_system` does.
     """
-    sigma = np.array(_SIGMA)
-    return np.array([sigma @ np.abs(p.vector) ** 2
+    return np.array([sum(s * abs(z) ** 2 for s, z in zip(_SIGMA, p.vector))
                      for p in eigen_system(coin, theta)])
 
 
@@ -219,15 +271,10 @@ def _is_trace_free(coin: Coin) -> bool:
     return abs(coin.a.re) <= ZERO_TOL and abs(coin.d.re) <= ZERO_TOL
 
 
-def _require_nonzero_entries(coin: Coin) -> None:
-    if any(q.is_zero() for q in coin.entries()):
-        raise DomainError("limit law requires a, b, c, d all nonzero")
-
-
 def _case5_params(coin: Coin) -> tuple[float, float]:
     if not _is_trace_free(coin):
         raise DomainError("limit law requires vanishing real parts of a and d")
-    _require_nonzero_entries(coin)
+    _require_nonzero_entries(coin, "limit law")
     return coin.a.norm_sq(), (coin.b * coin.c).re
 
 
@@ -312,7 +359,7 @@ def qqw_limit_params(coin: Coin) -> LimitDensity:
         r = support_radius(coin)
     else:
         _closed_family(coin, "limit law")
-        _require_nonzero_entries(coin)
+        _require_nonzero_entries(coin, "limit law")
         r = math.sqrt(coin.a.norm_sq())
     return LimitDensity(r=r, g=_g_constant(coin.a.norm_sq(), (coin.b * coin.c).re))
 

@@ -17,8 +17,9 @@ its surd form of the trace-free support radius
 (`paper_support_radius_surd`), the radius as the supremum of the group
 velocity by grid scan and golden-section search
 (`scan_support_radius`), eigen-angles from numpy's
-`eigvals` and group velocities by their finite differences, the product
-of small quaternion matrices by scalar quaternion products, and tiny
+`eigvals` and group velocities by their finite differences, the
+eigensystem of U(theta) from numpy's `eig` (`numpy_eigen_system`), the
+product of small quaternion matrices by scalar quaternion products, and tiny
 utilities (`max_abs`, `is_unitary`, random quaternions and spinors).
 The componentwise array arithmetic `qmul_arr`, `qconj_arr` and
 `qnorm_arr` over (..., 4) float arrays serves the steppers and the bulk
@@ -33,7 +34,7 @@ from math import comb
 
 import numpy as np
 
-from qqwalk import DegenerateABError, DomainError, Quaternion
+from qqwalk import DegenerateABError, DegenerateError, DomainError, Quaternion
 from qqwalk.coin import (
     Coin,
     MoveOperators,
@@ -45,7 +46,7 @@ from qqwalk.coin import (
     validate_coin,
 )
 from qqwalk.quaternion import _phi_of, chi_inv_matrix, chi_matrix
-from qqwalk.spectral import case5_group_velocity
+from qqwalk.spectral import DEGENERACY_TOL, EigenPair, case5_group_velocity
 from qqwalk.walk import WalkState, init_state
 
 
@@ -225,11 +226,53 @@ def numeric_char_poly(coin: Coin, theta: float) -> np.ndarray:
     return np.linalg.solve(vander, vals)
 
 
+def _angles(values: np.ndarray) -> np.ndarray:
+    """Angles of unit-modulus values, in [-pi, pi)."""
+    angles = np.angle(values)
+    angles[angles >= math.pi] -= 2.0 * math.pi
+    return angles
+
+
 def eigen_angles(coin: Coin, theta: float) -> np.ndarray:
     """Sorted eigen-angles of U(theta) in [-pi, pi), from `eigvals` alone."""
-    angles = np.angle(np.linalg.eigvals(u_theta(coin, theta)))
-    angles[angles >= math.pi] -= 2.0 * math.pi
-    return np.sort(angles)
+    return np.sort(_angles(np.linalg.eigvals(u_theta(coin, theta))))
+
+
+def _real_positive(vec: np.ndarray) -> np.ndarray:
+    """vec times the unit phase that makes its largest component real and
+    positive.  Components within a relative 1e-12 of the largest modulus
+    count as tied, and the first of them is chosen, so the choice does not
+    depend on last-bit rounding."""
+    mod = np.abs(vec)
+    k = int(np.argmax(mod >= (1.0 - 1e-12) * mod.max()))
+    return vec / (vec[k] / mod[k])
+
+
+def numpy_eigen_system(coin: Coin, theta: float) -> list[EigenPair]:
+    """Four eigenpairs of U(theta), sorted by eigen-angle.
+
+    Each eigenvector is scaled to unit norm with its largest component
+    real and positive.  Raises DegenerateError when two eigenvalues are
+    closer than DEGENERACY_TOL; such momentum nodes must be excluded by
+    the caller.  The eigen-solve is numpy's `eig` of the whole symbol, and
+    the vectors are numpy arrays.
+    """
+    u = u_theta(coin, theta)
+    values, vectors = np.linalg.eig(u)
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.min(gaps) < DEGENERACY_TOL:
+        raise DegenerateError(theta)
+    angles = _angles(values)
+    pairs = []
+    for idx in np.argsort(angles):
+        lam = float(angles[idx])
+        value = complex(np.exp(1j * lam))
+        vec = _real_positive(vectors[:, idx])
+        vec /= np.linalg.norm(vec)
+        residual = float(np.linalg.norm(u @ vec - value * vec))
+        pairs.append(EigenPair(theta, lam, value, vec, residual))
+    return pairs
 
 
 def central_difference_velocities(coin: Coin, theta: float,

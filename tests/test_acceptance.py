@@ -311,7 +311,8 @@ def test_criterion_09_eigen_suite():
                 if abs(overlap) < 1e-12:
                     worst_cross = math.inf
                     continue
-                cross = np.linalg.norm(vec - (overlap / abs(overlap)) * pr.vector)
+                phase = overlap / abs(overlap)
+                cross = np.linalg.norm(vec - phase * np.asarray(pr.vector))
                 worst_cross = max(worst_cross, float(cross))
                 checked_vecs += 1
     assert checked_nodes > 3000

@@ -275,6 +275,34 @@ def test_limit_and_compare_by_coin_class(kind, command, tmp_path, capsys):
         assert captured.err == ""
 
 
+# a coin with a zero entry has neither a closed-form path sum nor a limit
+# law; both layers refuse it through one check, each naming itself
+ZERO_ENTRY_COINS = {
+    "diagonal": (Quaternion(1.0), Quaternion(), Quaternion(), Quaternion(1.0)),
+    "trace-free diagonal": (I, Quaternion(), Quaternion(), J),
+}
+
+
+@pytest.mark.parametrize("coin", sorted(ZERO_ENTRY_COINS))
+@pytest.mark.parametrize("command, err", (
+    (["xi", "--l", "2", "--m", "3"],
+     "error: closed form requires a, b, c, d all nonzero\n"),
+    (["limit", *QUAT_INIT, "--grid", "5", "--out", OUT],
+     "error: limit law requires a, b, c, d all nonzero\n"),
+    (["compare", *QUAT_INIT, "--steps", "100"],
+     "error: limit law requires a, b, c, d all nonzero\n"),
+), ids=("xi", "limit", "compare"))
+def test_zero_entry_messages(coin, command, err, tmp_path, capsys):
+    path = tmp_path / "coin.json"
+    path.write_text(coin_to_json(validate_coin(*ZERO_ENTRY_COINS[coin])), encoding="utf-8")
+    out = tmp_path / "density.csv"
+    argv = [command[0], "--coin", str(path),
+            *(str(out) if a == OUT else a for a in command[1:])]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------
 # error handling / exit codes
 # ---------------------------------------------------------------------

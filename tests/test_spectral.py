@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqwalk import Quaternion, DomainError
+from qqwalk import Quaternion, DomainError, spectral
 from qqwalk.coin import (COIN_CLASSES, classify, hadamard_coin, load_coin, random_coin,
                          u_theta, validate_coin)
 from qqwalk.errors import DegenerateABError, DegenerateError
+from qqwalk.quaternion import random_unit_quaternion
 from qqwalk.spectral import (
     LimitDensity,
     appendix_ab,
@@ -32,9 +33,9 @@ from qqwalk.spectral import (
 from qqwalk.walk import distribution, evolve, moment
 
 from helpers import (arcsine_density, central_difference_velocities, eigen_angles,
-                     numeric_char_poly, paper_direction, paper_qqw_density,
-                     paper_support_radius_surd, random_spinor, scan_support_radius,
-                     unblocked_limit_cdf)
+                     numeric_char_poly, numpy_eigen_system, paper_direction,
+                     paper_qqw_density, paper_support_radius_surd, random_spinor,
+                     scan_support_radius, unblocked_limit_cdf)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -157,6 +158,111 @@ def test_degenerate_node_detected():
         eigen_system(ij_coin(), 0.0)
 
 
+@pytest.mark.parametrize("theta", (math.nan, math.inf, -math.inf))
+def test_eigen_system_rejects_nonfinite_theta(theta, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran on a non-finite theta")
+
+    monkeypatch.setattr(spectral, "_jacobi", no_sweep)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        eigen_system(ij_coin(), theta)
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       theta=st.floats(min_value=-math.pi, max_value=math.pi))
+def test_eigen_system_matches_numpy_oracle(kind, seed, theta):
+    # the Jacobi solve against numpy's eig of the whole symbol: the same
+    # degenerate nodes, eigenvalues, and vectors up to a phase wherever
+    # the eigenvalue gap leaves them well defined
+    coin = random_coin(np.random.default_rng(seed), kind)
+    try:
+        want = numpy_eigen_system(coin, theta)
+    except DegenerateError:
+        with pytest.raises(DegenerateError):
+            eigen_system(coin, theta)
+        return
+    got = eigen_system(coin, theta)
+    values = np.array([pr.value for pr in want])
+    for m, (g, w) in enumerate(zip(got, want)):
+        assert abs(g.value - w.value) <= 1e-12
+        assert g.residual <= 1e-12
+        if np.min(np.abs(np.delete(values, m) - w.value)) >= 1e-6:
+            overlap = np.vdot(g.vector, w.vector)
+            assert np.linalg.norm(np.asarray(g.vector) * (overlap / abs(overlap))
+                                  - w.vector) <= 1e-10
+
+
+def test_close_branches_at_plus_minus_i():
+    # the ij coin turned by q x conj(q) on every entry keeps its double
+    # eigenvalues +-i at theta = 0; next to it two branches sit close to
+    # +-i, where H2 = sin(lam) separates them only to second order, so the
+    # cluster step must keep the H(MU) vectors that already solve U
+    rng = np.random.default_rng(81)
+    checked = 0
+    for _ in range(6):
+        q = random_unit_quaternion(rng)
+        coin = validate_coin(*(q * e * q.conj() for e in ij_coin().entries()))
+        for theta in (1e-2, -1e-3, 3e-4, -1e-4, 3e-6, -1e-7):
+            want = numpy_eigen_system(coin, theta)
+            got = eigen_system(coin, theta)
+            assert max(pr.residual for pr in got) <= 1e-12
+            assert max(abs(g.value - w.value) for g, w in zip(got, want)) <= 1e-12
+            checked += 1
+    assert checked == 36
+
+
+def _h_collision_theta(coin):
+    """(theta, exact): the theta in [0, pi/2] where the branches -lam and
+    pi - lam of a trace-free coin come closest to one eigenvalue of H(MU),
+    which they share where cos(lam) = MU sin(lam).  Bisection on the closed
+    eigen-angle finds it when the angle reaches that value (exact = True);
+    otherwise the nearer end of the range is the closest approach."""
+    target = math.atan(1.0 / spectral.MU)
+    lo, hi = 0.0, math.pi / 2
+    f_lo = case5_angle(coin, lo) - target
+    f_hi = case5_angle(coin, hi) - target
+    if f_lo * f_hi > 0.0:
+        return (lo if abs(f_lo) < abs(f_hi) else hi), False
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = case5_angle(coin, mid) - target
+        if f_mid * f_lo > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), True
+
+
+def test_h_collision_is_resolved():
+    # a fixed MU makes two distinct eigenvalues of U share one of H(MU) at
+    # some theta on the trace-free coins whose angle passes through
+    # pi/2 - atan(MU); tracefree_jk stops 1e-4 short of it at theta = 0,
+    # where the two still fall into one cluster.  The cluster step
+    # separates them in both cases.
+    rng = np.random.default_rng(80)
+    coins = [file_coin(n) for n in ("tracefree_ij", "tracefree_jk", "tracefree_mixed")]
+    while len(coins) < 5:
+        coin = random_coin(rng, "case5")
+        if _h_collision_theta(coin)[1]:
+            coins.append(coin)
+    exact = 0
+    for coin in coins:
+        theta, hit = _h_collision_theta(coin)
+        u = u_theta(coin, theta)
+        uh = u.conj().T
+        h_gap = np.min(np.diff(np.linalg.eigvalsh((u + uh) / 2
+                                                  + spectral.MU * (u - uh) / 2j)))
+        assert h_gap <= (1e-9 if hit else 1e-3)
+        exact += hit
+        pairs = eigen_system(coin, theta)
+        assert max(pr.residual for pr in pairs) <= 1e-12
+        want = np.sort(np.angle(np.linalg.eigvals(u)))
+        assert np.max(np.abs(np.sort([pr.lam for pr in pairs]) - want)) <= 1e-12
+    assert exact == 4
+
+
 # ---------------------------------------------------------------------
 # closed eigenvector construction
 # ---------------------------------------------------------------------
@@ -187,7 +293,7 @@ def test_closed_eigenvector_matches_numeric():
             overlap = np.vdot(pr.vector, vec)
             assert abs(overlap) > 1e-8
             phase = overlap / abs(overlap)
-            assert np.linalg.norm(vec - phase * pr.vector) <= 1e-8
+            assert np.linalg.norm(vec - phase * np.asarray(pr.vector)) <= 1e-8
             u = u_theta(coin, theta)
             assert np.linalg.norm(u @ vec - pr.value * vec) <= 1e-9
             checked += 1

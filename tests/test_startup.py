@@ -1,7 +1,8 @@
 """numpy loads on first array use: importing the package, classifying a
-coin, the closed forms of `exact` and `xi` and the limit density of
-`limit` run on Python floats alone, and never import it.  No job imports
-`dataclasses`, whose import pulls in `inspect`."""
+coin, the closed forms of `exact` and `xi`, the eigensystem of `spectrum`
+and the limit density of `limit` run on Python floats alone, and never
+import it.  No job imports `dataclasses`, whose import pulls in
+`inspect`."""
 
 import glob
 import os
@@ -112,10 +113,17 @@ def test_limit_leaves_numpy_unloaded(name, tmp_path):
     assert not _loaded_after(code)
 
 
-@pytest.mark.parametrize("job", (
-    ["spectrum", "--theta", "0.4"],
-    ["compare", "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"],
-), ids=("spectrum", "compare"))
-def test_spectrum_and_compare_load_numpy(job):
-    argv = job[:1] + ["--coin", os.path.join(COIN_DIR, "tracefree_ij.json")] + job[1:]
+@pytest.mark.parametrize("name, exit_code", (
+    ("tracefree_ij", 0), ("tracefree_jk", 0), ("tracefree_mixed", 0),
+    ("hadamard", 3),  # degenerate at every theta
+))
+def test_spectrum_leaves_numpy_unloaded(name, exit_code):
+    argv = ["spectrum", "--coin", os.path.join(COIN_DIR, f"{name}.json"), "--theta", "0.4"]
+    code = f"from qqwalk.cli import main\nassert main({argv!r}) == {exit_code}\n"
+    assert not _loaded_after(code)
+
+
+def test_compare_loads_numpy():
+    argv = ["compare", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
+            "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"]
     assert _loaded_after(f"from qqwalk.cli import main\nassert main({argv!r}) == 0\n")
