@@ -3,7 +3,9 @@
 The layers write ``from . import _numpy as np`` and use ``np.x`` as usual.
 The first access imports numpy and copies the requested name into this
 module's globals, so later accesses are ordinary module-attribute lookups.
-Coin classification, the closed forms, the eigensystem of U(theta) and the
+The layers themselves execute on first use (see ``qqwalk/__init__``), and
+numpy loads only when one of them first touches an array.  Coin
+classification, the closed forms, the eigensystem of U(theta) and the
 limit density run on Python floats alone and never load numpy, which keeps
 ``import qqwalk`` and the ``classify``, ``exact``, closed-form ``xi``,
 ``spectrum`` and ``limit`` jobs free of its import time.

@@ -16,7 +16,8 @@ import sys
 from itertools import islice
 from math import comb, isfinite
 
-from .coin import Coin, classify, load_coin, split_pq, unitarity_residuals
+from . import coin as coin_layer
+from . import exact, quaternion, spectral, walk
 from .errors import (
     DegenerateABError,
     DegenerateError,
@@ -25,16 +26,6 @@ from .errors import (
     NotNormalizedError,
     NotUnitaryError,
 )
-from .exact import closed_form_distribution, xi_bruteforce, xi_closed
-from .quaternion import Quaternion
-from .spectral import (
-    eigen_system,
-    limit_compare,
-    qqw_limit_density,
-    qqw_limit_params,
-    weight_constant,
-)
-from .walk import check_spinor, distribution, evolve
 
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
@@ -52,9 +43,9 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _parse_quaternion(text: str, flag: str) -> Quaternion:
+def _parse_quaternion(text: str, flag: str) -> quaternion.Quaternion:
     try:
-        return Quaternion.from_json(json.loads(text))
+        return quaternion.Quaternion.from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag}: malformed JSON array (line {exc.lineno})") from exc
     except ValueError as exc:
@@ -68,9 +59,9 @@ def _check_size(flag: str, size: int) -> None:
         raise UsageError(f"{flag} = {size} exceeds the limit {MAX_SIZE}")
 
 
-def _load_coin(path: str) -> Coin:
+def _load_coin(path: str) -> coin_layer.Coin:
     try:
-        return load_coin(path)
+        return coin_layer.load_coin(path)
     except OSError as exc:
         raise UsageError(f"cannot read coin file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -79,11 +70,11 @@ def _load_coin(path: str) -> Coin:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _parse_init(args) -> tuple[Quaternion, Quaternion]:
+def _parse_init(args) -> tuple[quaternion.Quaternion, quaternion.Quaternion]:
     alpha = _parse_quaternion(args.alpha, "--alpha")
     beta = _parse_quaternion(args.beta, "--beta")
     try:
-        check_spinor(alpha, beta)
+        walk.check_spinor(alpha, beta)
     except NotNormalizedError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
     return alpha, beta
@@ -129,8 +120,8 @@ def _complex_json(z: complex) -> list[float]:
 def _cmd_classify(args) -> int:
     coin = _load_coin(args.coin)
     payload = {
-        "class": classify(coin),
-        "residuals": unitarity_residuals(*coin.entries()),
+        "class": coin_layer.classify(coin),
+        "residuals": coin_layer.unitarity_residuals(*coin.entries()),
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -140,7 +131,7 @@ def _cmd_simulate(args) -> int:
     coin = _load_coin(args.coin)
     alpha, beta = _parse_init(args)
     _check_size("--steps", args.steps)
-    dist = distribution(evolve(coin, alpha, beta, args.steps))
+    dist = walk.distribution(walk.evolve(coin, alpha, beta, args.steps))
     _write_dist_csv(args.out, dist)
     return 0
 
@@ -149,7 +140,7 @@ def _cmd_exact(args) -> int:
     coin = _load_coin(args.coin)
     alpha, beta = _parse_init(args)
     _check_size("--steps", args.steps)
-    dist = closed_form_distribution(coin, alpha, beta, args.steps)
+    dist = exact.closed_form_distribution(coin, alpha, beta, args.steps)
     _write_dist_csv(args.out, dist)
     return 0
 
@@ -160,9 +151,9 @@ def _cmd_xi(args) -> int:
         raise UsageError("--l and --m must be non-negative")
     _check_size("--l + --m", args.l + args.m)
     if args.brute:
-        ps = xi_bruteforce(split_pq(coin), args.l, args.m)
+        ps = exact.xi_bruteforce(coin_layer.split_pq(coin), args.l, args.m)
     else:
-        ps = xi_closed(coin, args.l, args.m)
+        ps = exact.xi_closed(coin, args.l, args.m)
     payload = {
         "l": ps.l,
         "m": ps.m,
@@ -185,7 +176,7 @@ def _cmd_spectrum(args) -> int:
     coin = _load_coin(args.coin)
     if not isfinite(args.theta):
         raise UsageError(f"--theta must be finite, got {args.theta}")
-    pairs = eigen_system(coin, args.theta)
+    pairs = spectral.eigen_system(coin, args.theta)
     payload = {
         "theta": args.theta,
         "eigenvalues": [_complex_json(p.value) for p in pairs],
@@ -203,9 +194,9 @@ def _cmd_limit(args) -> int:
     if args.grid < 3:
         raise UsageError("--grid must be at least 3")
     _check_size("--grid", args.grid)
-    params = qqw_limit_params(coin)
-    c = weight_constant(coin, alpha, beta)
-    dens = qqw_limit_density(params, _linspace(-1.0, 1.0, args.grid))
+    params = spectral.qqw_limit_params(coin)
+    c = spectral.weight_constant(coin, alpha, beta)
+    dens = spectral.qqw_limit_density(params, _linspace(-1.0, 1.0, args.grid))
     _write_csv(args.out, "y,density",
                (f"{_fmt(y)},{_fmt(f * (1.0 - c * y))}"
                 for y, f in zip(_linspace(-1.0, 1.0, args.grid), dens)))
@@ -216,7 +207,7 @@ def _cmd_compare(args) -> int:
     coin = _load_coin(args.coin)
     alpha, beta = _parse_init(args)
     _check_size("--steps", args.steps)
-    result = limit_compare(coin, alpha, beta, args.steps)
+    result = spectral.limit_compare(coin, alpha, beta, args.steps)
     payload = {
         "kolmogorov": result.kolmogorov,
         "r": result.r,

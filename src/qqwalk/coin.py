@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from .errors import NotUnitaryError
+from .errors import DomainError, NotUnitaryError
 from .quaternion import (
     Quaternion,
     _Frozen,
@@ -120,6 +120,11 @@ def split_pq(coin: Coin) -> MoveOperators:
     p = qmat_from_quaternions([[coin.a, coin.b], [zero, zero]])
     q = qmat_from_quaternions([[zero, zero], [coin.c, coin.d]])
     return MoveOperators(p, q)
+
+
+def _require_nonzero_entries(coin: Coin, what: str) -> None:
+    if any(q.is_zero() for q in coin.entries()):
+        raise DomainError(f"{what} requires a, b, c, d all nonzero")
 
 
 def classify(coin: Coin) -> str:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import Coin, MoveOperators, classify
+from .coin import Coin, MoveOperators, _require_nonzero_entries, classify
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
 from .walk import Distribution, _check_norm, _propagate, check_spinor
@@ -82,11 +82,6 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
     # every column is a walk from a unit vector, so it keeps norm 1
     _check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
     return PathSum(l, m, chi_inv_matrix(cols[m]).tolist())
-
-
-def _require_nonzero_entries(coin: Coin, what: str) -> None:
-    if any(q.is_zero() for q in coin.entries()):
-        raise DomainError(f"{what} requires a, b, c, d all nonzero")
 
 
 def _require_interior(l: int, m: int) -> None:

@@ -29,11 +29,10 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import ZERO_TOL, Coin, _u_rows
+from . import exact, walk
+from .coin import ZERO_TOL, Coin, _require_nonzero_entries, _u_rows
 from .errors import DegenerateABError, DegenerateError, DomainError
-from .exact import _closed_family, _require_nonzero_entries
 from .quaternion import Quaternion, _phi_of
-from .walk import Distribution, distribution, evolve
 
 __all__ = [
     "EigenPair",
@@ -358,7 +357,7 @@ def qqw_limit_params(coin: Coin) -> LimitDensity:
     if _is_trace_free(coin):
         r = support_radius(coin)
     else:
-        _closed_family(coin, "limit law")
+        exact._closed_family(coin, "limit law")
         _require_nonzero_entries(coin, "limit law")
         r = math.sqrt(coin.a.norm_sq())
     return LimitDensity(r=r, g=_g_constant(coin.a.norm_sq(), (coin.b * coin.c).re))
@@ -477,7 +476,7 @@ def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
     return _weighted_integrals(params, weight_c, 0, phi_hi, n_nodes)
 
 
-def kolmogorov_distance(dist: Distribution, params: LimitDensity,
+def kolmogorov_distance(dist: walk.Distribution, params: LimitDensity,
                         weight_c: float) -> float:
     """max_i |F_emp(y_i) - F_limit(y_i)| over the support points y_i = x/n
 
@@ -512,6 +511,6 @@ def limit_compare(coin: Coin, alpha: Quaternion, beta: Quaternion,
         raise DomainError("comparison is defined for even n >= 100")
     params = qqw_limit_params(coin)
     c = weight_constant(coin, alpha, beta)
-    dist = distribution(evolve(coin, alpha, beta, n))
+    dist = walk.distribution(walk.evolve(coin, alpha, beta, n))
     dist_val = kolmogorov_distance(dist, params, c)
     return CompareResult(kolmogorov=dist_val, r=params.r, g=params.g, weight_c=c)

@@ -498,7 +498,8 @@ def test_norm_drift_is_numeric_error(hadamard_file, tmp_path, monkeypatch, capsy
     def drifting(*args, **kwargs):
         raise NormDriftError(1e-6, 100)
 
-    monkeypatch.setattr(cli, "evolve", drifting)
+    # the CLI calls the walk layer through its module, as `walk.evolve`
+    monkeypatch.setattr(cli.walk, "evolve", drifting)
     code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA, "--beta", BETA,
                  "--steps", "100", "--out", str(tmp_path / "x.csv")])
     assert code == 3

@@ -1,4 +1,3 @@
-import ast
 import importlib
 import inspect
 import pkgutil
@@ -34,10 +33,24 @@ def test_every_public_definition_is_exported(name):
 
 def test_package_imports_only_public_names():
     # qqwalk re-exports names only from the __all__ of their module
-    for node in ast.parse(inspect.getsource(qqwalk)).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            public = getattr(importlib.import_module(f"qqwalk.{node.module}"),
-                             "__all__", None)
-            if public is not None:
-                hidden = [a.name for a in node.names if a.name not in public]
-                assert not hidden, (node.module, hidden)
+    for layer, names in qqwalk._EXPORTS.items():
+        mod = importlib.import_module(f"qqwalk.{layer}")
+        public = getattr(mod, "__all__", None)
+        if public is None:
+            public = [n for n in vars(mod) if not n.startswith("_")]
+        hidden = [n for n in names if n not in public]
+        assert not hidden, (layer, hidden)
+
+
+def test_package_exports_resolve_to_their_module():
+    # every re-export is the object its layer defines, listed by dir() and
+    # bound by a star import
+    star = {}
+    exec("from qqwalk import *", star)
+    for layer, names in qqwalk._EXPORTS.items():
+        mod = importlib.import_module(f"qqwalk.{layer}")
+        for n in names:
+            assert getattr(qqwalk, n) is getattr(mod, n), n
+            assert star[n] is getattr(mod, n), n
+            assert n in dir(qqwalk), n
+    assert not hasattr(qqwalk, "no_such_name")

@@ -2,9 +2,11 @@
 coin, the closed forms of `exact` and `xi`, the eigensystem of `spectrum`
 and the limit density of `limit` run on Python floats alone, and never
 import it.  No job imports `dataclasses`, whose import pulls in
-`inspect`."""
+`inspect`.  The layers load on first use, so each job executes only the
+layers it calls."""
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -127,3 +129,70 @@ def test_compare_loads_numpy():
     argv = ["compare", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
             "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"]
     assert _loaded_after(f"from qqwalk.cli import main\nassert main({argv!r}) == 0\n")
+
+
+LAYERS = {"quaternion", "coin", "walk", "exact", "spectral", "_numpy"}
+PACKAGE_DIR = os.path.dirname(qqwalk.__file__)
+
+
+def _executed_layers(code: str) -> set:
+    """Run ``code`` in a fresh interpreter; the layers whose module body it
+    executed.  The audit event ``exec`` fires for every module body, from
+    source or from a bytecode cache."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    script = ("import json, sys\n"
+              "_bodies = []\n"
+              "sys.addaudithook(lambda event, args: event == 'exec'"
+              " and _bodies.append(args[0].co_filename))\n"
+              + code
+              + "print(json.dumps(_bodies))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    files = json.loads(out.splitlines()[-1])
+    return {os.path.splitext(os.path.basename(f))[0] for f in files
+            if os.path.dirname(f) == PACKAGE_DIR} & LAYERS
+
+
+def _cli(argv: list, exit_code: int = 0) -> str:
+    return f"from qqwalk.cli import main\nassert main({argv!r}) == {exit_code}\n"
+
+
+def _init(extra: list) -> list:
+    return ["--alpha", "[0.5, 0.5, 0, 0]", "--beta", "[0, 0, 0.5, 0.5]", *extra]
+
+
+def test_import_and_usage_errors_execute_no_layer():
+    coin = COINS[0]
+    code = ("import qqwalk.cli\n"
+            + _cli(["bogus"], 1)
+            + _cli(["simulate", "--coin", coin], 1)
+            + _cli(["spectrum", "--coin", coin, "--theta", "x"], 1))
+    assert _executed_layers(code) == set()
+
+
+def test_classify_executes_coin_and_quaternion_only():
+    code = "".join(_cli(["classify", "--coin", f]) for f in COINS)
+    assert _executed_layers(code) == {"coin", "quaternion", "_numpy"}
+
+
+def test_spectrum_executes_no_walk_or_exact():
+    code = _cli(["spectrum", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
+                 "--theta", "0.4"])
+    assert _executed_layers(code) == {"coin", "quaternion", "_numpy", "spectral"}
+
+
+@pytest.mark.parametrize("kind", ("case3", "case4", "complex"))
+def test_closed_forms_execute_no_spectral(kind, tmp_path):
+    coin = _closed_form_coin(kind, tmp_path)
+    code = (_cli(["exact", "--coin", coin, *_init(["--steps", "40", "--out",
+                                                   str(tmp_path / "exact.csv")])])
+            + _cli(["xi", "--coin", coin, "--l", "12", "--m", "17"]))
+    assert "spectral" not in _executed_layers(code)
+
+
+def test_simulate_executes_no_exact_or_spectral(tmp_path):
+    code = _cli(["simulate", "--coin", COINS[0],
+                 *_init(["--steps", "4", "--out", str(tmp_path / "sim.csv")])])
+    assert _executed_layers(code) == {"coin", "quaternion", "_numpy", "walk"}

@@ -1,11 +1,16 @@
 """The benchmark tracer (`perfbench/tracer.py`) binds package names by
 attribute and parameter name; a rename or a dropped cache there breaks
-`perfbench/run.py --trace 1` without failing any other test."""
+`perfbench/run.py --trace 1` without failing any other test.  The layers
+load on first use, so a traced job must still record a span for every
+traced function it reaches."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +65,45 @@ def test_work_functions_read_real_parameters(name):
 def test_cache_targets_report_statistics(key):
     info = _target(*TRACER.CACHES[key]).cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+COIN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
+TRACED_JOBS = {  # argv, every traced function the job reaches, work counts
+    "compare": (["compare", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
+                 "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"],
+                {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.split_pq",
+                 "spectral.limit_compare", "spectral.qqw_limit_params",
+                 "spectral.weight_constant", "walk.evolve", "walk.distribution",
+                 "spectral.kolmogorov_distance", "spectral.limit_cdf"},
+                {"walk.evolve": {"site_updates": 100 * 101 // 2},
+                 "spectral.limit_cdf": {"points": 101 * 400}}),
+    "exact": (["exact", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
+               "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "40",
+               "--out", "out.csv"],
+              {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
+               "exact.closed_form_distribution"},
+              {}),
+}
+
+
+def _run(argv: list, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True)
+
+
+@pytest.mark.parametrize("job", sorted(TRACED_JOBS))
+def test_traced_job_records_every_span(job, tmp_path):
+    argv, reached, work = TRACED_JOBS[job]
+    plain = _run(["-m", "qqwalk.cli", *argv], tmp_path)
+    traced = _run([TRACER_PATH, str(tmp_path / "spans.json"), *argv], tmp_path)
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    with open(tmp_path / "spans.json", encoding="utf-8") as fh:
+        spans = json.load(fh)["spans"]
+    names = {name for name, *_ in spans}
+    assert reached <= names, reached - names
+    assert {name: counts for name, _, _, _, counts in spans if counts} == work
