@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: classify | simulate | exact | xi | spectrum | limit | compare.
+Subcommands: classify | simulate | exact | xi | spectrum | limit | compare,
+with flags as `--flag value` or `--flag=value`; `--help` prints the usage.
 Outputs are deterministic: CSV with a header row, LF endings and floats at
 17 significant digits; JSON via the standard shortest-round-trip float
 representation.  Exit codes: 0 success, 1 usage or input error, 2 domain
@@ -9,9 +10,7 @@ error, 3 numeric failure (degenerate spectrum, total probability drift).
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 from itertools import islice
 from math import comb, isfinite
@@ -37,10 +36,6 @@ CSV_CHUNK = 4096  # CSV rows formatted and written at a time
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _parse_quaternion(text: str, flag: str) -> quaternion.Quaternion:
@@ -70,11 +65,11 @@ def _load_coin(path: str) -> coin_layer.Coin:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _parse_init(args) -> tuple[quaternion.Quaternion, quaternion.Quaternion]:
-    alpha = _parse_quaternion(args.alpha, "--alpha")
-    beta = _parse_quaternion(args.beta, "--beta")
+def _parse_init(alpha: str, beta: str) -> tuple[quaternion.Quaternion, quaternion.Quaternion]:
+    alpha = _parse_quaternion(alpha, "--alpha")
+    beta = _parse_quaternion(beta, "--beta")
     try:
-        walk.check_spinor(alpha, beta)
+        coin_layer.check_spinor(alpha, beta)
     except NotNormalizedError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
     return alpha, beta
@@ -96,8 +91,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def _write_dist_csv(path: str, dist) -> None:
     _write_csv(path, "x,probability",
-               (f"{x},{_fmt(float(p))}"
-                for x, p in zip(range(-dist.n, dist.n + 1, 2), dist.probs)))
+               ("%d,%.17g" % row
+                for row in zip(range(-dist.n, dist.n + 1, 2), dist.probs)))
 
 
 def _linspace(start: float, stop: float, num: int):
@@ -117,8 +112,8 @@ def _complex_json(z: complex) -> list[float]:
 # subcommands
 # ---------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
-    coin = _load_coin(args.coin)
+def _cmd_classify(*, coin) -> int:
+    coin = _load_coin(coin)
     payload = {
         "class": coin_layer.classify(coin),
         "residuals": coin_layer.unitarity_residuals(*coin.entries()),
@@ -127,41 +122,41 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    coin = _load_coin(args.coin)
-    alpha, beta = _parse_init(args)
-    _check_size("--steps", args.steps)
-    dist = walk.distribution(walk.evolve(coin, alpha, beta, args.steps))
-    _write_dist_csv(args.out, dist)
+def _cmd_simulate(*, coin, alpha, beta, steps, out) -> int:
+    coin = _load_coin(coin)
+    alpha, beta = _parse_init(alpha, beta)
+    _check_size("--steps", steps)
+    dist = walk.distribution(walk.evolve(coin, alpha, beta, steps))
+    _write_dist_csv(out, dist)
     return 0
 
 
-def _cmd_exact(args) -> int:
-    coin = _load_coin(args.coin)
-    alpha, beta = _parse_init(args)
-    _check_size("--steps", args.steps)
-    dist = exact.closed_form_distribution(coin, alpha, beta, args.steps)
-    _write_dist_csv(args.out, dist)
+def _cmd_exact(*, coin, alpha, beta, steps, out) -> int:
+    coin = _load_coin(coin)
+    alpha, beta = _parse_init(alpha, beta)
+    _check_size("--steps", steps)
+    dist = exact.closed_form_distribution(coin, alpha, beta, steps)
+    _write_dist_csv(out, dist)
     return 0
 
 
-def _cmd_xi(args) -> int:
-    coin = _load_coin(args.coin)
-    if args.l < 0 or args.m < 0:
+def _cmd_xi(*, coin, l, m, brute=False) -> int:
+    coin = _load_coin(coin)
+    if l < 0 or m < 0:
         raise UsageError("--l and --m must be non-negative")
-    _check_size("--l + --m", args.l + args.m)
-    if args.brute:
-        ps = exact.xi_bruteforce(coin_layer.split_pq(coin), args.l, args.m)
+    _check_size("--l + --m", l + m)
+    if brute:
+        ps = exact.xi_bruteforce(coin_layer.split_pq(coin), l, m)
     else:
-        ps = exact.xi_closed(coin, args.l, args.m)
+        ps = exact.xi_closed(coin, l, m)
     payload = {
         "l": ps.l,
         "m": ps.m,
         "position": ps.position,
         "matrix": ps.matrix,
     }
-    if args.brute:
-        payload["paths"] = comb(args.l + args.m, args.l)
+    if brute:
+        payload["paths"] = comb(l + m, l)
     # C(l+m, l) has ~0.3 (l+m) digits; Python prints at most 4300 by default
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -172,13 +167,13 @@ def _cmd_xi(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    coin = _load_coin(args.coin)
-    if not isfinite(args.theta):
-        raise UsageError(f"--theta must be finite, got {args.theta}")
-    pairs = spectral.eigen_system(coin, args.theta)
+def _cmd_spectrum(*, coin, theta) -> int:
+    coin = _load_coin(coin)
+    if not isfinite(theta):
+        raise UsageError(f"--theta must be finite, got {theta}")
+    pairs = spectral.eigen_system(coin, theta)
     payload = {
-        "theta": args.theta,
+        "theta": theta,
         "eigenvalues": [_complex_json(p.value) for p in pairs],
         "angles": [p.lam for p in pairs],
         "vectors": [[_complex_json(z) for z in p.vector] for p in pairs],
@@ -188,26 +183,26 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_limit(args) -> int:
-    coin = _load_coin(args.coin)
-    alpha, beta = _parse_init(args)
-    if args.grid < 3:
+def _cmd_limit(*, coin, alpha, beta, out, grid=1001) -> int:
+    coin = _load_coin(coin)
+    alpha, beta = _parse_init(alpha, beta)
+    if grid < 3:
         raise UsageError("--grid must be at least 3")
-    _check_size("--grid", args.grid)
+    _check_size("--grid", grid)
     params = spectral.qqw_limit_params(coin)
     c = spectral.weight_constant(coin, alpha, beta)
-    dens = spectral.qqw_limit_density(params, _linspace(-1.0, 1.0, args.grid))
-    _write_csv(args.out, "y,density",
-               (f"{_fmt(y)},{_fmt(f * (1.0 - c * y))}"
-                for y, f in zip(_linspace(-1.0, 1.0, args.grid), dens)))
+    dens = spectral.qqw_limit_density(params, _linspace(-1.0, 1.0, grid))
+    _write_csv(out, "y,density",
+               ("%.17g,%.17g" % (y, f * (1.0 - c * y))
+                for y, f in zip(_linspace(-1.0, 1.0, grid), dens)))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    coin = _load_coin(args.coin)
-    alpha, beta = _parse_init(args)
-    _check_size("--steps", args.steps)
-    result = spectral.limit_compare(coin, alpha, beta, args.steps)
+def _cmd_compare(*, coin, alpha, beta, steps) -> int:
+    coin = _load_coin(coin)
+    alpha, beta = _parse_init(alpha, beta)
+    _check_size("--steps", steps)
+    result = spectral.limit_compare(coin, alpha, beta, steps)
     payload = {
         "kolmogorov": result.kolmogorov,
         "r": result.r,
@@ -222,87 +217,97 @@ def _cmd_compare(args) -> int:
 # parser
 # ---------------------------------------------------------------------
 
-def _add_init_args(sub) -> None:
-    sub.add_argument("--alpha", required=True,
-                     help="initial left amplitude as a JSON array [x0,x1,x2,x3]")
-    sub.add_argument("--beta", required=True,
-                     help="initial right amplitude as a JSON array [x0,x1,x2,x3]")
+_INIT = {"alpha": str, "beta": str}
+
+# command: (handler, help, {flag: type}).  Each flag is a keyword-only
+# parameter of the handler; it is required unless the handler gives it a
+# default, and a bool flag takes no value.
+COMMANDS = {
+    "classify": (_cmd_classify, "print the coin class and unitarity residuals",
+                 {"coin": str}),
+    "simulate": (_cmd_simulate, "evolve the walk and write x,probability CSV",
+                 {"coin": str, **_INIT, "steps": int, "out": str}),
+    "exact": (_cmd_exact, "closed-form distribution, same CSV schema",
+              {"coin": str, **_INIT, "steps": int, "out": str}),
+    "xi": (_cmd_xi, "print a path-sum matrix as JSON; --brute: from the "
+                    "propagator, for any coin",
+           {"coin": str, "l": int, "m": int, "brute": bool}),
+    "spectrum": (_cmd_spectrum, "eigenvalues/eigenvectors of the symbol",
+                 {"coin": str, "theta": float}),
+    "limit": (_cmd_limit, "write the weighted limit density as y,density CSV",
+              {"coin": str, **_INIT, "grid": int, "out": str}),
+    "compare": (_cmd_compare, "Kolmogorov distance to the limit CDF, as JSON",
+                {"coin": str, **_INIT, "steps": int}),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse takes a word that starts with '-' for an option unless it is a
-    plain decimal, so `--theta -1e-3` or `--theta -inf` would fail with
-    "expected one argument".  Here every word that starts with -<digit>,
-    -.<digit>, -inf or -nan is a value; the flag's type then checks it.
-    Subparsers inherit the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+class _Help(Exception):
+    pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qqwalk",
-        description="quaternionic coined quantum walks on the line")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _usage(commands) -> str:
+    lines = ["usage: qqwalk COMMAND --flag VALUE ...  (or --flag=VALUE)"]
+    for name in commands:
+        handler, text, flags = COMMANDS[name]
+        optional = handler.__kwdefaults__ or {}
+        words = []
+        for flag, kind in flags.items():
+            word = f"--{flag}" if kind is bool else f"--{flag} {flag.upper()}"
+            words.append(f"[{word}]" if flag in optional else word)
+        lines += [f"  {name} {' '.join(words)}", f"      {text}"]
+    lines.append("COIN is a coin JSON file; ALPHA and BETA are JSON arrays [x0,x1,x2,x3].")
+    return "\n".join(lines)
 
-    sub = subs.add_parser("classify", help="print the coin class and unitarity residuals")
-    sub.add_argument("--coin", required=True)
-    sub.set_defaults(func=_cmd_classify)
 
-    sub = subs.add_parser("simulate", help="evolve the walk and write x,probability CSV")
-    sub.add_argument("--coin", required=True)
-    _add_init_args(sub)
-    sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=_cmd_simulate)
-
-    sub = subs.add_parser("exact", help="closed-form distribution, same CSV schema")
-    sub.add_argument("--coin", required=True)
-    _add_init_args(sub)
-    sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=_cmd_exact)
-
-    sub = subs.add_parser("xi", help="print a path-sum matrix as JSON")
-    sub.add_argument("--coin", required=True)
-    sub.add_argument("--l", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--brute", action="store_true",
-                     help="sum any coin's paths from the propagator, not the closed form")
-    sub.set_defaults(func=_cmd_xi)
-
-    sub = subs.add_parser("spectrum", help="eigenvalues/eigenvectors of the symbol")
-    sub.add_argument("--coin", required=True)
-    sub.add_argument("--theta", type=float, required=True)
-    sub.set_defaults(func=_cmd_spectrum)
-
-    sub = subs.add_parser("limit", help="write the weighted limit density as y,density CSV")
-    sub.add_argument("--coin", required=True)
-    _add_init_args(sub)
-    sub.add_argument("--grid", type=int, default=1001)
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=_cmd_limit)
-
-    sub = subs.add_parser("compare", help="Kolmogorov distance to the limit CDF, as JSON")
-    sub.add_argument("--coin", required=True)
-    _add_init_args(sub)
-    sub.add_argument("--steps", type=int, required=True)
-    sub.set_defaults(func=_cmd_compare)
-
-    return parser
+def _parse(argv: list) -> tuple:
+    """(handler, keyword arguments) of a command line; raises UsageError,
+    or _Help for -h/--help.  A flag's value is always the next word, so
+    `--theta -1e-3` reads -1e-3."""
+    if not argv:
+        raise UsageError("missing command; try --help")
+    name, *words = argv
+    if name in ("-h", "--help"):
+        raise _Help(_usage(COMMANDS))
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
+    handler, _, flags = COMMANDS[name]
+    values = {}
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            raise _Help(_usage([name]))
+        flag, eq, value = word.partition("=")
+        key = flag[2:]
+        kind = flags.get(key) if flag.startswith("--") else None
+        if kind is None:
+            raise UsageError(f"{name}: unknown argument {word!r}")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            values[key] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise UsageError(f"{flag} expects a value")
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise UsageError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+    missing = [f"--{f}" for f in flags
+               if f not in values and f not in (handler.__kwdefaults__ or {})]
+    if missing:
+        raise UsageError(f"{name}: missing required {', '.join(missing)}")
+    return handler, values
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage and 0 on --help
-        return 0 if exc.code == 0 else EXIT_USAGE
-    try:
-        return args.func(args)
+        handler, values = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(**values)
+    except _Help as usage:
+        print(usage)
+        return 0
     except (UsageError, NotNormalizedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

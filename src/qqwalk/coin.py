@@ -1,8 +1,9 @@
 """Quaternionic 2x2 coin operators.
 
-Validation of the unitarity relations, the split into left/right move
-operators, structural classification of the coin, the 4x4 complex momentum
-symbol of the walk, and random generators for each structural class.
+Validation of the unitarity relations and of an initial spinor, the split
+into left/right move operators, structural classification of the coin, the
+4x4 complex momentum symbol of the walk, and random generators for each
+structural class.
 
 Classification tags:
 
@@ -24,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from .errors import DomainError, NotUnitaryError
+from .errors import DomainError, NotNormalizedError, NotUnitaryError
 from .quaternion import (
     Quaternion,
     _Frozen,
@@ -38,6 +39,7 @@ __all__ = [
     "MoveOperators",
     "validate_coin",
     "unitarity_residuals",
+    "check_spinor",
     "split_pq",
     "classify",
     "u_theta",
@@ -55,6 +57,7 @@ COIN_CLASSES = ("case1", "case2", "case3", "case4", "case5", "general")
 
 UNITARITY_TOL = 1e-10  # largest residual `validate_coin` accepts
 ZERO_TOL = 1e-12  # components (and entries) this small count as zero
+NORM_TOL = 1e-10  # largest total-probability defect of a spinor or a walk
 
 
 class Coin(_Frozen):
@@ -112,6 +115,17 @@ def validate_coin(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion) ->
         if not res <= UNITARITY_TOL:
             raise NotUnitaryError(relation, res)
     return Coin(a, b, c, d)
+
+
+def check_spinor(alpha: Quaternion, beta: Quaternion) -> None:
+    """Raise NotNormalizedError unless |alpha|^2 + |beta|^2 = 1 within
+    NORM_TOL.  The comparison is written so that a NaN or Inf component
+    fails it.
+    """
+    defect = abs(alpha.norm_sq() + beta.norm_sq() - 1.0)
+    if not defect <= NORM_TOL:
+        raise NotNormalizedError(
+            f"|alpha|^2 + |beta|^2 = 1 violated by {defect:.3e}")
 
 
 def split_pq(coin: Coin) -> MoveOperators:

@@ -18,7 +18,9 @@ are evaluated in floats by the three-term recurrence of DLMF 18.9.1 in
 O(t) steps.  The recurrence carries a mantissa and a binary exponent, the
 scaling by |a|^(2h) with h = (n - 1) // 2 is applied in the same form, and
 the result is rounded once.  What the callers multiply on top is bounded:
-unit phases and |a| or |a|^2.
+unit phases and |a| or |a|^2.  A distribution needs the sums at every t;
+they also satisfy a three-term recurrence in t, so `_sums_by_t` yields
+all n/2 pairs in one O(n) pass instead of n/2 runs of O(t).
 
 The closed forms compute on Python floats and complex numbers and never
 load numpy: a `PathSum.matrix` is a nested 2 x 2 x 4 list from every
@@ -30,14 +32,15 @@ of `case4_subcoins` use numpy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import Coin, MoveOperators, _require_nonzero_entries, classify
+from .coin import Coin, MoveOperators, _require_nonzero_entries, check_spinor, classify
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
-from .walk import Distribution, _check_norm, _propagate, check_spinor
+from .walk import Distribution, _check_norm, _propagate
 
 __all__ = [
     "PathSum",
@@ -111,35 +114,30 @@ def _split_pow(base: float, k: int) -> tuple[float, int]:
 _RESCALE_EXP = 512
 _RESCALE = 2.0 ** _RESCALE_EXP
 
-# A closed-form distribution asks for each t twice, once for each of
-# x = -(n - 2t) and x = n - 2t, with at most n/2 other entries in between,
-# so every repeat hits up to n = 8192; acceptance criterion 07 reuses about
-# 640 entries per coin across its spinors.  The bound keeps a long-lived
-# process from holding every (|a|^2, |b|^2, n, t) it has seen.
+# `xi_closed` and `closed_form_prob` look the sums up one t at a time, and
+# a path sum Xi(l, m) shares its entry with Xi(m, l).  The bound keeps a
+# long-lived process from holding every (|a|^2, |b|^2, n, t) it has seen.
 _S_SUMS_CACHE = 4096
 
 
-@lru_cache(maxsize=_S_SUMS_CACHE)
-def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
-    """(|a|^2)^h S0 and (|a|^2)^h S1, h = (n - 1) // 2, where
+def _jacobi_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float, int]:
+    """(m0, m1, e) with `_s_sums(asq, bsq, n, t)` = (m0 2^e, m1 2^e), before
+    that one rounding.
 
-    S0 = sum f(g) / g,  S1 = sum f(g),  g = 1 .. min(t, n - t),
-    f(g) = (-|b|^2/|a|^2)^g C(t-1, g-1) C(n-t-1, g-1).
-
-    The sums are symmetric in t <-> n - t; with t' = min(t, n - t),
-    r = |b|^2/|a|^2 and x = (1 - r)/(1 + r) they are Jacobi polynomials,
+    With t' = min(t, n - t), r = |b|^2/|a|^2 and x = (1 - r)/(1 + r) the
+    sums are Jacobi polynomials,
 
     S1 = -r (1+r)^(t'-1) P_{t'-1}^{(0, n-2t')}(x),
     S0 = -(r/t') (1+r)^(t'-1) P_{t'-1}^{(1, n-2t')}(x),
 
-    evaluated by the forward recurrence.  P leaves the float range at
-    large n where the scaled sums do not, so P and the factor
+    evaluated by the forward recurrence in O(t') steps.  P leaves the float
+    range at large n where the scaled sums do not, so P and the factor
     (|a|^2)^(h-t'+1) (|a|^2+|b|^2)^(t'-1) = (|a|^2)^h (1+r)^(t'-1) carry
-    a separate binary exponent and are rounded once at the end.
+    the separate binary exponent e.
     """
     t = min(t, n - t)
     if t < 1:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0
     beta = n - 2 * t
     b2 = beta * beta
     # (1 + x)/2, rounded once: near x = -1 (small |a|^2) the polynomials
@@ -170,8 +168,92 @@ def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
     ma, ea = _split_pow(asq, (n - 1) // 2 - t + 1)
     ms, es = _split_pow(asq + bsq, t - 1)
     scale = -(bsq / asq) * ma * ms
-    exp += ea + es
-    return math.ldexp(scale * p1 / t, exp), math.ldexp(scale * p0, exp)
+    return scale * p1 / t, scale * p0, exp + ea + es
+
+
+@lru_cache(maxsize=_S_SUMS_CACHE)
+def _s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
+    """(|a|^2)^h S0 and (|a|^2)^h S1, h = (n - 1) // 2, where
+
+    S0 = sum f(g) / g,  S1 = sum f(g),  g = 1 .. min(t, n - t),
+    f(g) = (-|b|^2/|a|^2)^g C(t-1, g-1) C(n-t-1, g-1).
+
+    The sums are symmetric in t <-> n - t.  Summed term by term they
+    cancel heavily and leave the float range; `_jacobi_sums` evaluates
+    them in O(t) float steps, and the result is rounded once.
+    """
+    m0, m1, exp = _jacobi_sums(asq, bsq, n, t)
+    return math.ldexp(m0, exp), math.ldexp(m1, exp)
+
+
+# The pass of `_sums_by_t` runs away from the edge t = 1, the stable
+# direction: run back from the middle, the recurrence loses every digit
+# within 75 steps at |a|^2 = 0.5.  Its error still grows slowly with the
+# steps taken, to 1.2e-12 of the largest sum after 15000 steps at
+# |a|^2 = 0.1.  So the pass takes its polynomials afresh from `_jacobi_sums`
+# at the start of each run of sites.  A restart at site t costs 2t Jacobi
+# steps, so there are at most _SEGMENTS runs, which keeps the pass O(n);
+# none is shorter than _MIN_RUN sites, over which the drift stays at the
+# rounding level and a restart would only cost time.
+_SEGMENTS = 4
+_MIN_RUN = 64
+
+
+def _sums_by_t(asq: float, bsq: float, n: int) -> Iterator[tuple[float, float]]:
+    """Yield `_s_sums(asq, bsq, n, t)` for t = 1 .. n // 2, by one pass over t.
+
+    With N = n - 2, A = t - 1 and w = -|b|^2/|a|^2 the sums are
+
+    S1 = w 2F1(-A, A-N; 1; w) = w P_A^{(0, -N-1)}(1 - 2w),
+    S0 = w 2F1(-A, A-N; 2; w) = w P_A^{(1, -N-2)}(1 - 2w) / (A + 1),
+
+    Jacobi polynomials of degree A with parameters fixed along the pass
+    (DLMF 15.9.1): Gauss' contiguous relations at a + b = -N are the
+    three-term recurrence in the degree, DLMF 18.9.1.  One step of each
+    per site gives both sums.  The polynomials carry a binary exponent
+    apart from (|a|^2)^h, as in `_jacobi_sums`, and each run of sites
+    takes them afresh from `_jacobi_sums`.
+    """
+    big = n - 2
+    w = -bsq / asq
+    km, ke = _split_pow(asq, (n - 1) // 2)
+    scale = km * w
+    # P^{(0, -N-1)} (f) and P^{(1, -N-2)} (g) at degrees a - 1 and a
+    f_prev, f, g_prev, g, exp = 0.0, 1.0, 0.0, 1.0, 0
+    beta_f, beta_g = (big + 1) ** 2, (big + 2) ** 2 - 1  # beta^2 - alpha^2
+    run = max(-(-(n // 2) // _SEGMENTS), _MIN_RUN)
+    for a in range(n // 2):
+        if a == 1:
+            f_prev, f = f, 1.0 + (big - 1) * w
+            g_prev, g = g, 2.0 + (big - 1) * w
+        elif a and a % run == 0:
+            m0, m1, e = _jacobi_sums(asq, bsq, n, a + 1)
+            k0, k1, k = _jacobi_sums(asq, bsq, n, a)
+            f, g = m1 / scale, m0 * (a + 1) / scale
+            f_prev = math.ldexp(k1 / scale, k - e)
+            g_prev = math.ldexp(k0 * a / scale, k - e)
+            exp = e - ke
+        elif a:
+            # DLMF 18.9.1 from degree m = a - 1, alpha + beta = -N - 1
+            m = a - 1
+            s = 2 * m - big - 1
+            den = 2 * (m + 1) * (m - big) * s
+            # (s+2) s x at x = 1 - 2w, with the integer part kept exact:
+            # rounding x would cost w its low digits when |w| is small
+            ss = (s + 2) * s
+            sw = 2.0 * ss * w
+            f_prev, f = f, ((s + 1) * (ss - beta_f - sw) * f
+                            - 2 * m * (m - big - 1) * (s + 2) * f_prev) / den
+            g_prev, g = g, ((s + 1) * (ss - beta_g - sw) * g
+                            - 2 * (m + 1) * (m - big - 2) * (s + 2) * g_prev) / den
+            top = max(abs(f), abs(g))
+            if not 1.0 / _RESCALE < top < _RESCALE:
+                _, e = math.frexp(top)
+                f, f_prev = math.ldexp(f, -e), math.ldexp(f_prev, -e)
+                g, g_prev = math.ldexp(g, -e), math.ldexp(g_prev, -e)
+                exp += e
+        yield (math.ldexp(scale * g / (a + 1), exp + ke),
+               math.ldexp(scale * f, exp + ke))
 
 
 def _path_sums(asq: float, bsq: float, l: int, m: int) -> tuple[float, float]:
@@ -318,14 +400,12 @@ def _edge_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
 
 
 def _interior_prob(asq: float, bsq: float, delta: float, cross: float,
-                   n: int, x: int) -> float:
+                   n: int, x: int, s0: float, s1: float) -> float:
     """Double-sum closed form at x = +-(n - 2t), 1 <= t <= n // 2, from
-    |a|^2, |b|^2, delta = |beta|^2 - |alpha|^2 and the cross term."""
+    |a|^2, |b|^2, delta = |beta|^2 - |alpha|^2, the cross term and the
+    sums (s0, s1) of `_s_sums` at t."""
     t = (n - abs(x)) // 2
     sign = 1.0 if x > 0 else (-1.0 if x < 0 else 1.0)
-
-    s0, s1 = _s_sums(asq, bsq, n, t)
-
     c0 = (n * n - 2 * t * n + 2 * t * t) / 2.0 \
         + sign * (n - 2 * t) * (n * (asq - bsq) * delta / 2.0 - 2.0 * n * cross)
     c1 = -n / 2.0 + sign * (n - 2 * t) * (delta / 2.0 + cross / bsq)
@@ -348,9 +428,11 @@ def _checked_family(coin: Coin, alpha: Quaternion, beta: Quaternion,
 
 
 def _site_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
-                n: int, xs, family: str) -> list[float]:
+                n: int, xs, family: str, every_t: bool) -> list[float]:
     """P(X_n = x) for each x in xs, on inputs that `_checked_family`
-    accepted as `family`."""
+    accepted as `family`.  With `every_t`, xs is the whole support, and the
+    interior sites take their sums from one pass of `_sums_by_t`, which
+    serves the pair x = +-(n - 2t) at once; otherwise from `_s_sums`."""
     if n == 0:
         return [1.0 if x == 0 else 0.0 for x in xs]
     if family == "case1":
@@ -364,6 +446,14 @@ def _site_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
     bsq = coin.b.norm_sq()
     delta = beta.norm_sq() - alpha.norm_sq()
     cross = _interference(coin, alpha, beta)
+    if every_t:
+        probs = [_edge_prob(coin, alpha, beta, n, -1), *[0.0] * (n - 1),
+                 _edge_prob(coin, alpha, beta, n, 1)]
+        for t, (s0, s1) in enumerate(_sums_by_t(asq, bsq, n), 1):
+            # rows t and n - t hold x = -(n - 2t) and x = n - 2t
+            probs[t] = _interior_prob(asq, bsq, delta, cross, n, 2 * t - n, s0, s1)
+            probs[n - t] = _interior_prob(asq, bsq, delta, cross, n, n - 2 * t, s0, s1)
+        return probs
     probs = []
     for x in xs:
         if abs(x) > n or (x + n) % 2:
@@ -371,7 +461,8 @@ def _site_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
         elif abs(x) == n:
             probs.append(_edge_prob(coin, alpha, beta, n, 1 if x > 0 else -1))
         else:
-            probs.append(_interior_prob(asq, bsq, delta, cross, n, x))
+            s0, s1 = _s_sums(asq, bsq, n, (n - abs(x)) // 2)
+            probs.append(_interior_prob(asq, bsq, delta, cross, n, x, s0, s1))
     return probs
 
 
@@ -384,11 +475,12 @@ def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     complex walk (real diagonal; split simplex/perplex structure).
     """
     family = _checked_family(coin, alpha, beta, n)
-    return _site_probs(coin, alpha, beta, n, (x,), family)[0]
+    return _site_probs(coin, alpha, beta, n, (x,), family, False)[0]
 
 
 def closed_form_distribution(coin: Coin, alpha: Quaternion, beta: Quaternion,
                              n: int) -> Distribution:
     """Closed-form P(X_n = x) over the whole parity support."""
     family = _checked_family(coin, alpha, beta, n)
-    return Distribution(n, _site_probs(coin, alpha, beta, n, range(-n, n + 1, 2), family))
+    return Distribution(n, _site_probs(coin, alpha, beta, n, range(-n, n + 1, 2),
+                                       family, True))

@@ -22,10 +22,10 @@ arithmetic, its twin on the complex images of the move operators, and
 `step_walk`, which also records the norm after every step.
 
 Total probability is asserted, never renormalized: an evolution whose
-final state misses 1 by more than NORM_TOL raises NormDriftError, and
-`exact.xi_bruteforce` holds each propagated column to the same check.
-`check_spinor` is the one normalization check of an initial spinor; the
-closed forms in `exact` and the CLI use it too.  Both checks fail on NaN.
+final state misses 1 by more than `coin.NORM_TOL` raises NormDriftError,
+and `exact.xi_bruteforce` holds each propagated column to the same check.
+`coin.check_spinor`, the one normalization check of an initial spinor,
+holds the start state to the same tolerance.  Both checks fail on NaN.
 """
 
 from __future__ import annotations
@@ -33,21 +33,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import _numpy as np
-from .coin import Coin, chi_p, chi_q
-from .errors import NormDriftError, NotNormalizedError
+from .coin import NORM_TOL, Coin, check_spinor, chi_p, chi_q
+from .errors import NormDriftError
 from .quaternion import Quaternion, _phi_of, _psi_of
 
 __all__ = [
     "WalkState",
     "Distribution",
-    "check_spinor",
     "init_state",
     "evolve",
     "distribution",
     "moment",
 ]
-
-NORM_TOL = 1e-10
 
 
 class _Sublattice:
@@ -112,17 +109,6 @@ class Distribution(_Sublattice):
 
     def total(self) -> float:
         return float(np.sum(self.probs))
-
-
-def check_spinor(alpha: Quaternion, beta: Quaternion) -> None:
-    """Raise NotNormalizedError unless |alpha|^2 + |beta|^2 = 1 within
-    NORM_TOL.  The comparison is written so that a NaN or Inf component
-    fails it.
-    """
-    defect = abs(alpha.norm_sq() + beta.norm_sq() - 1.0)
-    if not defect <= NORM_TOL:
-        raise NotNormalizedError(
-            f"|alpha|^2 + |beta|^2 = 1 violated by {defect:.3e}")
 
 
 def init_state(alpha: Quaternion, beta: Quaternion) -> WalkState:

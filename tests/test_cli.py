@@ -156,7 +156,7 @@ def test_xi_brute_prints_long_path_counts(hadamard_file, capsys):
     assert Decimal(digits) == Decimal(math.comb(16000, 8000))
 
 
-@pytest.mark.parametrize("args", [
+JOBS = [
     ["classify"],
     ["simulate", *QUAT_INIT, "--steps", "120", "--out", OUT],
     ["exact", *QUAT_INIT, "--steps", "120", "--out", OUT],
@@ -165,8 +165,12 @@ def test_xi_brute_prints_long_path_counts(hadamard_file, capsys):
     ["spectrum", "--theta", "0.4"],
     ["limit", *QUAT_INIT, "--grid", "101", "--out", OUT],
     ["compare", *QUAT_INIT, "--steps", "120"],
-], ids=["classify", "simulate", "exact", "xi", "xi-brute", "spectrum", "limit",
-        "compare"])
+]
+JOB_IDS = ["classify", "simulate", "exact", "xi", "xi-brute", "spectrum", "limit",
+           "compare"]
+
+
+@pytest.mark.parametrize("args", JOBS, ids=JOB_IDS)
 def test_rerun_is_byte_identical(tmp_path, capsys, args):
     # the second run in the same process meets warm caches
     runs = []
@@ -179,6 +183,75 @@ def test_rerun_is_byte_identical(tmp_path, capsys, args):
                      out.read_bytes() if OUT in args else None))
     assert runs[0] == runs[1]
     assert runs[0][0] or runs[0][1]
+
+
+def _joined(argv: list) -> list:
+    """argv with each `--flag value` pair written as one `--flag=value` word."""
+    words, joined = iter(argv), []
+    for word in words:
+        joined.append(f"{word}={next(words)}"
+                      if word.startswith("--") and word != "--brute" else word)
+    return joined
+
+
+@pytest.mark.parametrize("args", JOBS, ids=JOB_IDS)
+def test_flag_forms_agree(tmp_path, capsys, args):
+    runs = []
+    for form in (list, _joined):
+        out = tmp_path / f"{form.__name__}.csv"
+        argv = form([args[0], "--coin", TRACEFREE_IJ,
+                     *(str(out) if a == OUT else a for a in args[1:])])
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out,
+                     out.read_bytes() if OUT in args else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] or runs[0][1]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["classify", "--coin", TRACEFREE_IJ, "--bogus", "1"],
+    ["classify", TRACEFREE_IJ],
+    ["spectrum", "--coin", TRACEFREE_IJ, "--th", "0.4"],
+    ["spectrum", "--coin", TRACEFREE_IJ, "--theta"],
+    ["spectrum", "--coin", TRACEFREE_IJ],
+    ["xi", "--coin", TRACEFREE_IJ, "--l", "1.5", "--m", "2"],
+    ["xi", "--coin", TRACEFREE_IJ, "--l=", "--m", "2"],
+    ["spectrum", "--coin", TRACEFREE_IJ, "--theta=abc"],
+    ["xi", "--coin", TRACEFREE_IJ, "--l", "1", "--m", "2", "--brute=yes"],
+], ids=["no-command", "unknown-command", "unknown-flag", "stray-word",
+        "flag-prefix", "missing-value", "missing-flag", "bad-int", "empty-int",
+        "bad-float", "value-for-switch"])
+def test_parse_errors_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["xi", "--help"],
+                                  ["limit", "--coin", TRACEFREE_IJ, "-h"]])
+def test_help_prints_usage(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: qqwalk COMMAND")
+    commands = cli.COMMANDS if len(argv) == 1 else [argv[0]]
+    for name in commands:
+        assert f"  {name} --coin COIN" in captured.out
+
+
+def test_help_marks_optional_flags(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "[--grid GRID]" in out and "[--brute]" in out and "--steps STEPS" in out
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["qqwalk", "classify", "--coin", TRACEFREE_IJ])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["class"] == "case4"
 
 
 def test_spectrum_json(ij_file, capsys):

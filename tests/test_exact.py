@@ -24,6 +24,7 @@ from qqwalk.exact import (
     xi_bruteforce,
     xi_closed,
     _s_sums,
+    _sums_by_t,
 )
 from qqwalk.walk import distribution, evolve
 
@@ -409,6 +410,33 @@ def test_s_sums_match_exact_rationals(asq, n, eps, data):
     bsq = (1.0 - asq) * (1.0 + eps)
     for got, want in zip(_s_sums(asq, bsq, n, t), exact_s_sums(asq, bsq, n, t)):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(asq=st.floats(0.02, 0.98), n=st.integers(2, 500),
+       eps=st.floats(-1e-10, 1e-10), data=st.data())
+def test_sums_by_t_match_exact_rationals(asq, n, eps, data):
+    # the pass over t at a drawn site and at its last one, t = n // 2,
+    # the middle site when n is odd
+    t = data.draw(st.integers(1, n // 2), label="t")
+    bsq = (1.0 - asq) * (1.0 + eps)
+    sums = list(_sums_by_t(asq, bsq, n))
+    assert len(sums) == n // 2
+    for site in (t, n // 2):
+        for got, want in zip(sums[site - 1], exact_s_sums(asq, bsq, n, site)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), site
+
+
+@pytest.mark.parametrize("asq", (0.01, 0.2))
+def test_sums_by_t_match_per_t_route_at_large_n(asq):
+    # with |b|^2/|a|^2 up to 99 the polynomials of the pass leave the float
+    # range between two restarts, so it rescales; the per-t route is the oracle
+    n = 4001
+    bsq = 1.0 - asq
+    sums = list(_sums_by_t(asq, bsq, n))
+    for t in (1, 2, 500, 501, 502, 1001, 1002, 1500, 1999, 2000):
+        for got, want in zip(sums[t - 1], _s_sums(asq, bsq, n, t)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), t
 
 
 def test_distribution_sums_to_one():

@@ -2,8 +2,8 @@
 coin, the closed forms of `exact` and `xi`, the eigensystem of `spectrum`
 and the limit density of `limit` run on Python floats alone, and never
 import it.  No job imports `dataclasses`, whose import pulls in
-`inspect`.  The layers load on first use, so each job executes only the
-layers it calls."""
+`inspect`, or `argparse` and its `gettext`.  The layers load on first
+use, so each job executes only the layers it calls."""
 
 import glob
 import json
@@ -23,16 +23,22 @@ COINS = sorted(glob.glob(os.path.join(COIN_DIR, "*.json")))
 QUAT_INIT = "'--alpha', '[0.5, 0.5, 0, 0]', '--beta', '[0, 0, 0.5, 0.5]'"
 
 
-def _loaded_after(code: str, module: str = "numpy") -> bool:
-    """Run ``code`` in a fresh interpreter; report whether ``module`` was
-    imported."""
+def _modules_after(code: str, modules) -> set:
+    """Run ``code`` in a fresh interpreter; the ``modules`` it imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    script = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
+    script = (code + "\nimport json, sys\n"
+              f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))\n")
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    return out.splitlines()[-1] == "True"
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _loaded_after(code: str, module: str = "numpy") -> bool:
+    """Run ``code`` in a fresh interpreter; report whether ``module`` was
+    imported."""
+    return bool(_modules_after(code, [module]))
 
 
 @pytest.mark.parametrize("module", ("qqwalk", "qqwalk.cli"))
@@ -40,9 +46,31 @@ def test_import_leaves_numpy_unloaded(module):
     assert not _loaded_after(f"import {module}")
 
 
-@pytest.mark.parametrize("module", ("dataclasses", "inspect"))
+@pytest.mark.parametrize("module", ("dataclasses", "inspect", "argparse", "gettext"))
 def test_import_leaves_dataclasses_unloaded(module):
     assert not _loaded_after("import qqwalk.cli", module)
+
+
+JOBS = {
+    "classify": [],
+    "simulate": ["--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "4",
+                 "--out", "<out>"],
+    "exact": ["--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "4",
+              "--out", "<out>"],
+    "xi": ["--l", "2", "--m", "3"],
+    "spectrum": ["--theta", "0.4"],
+    "limit": ["--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--grid", "11",
+              "--out", "<out>"],
+    "compare": ["--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"],
+}
+
+
+@pytest.mark.parametrize("command", JOBS)
+def test_jobs_leave_argparse_and_dataclasses_unloaded(command, tmp_path):
+    # tracefree_ij has every closed form, limit law and a simple spectrum
+    argv = [command, "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
+            *(str(tmp_path / "out.csv") if a == "<out>" else a for a in JOBS[command])]
+    assert not _modules_after(_cli(argv), ("argparse", "gettext", "dataclasses"))
 
 
 def test_classify_leaves_numpy_unloaded():
@@ -175,6 +203,12 @@ def test_import_and_usage_errors_execute_no_layer():
 def test_classify_executes_coin_and_quaternion_only():
     code = "".join(_cli(["classify", "--coin", f]) for f in COINS)
     assert _executed_layers(code) == {"coin", "quaternion", "_numpy"}
+
+
+def test_limit_executes_no_walk_or_exact(tmp_path):
+    code = _cli(["limit", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
+                 *_init(["--grid", "11", "--out", str(tmp_path / "density.csv")])])
+    assert _executed_layers(code) == {"coin", "quaternion", "_numpy", "spectral"}
 
 
 def test_spectrum_executes_no_walk_or_exact():
