@@ -386,8 +386,8 @@ def test_closed_form_distribution_matches_walk(kind, seed, n):
 @pytest.mark.parametrize("n", (50, 301))
 def test_closed_form_distribution_small_a(n):
     # at |a|^2 = 1e-4 the interior form c0 s0^2 + 2 c1 s0 s1 + c2 s1^2
-    # cancels about three digits of s0 and s1: 3e-13 (n = 50) and 7e-13
-    # (n = 301) from the walk here; this pins that accuracy
+    # cancels about three digits of s0 and s1: 1.19e-12 (n = 50) and
+    # 4.9e-13 (n = 301) from the walk here; this pins that accuracy
     asq = 1e-4
     a = math.sqrt(asq) * cmath.exp(0.7j)
     b = math.sqrt(1.0 - asq) * cmath.exp(2.1j)
@@ -427,16 +427,50 @@ def test_sums_by_t_match_exact_rationals(asq, n, eps, data):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), site
 
 
-@pytest.mark.parametrize("asq", (0.01, 0.2))
-def test_sums_by_t_match_per_t_route_at_large_n(asq):
-    # with |b|^2/|a|^2 up to 99 the polynomials of the pass leave the float
-    # range between two restarts, so it rescales; the per-t route is the oracle
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(asq=st.floats(1e-4, 0.9999), n=st.integers(1, 500), data=st.data())
+def test_s_sums_read_the_pass(asq, n, data):
+    # one kernel: a single site is the pass's pair at min(t, n - t), bit for
+    # bit, for t and its mirror n - t (one of them beyond n/2 unless t = n/2);
+    # the edges t = 0 and t = n have no interior sum
+    t = data.draw(st.integers(0, n), label="t")
+    bsq = 1.0 - asq
+    sums = list(_sums_by_t(asq, bsq, n))
+    for site in (t, n - t):
+        near = min(site, n - site)
+        want = sums[near - 1] if near >= 1 else (0.0, 0.0)
+        assert _s_sums(asq, bsq, n, site) == want, site
+    assert _s_sums(asq, bsq, n, 0) == _s_sums(asq, bsq, n, n) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("asq", (1 / 64, 0.2))
+def test_sums_by_t_match_exact_rationals_at_large_n(asq):
+    # at n = 4001 the polynomials of the pass leave the float range, so it
+    # rescales; the ratios |b|^2/|a|^2 = 63 and 4 are exact, which keeps the
+    # rational sums of the oracle cheap
     n = 4001
     bsq = 1.0 - asq
     sums = list(_sums_by_t(asq, bsq, n))
     for t in (1, 2, 500, 501, 502, 1001, 1002, 1500, 1999, 2000):
-        for got, want in zip(sums[t - 1], _s_sums(asq, bsq, n, t)):
+        for got, want in zip(sums[t - 1], exact_s_sums(asq, bsq, n, t)):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), t
+
+
+@pytest.mark.parametrize("n", (301, 2000))
+@pytest.mark.parametrize("asq", (2.0 ** -13, 2.0 ** -10, 1 - 2.0 ** -10, 1 - 2.0 ** -13))
+def test_sums_match_exact_rationals_at_extreme_a(asq, n):
+    # |a|^2 near 0 makes |w| = |b|^2/|a|^2 large and near 1 small; both
+    # ends are dyadic, so |a|^2 + |b|^2 = 1 exactly
+    bsq = 1.0 - asq
+    sums = list(_sums_by_t(asq, bsq, n))
+    for t in (1, 2, n // 7, n // 3, n // 2, n - 3):
+        want = exact_s_sums(asq, bsq, n, t)
+        got = [_s_sums(asq, bsq, n, t)]
+        if t <= n // 2:
+            got.append(sums[t - 1])
+        for pair in got:
+            for g, w in zip(pair, want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), t
 
 
 def test_distribution_sums_to_one():
