@@ -22,6 +22,16 @@ top is bounded: unit phases and |a| or |a|^2.  One site, `_s_sums`, is a
 prefix of the pass in O(t) steps; a distribution takes all n/2 sites from
 one pass in O(n).
 
+Trace-free coins (case5) have a closed-form distribution of their own.
+There U(theta)^2 = V obeys V^2 - 2 xi V + I = 0 with
+xi = Re(bc) - |a|^2 cos 2 theta, so n = 2m + eps steps are
+psi_n = U_{m-1}(X) psi_{eps+2} - U_{m-2}(X) psi_eps, with Chebyshev
+polynomials U_j of the second kind in X = Re(bc) - (|a|^2/2)(S^2 + S^-2),
+S the one-site shift.  The seeds are at most three steps of the walk, and
+the Laurent coefficients of U_j(X) satisfy a five-term recurrence that
+`_chebyshev_coeffs` runs down from its top coefficient, so a distribution
+costs O(n).  The path sums of case5 coins have no closed form here.
+
 The closed forms compute on Python floats and complex numbers and never
 load numpy: a `PathSum.matrix` is a nested 2 x 2 x 4 list from every
 route, and a closed-form `Distribution` holds its probabilities as a list.
@@ -33,12 +43,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import Coin, MoveOperators, _require_nonzero_entries, check_spinor, classify
+from .coin import (Coin, MoveOperators, _require_nonzero_entries, _u_rows, check_spinor,
+                   classify)
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
 from .walk import Distribution, _check_norm, _propagate
@@ -278,12 +291,16 @@ def _xi_case4(coin: Coin, l: int, m: int) -> list[list[list[float]]]:
 
 def _closed_family(coin: Coin, what: str) -> str:
     """The closed-form family of a coin: its tag for case1-case4, else
-    'complex' for a complex coin; DomainError for the other coins."""
+    'complex' for a complex coin, else 'case5' for a trace-free coin when
+    `what` is 'distribution' (its path sums have no closed form);
+    DomainError for the other coins."""
     tag = classify(coin)
     if tag in ("case1", "case2", "case3", "case4"):
         return tag
     if coin.is_complex():
         return "complex"
+    if tag == "case5" and what == "distribution":
+        return tag
     raise DomainError(f"no closed-form {what} for a {tag!r} quaternionic coin")
 
 
@@ -354,6 +371,155 @@ def _interior_prob(asq: float, bsq: float, delta: float, cross: float,
     return asq ** ((n - 1) % 2) * bracket
 
 
+# ---------------------------------------------------------------------
+# trace-free coins
+# ---------------------------------------------------------------------
+
+# Working width of the integer recurrence of `_chebyshev_coeffs`: the live
+# values keep 96 to 160 bits, so a step rounds at 2^-96 relative.
+_WIDE = 96
+
+
+def _wide_pow(base: float, k: int) -> tuple[int, int]:
+    """(mantissa, exponent) with base**k = mantissa * 2**exponent, k >= 0,
+    the mantissa of _WIDE bits and its relative error below k 2^-94:
+    square-and-multiply on integers cut back to _WIDE bits, so neither the
+    range nor the precision of a float limits it."""
+    num, den = base.as_integer_ratio()  # den is a power of two
+    bm, be = num, 1 - den.bit_length()
+    mant, exp = 1, 0
+    while k:
+        if k & 1:
+            mant, exp = mant * bm, exp + be
+            cut = max(0, mant.bit_length() - _WIDE)
+            mant, exp = mant >> cut, exp + cut
+        bm, be = bm * bm, 2 * be
+        cut = max(0, bm.bit_length() - _WIDE)
+        bm, be = bm >> cut, be + cut
+        k >>= 1
+    cut = _WIDE - mant.bit_length()
+    return mant << cut, exp - cut
+
+
+def _chebyshev_coeffs(s: float, u: float, j: int) -> list[float]:
+    """e_k = [w^k] U_j(s - (u/2)(w + 1/w)) for k = 0 .. j, where e_-k = e_k;
+    empty for j = -1, where U_-1 = 0.
+
+    With A = 4s^2 + 2u^2 - 4, K = k + 1 and J = j + 1,
+
+        u^2 (K+2)(K^2 - J^2) e_k - 2su K (K+2)(2K+1) e_{k+1}
+        + (K+1)(A K (K+2) + 2u^2 J^2) e_{k+2} - 2su K (K+2)(2K+3) e_{k+3}
+        + u^2 K ((K+2)^2 - J^2) e_{k+4} = 0,
+
+    which runs down from e_j = (-u)^j, with e_k = 0 for k > j; the
+    coefficient of e_k vanishes only at k = j.  The tests check the
+    recurrence against the Chebyshev recurrence in j in exact rationals.
+
+    In floats the recurrence loses digits where its terms cancel: at
+    j = 1e4 up to 1e-10 of the largest coefficient when the bands touch
+    (Re(bc) +- |a|^2 = +-1).  So it runs in integers.  2su, A and u^2 are
+    exact dyadic rationals of the float s and u, scaled here to integers;
+    the four live values are integers of _WIDE to _WIDE + 64 bits with a
+    shared binary exponent, so a step rounds only in its floor division,
+    at 2^-96 relative, and each coefficient is rounded once to a float.
+    A step costs about three times a step in floats.
+    """
+    if j < 0:
+        return []
+    fs, fu = Fraction(s), Fraction(u)
+    terms = (2 * fs * fu, 4 * fs * fs + 2 * fu * fu - 4, fu * fu)
+    den = max(t.denominator for t in terms)  # powers of two
+    b, a, c = (int(t * den) for t in terms)
+    mant, exp = _wide_pow(u, j)
+    e1, e2, e3, e4 = -mant if j % 2 else mant, 0, 0, 0  # e_{k+1} .. e_{k+4}
+    out = [0.0] * (j + 1)
+    out[j] = math.ldexp(float(e1), exp)
+    jj = (j + 1) ** 2
+    cjj = 2 * c * jj
+    for k in range(j - 1, -1, -1):
+        kk = k + 1
+        k2 = kk * (kk + 2)
+        num = (b * k2 * ((2 * kk + 1) * e1 + (2 * kk + 3) * e3)
+               - (kk + 1) * (a * k2 + cjj) * e2
+               - c * kk * ((kk + 2) ** 2 - jj) * e4)
+        e1, e2, e3, e4 = num // (c * (kk + 2) * (kk * kk - jj)), e1, e2, e3
+        bits = (abs(e1) | abs(e2) | abs(e3) | abs(e4)).bit_length()
+        if bits > _WIDE + 64:
+            cut = bits - _WIDE
+            e1, e2, e3, e4 = e1 >> cut, e2 >> cut, e3 >> cut, e4 >> cut
+            exp += cut
+        elif bits < _WIDE:
+            cut = _WIDE - bits
+            e1, e2, e3, e4 = e1 << cut, e2 << cut, e3 << cut, e4 << cut
+            exp -= cut
+        out[k] = math.ldexp(float(e1), exp)
+    return out
+
+
+def _walk_steps(coin: Coin, alpha: Quaternion, beta: Quaternion,
+                steps: int) -> list[list[list[complex]]]:
+    """The walk after 0 .. steps steps, stepped on Python complexes (for a
+    few steps only): each state lists its rows by the number of right
+    moves, each row the four complex amplitudes of `walk.WalkState`."""
+    # rows 0-1 of U(0) are the image of the left move, rows 2-3 of the right
+    p0, p1, q0, q1 = _u_rows(coin, 0.0)
+    state = [[alpha.simplex, alpha.perplex.conjugate(),
+              beta.simplex, beta.perplex.conjugate()]]
+    states = [state]
+    zero = [0j] * 4
+    for _ in range(steps):
+        rows = [zero, *state, zero]
+        # row r takes the left move from row r and the right move from r - 1
+        state = [[sum(map(mul, p0, here)), sum(map(mul, p1, here)),
+                  sum(map(mul, q0, below)), sum(map(mul, q1, below))]
+                 for below, here in zip(rows, rows[1:])]
+        states.append(state)
+    return states
+
+
+def _case5_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
+                 n: int) -> list[float]:
+    """P(X_n = x) over the parity support for a trace-free (case5) coin.
+
+    With n = 2m + eps, row r of psi_n (counted in right moves) is
+    sum_i e^(m-1)_{r-i-(m-1)} psi_{eps+2}[i] - sum_i e^(m-2)_{r-i-m} psi_eps[i],
+    e^(j) the coefficients of `_chebyshev_coeffs`.  The e are real, so each
+    probability is a quadratic form in six of them (four shifts of e^(m-1),
+    two of e^(m-2); the seeds of an even n are padded with zero rows) whose
+    matrix is the real Gram matrix of the seed rows.  It is written out term
+    by term, five times faster than a loop over the terms.
+    """
+    m, eps = divmod(n, 2)
+    states = _walk_steps(coin, alpha, beta, eps + 2)
+    if m == 0:
+        return [sum(z.real * z.real + z.imag * z.imag for z in row) for row in states[n]]
+    pad = [[0j] * 4] * (1 - eps)
+    vecs = [*states[eps + 2], *pad, *([-z for z in row] for row in states[eps]), *pad]
+    gram = [[sum((x.conjugate() * y).real for x, y in zip(v, w)) for w in vecs]
+            for v in vecs]
+    (g00, g01, g02, g03, g04, g05, g11, g12, g13, g14, g15, g22, g23, g24, g25,
+     g33, g34, g35, g44, g45, g55) = [gram[i][k] * (1.0 if i == k else 2.0)
+                                      for i in range(6) for k in range(i, 6)]
+    u = coin.a.norm_sq()
+    s = (coin.b * coin.c).re
+    # e_{-j} .. e_j with three zeros before and 2 + eps after: windows of
+    # n + 1 entries from offsets 3, 2, 1, 0 of the first and 1, 0 of the
+    # second give the six coefficients of rows 0 .. n
+    first, second = ([0.0] * 3 + e[:0:-1] + e + [0.0] * (2 + eps)
+                     for e in (_chebyshev_coeffs(s, u, m - 1),
+                               _chebyshev_coeffs(s, u, m - 2)))
+    cols = zip(*(islice(first, lo, lo + n + 1) for lo in (3, 2, 1, 0)),
+               *(islice(second, lo, lo + n + 1) for lo in (1, 0)))
+    # clamped at zero, as the walk's distribution is: rounding can take a
+    # vanishing probability just below it
+    return [max(0.0, c0 * (g00 * c0 + g01 * c1 + g02 * c2 + g03 * c3 + g04 * c4 + g05 * c5)
+                + c1 * (g11 * c1 + g12 * c2 + g13 * c3 + g14 * c4 + g15 * c5)
+                + c2 * (g22 * c2 + g23 * c3 + g24 * c4 + g25 * c5)
+                + c3 * (g33 * c3 + g34 * c4 + g35 * c5)
+                + c4 * (g44 * c4 + g45 * c5) + c5 * g55 * c5)
+            for c0, c1, c2, c3, c4, c5 in cols]
+
+
 def _checked_family(coin: Coin, alpha: Quaternion, beta: Quaternion,
                     n: int) -> str:
     """Validate the inputs of a closed-form probability; return the family."""
@@ -380,6 +546,9 @@ def _site_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
     if family == "case2":
         law = {1: alpha.norm_sq(), -1: beta.norm_sq()} if n % 2 else {0: 1.0}
         return [law.get(x, 0.0) for x in xs]
+    if family == "case5":  # one pass over the whole support, even for one site
+        probs = _case5_probs(coin, alpha, beta, n)
+        return probs if every_t else [Distribution(n, probs).prob(x) for x in xs]
     # what every interior site shares, computed once
     asq = coin.a.norm_sq()
     bsq = coin.b.norm_sq()
@@ -409,9 +578,10 @@ def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
                      n: int, x: int) -> float:
     """Exact P(X_n = x) without running the walk.
 
-    Valid for diagonal and antidiagonal coins, for complex coins, and for
+    Valid for diagonal and antidiagonal coins, for complex coins, for
     the two quaternionic families whose distribution coincides with the
-    complex walk (real diagonal; split simplex/perplex structure).
+    complex walk (real diagonal; split simplex/perplex structure), and for
+    trace-free coins.
     """
     family = _checked_family(coin, alpha, beta, n)
     return _site_probs(coin, alpha, beta, n, (x,), family, False)[0]

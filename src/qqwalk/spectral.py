@@ -17,15 +17,19 @@ sqrt(r^2 - y^2)), where only the support radius r depends on the coin
 has vanishing real parts, and |a| for the case3, case4 and complex coins
 of `exact`'s closed family), with quadrature that absorbs the
 inverse-square-root edge singularity by the substitution y = r sin(phi).
-Each quantity has one route here; the paper's other printings of C and r
-and a numeric scan for r are test oracles.
+The Kolmogorov distance of `limit_compare` reads the weighted CDF in
+closed form and the exact distribution from `exact`, so it needs neither
+the quadrature nor the walk.  Each quantity has one route here; the
+paper's other printings of C and r and a numeric scan for r are test
+oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from . import _numpy as np
@@ -469,11 +473,35 @@ def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
 
 
 def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
-    """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt at each of ys, as an array."""
+    """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt at each of ys, as an array,
+    by quadrature; `_closed_cdf` is the same function in closed form."""
     _check_radius(params.r)
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     phi_hi = np.arcsin(np.clip(ys / params.r, -1.0, 1.0))
     return _weighted_integrals(params, weight_c, 0, phi_hi, n_nodes)
+
+
+def _closed_cdf(params: LimitDensity, weight_c: float, ys) -> Iterator[float]:
+    """F(y) = integral_{-r}^{y} (1 - C t) f_r(t) dt in closed form, for
+    each float of ys:
+
+    F(y) = 1/2 + atan2(y sqrt(1 - r^2), sqrt(r^2 - y^2)) / pi
+               + (C / pi) atan2(sqrt(r^2 - y^2), sqrt(1 - r^2))
+
+    on (-r, r), 0 below and 1 above: the first term is the primitive of
+    f_r, the second of -C t f_r.  The caller checks the radius.
+    """
+    r = params.r
+    edge = math.sqrt((1.0 - r) * (1.0 + r))
+    for y in ys:
+        if y <= -r:
+            yield 0.0
+        elif y >= r:
+            yield 1.0
+        else:
+            root = math.sqrt((r - y) * (r + y))
+            yield 0.5 + (math.atan2(y * edge, root)
+                         + weight_c * math.atan2(root, edge)) / math.pi
 
 
 def kolmogorov_distance(dist: walk.Distribution, params: LimitDensity,
@@ -481,17 +509,20 @@ def kolmogorov_distance(dist: walk.Distribution, params: LimitDensity,
     """max_i |F_emp(y_i) - F_limit(y_i)| over the support points y_i = x/n
 
     of the rescaled distribution at time n, with F_emp right-continuous.
+    The probabilities may be a list or an array; F_emp is their running
+    sum and F_limit the closed form of `_closed_cdf` (`limit_cdf` is the
+    same function by quadrature).
 
     Evaluating at the support points (rather than taking the full
     two-sided supremum) avoids the half-atom offset of order max_x P(x)/2
     that atomization alone contributes near the band-edge singularity; it
     is the statistic such convergence studies plot.
     """
+    _check_radius(params.r)
     n = dist.n
-    ys = dist.positions() / n
-    cum = np.cumsum(dist.probs)
-    f_lim = limit_cdf(params, weight_c, ys)
-    return float(np.max(np.abs(cum - f_lim)))
+    ys = (x / n for x in range(-n, n + 1, 2))
+    return float(max(abs(cum - f) for cum, f in
+                     zip(accumulate(dist.probs), _closed_cdf(params, weight_c, ys))))
 
 
 class CompareResult(NamedTuple):
@@ -505,12 +536,14 @@ def limit_compare(coin: Coin, alpha: Quaternion, beta: Quaternion,
                   n: int) -> CompareResult:
     """Kolmogorov distance between the exact rescaled distribution at time n
 
-    and the weak-limit CDF of the coin's law from `qqw_limit_params`.
+    and the weak-limit CDF of the coin's law from `qqw_limit_params`.  The
+    distribution is `exact.closed_form_distribution`, which covers every
+    coin that `qqw_limit_params` accepts, so no walk is run.
     """
     if n < 100 or n % 2:
         raise DomainError("comparison is defined for even n >= 100")
     params = qqw_limit_params(coin)
     c = weight_constant(coin, alpha, beta)
-    dist = walk.distribution(walk.evolve(coin, alpha, beta, n))
+    dist = exact.closed_form_distribution(coin, alpha, beta, n)
     dist_val = kolmogorov_distance(dist, params, c)
     return CompareResult(kolmogorov=dist_val, r=params.r, g=params.g, weight_c=c)

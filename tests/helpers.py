@@ -6,8 +6,11 @@ meaningful: a dict-based walk evolution, the site-by-site steppers the
 momentum-space propagator of `qqwalk.walk.evolve` is checked against
 (`step` in quaternion arithmetic, `step_fourier` by the complex images of
 the move operators, and `step_walk`, which also records the total
-probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic, the case4 split
-into two commuting subwalks, a determinant-sampling route to
+probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic,
+the Laurent coefficients of the Chebyshev polynomials
+U_j(s - (u/2)(w + 1/w)) of the trace-free closed form in exact integer
+arithmetic (`chebyshev_laurent`), the case4 split into two commuting
+subwalks, a determinant-sampling route to
 characteristic-polynomial coefficients, the arcsine-type law f_r as one
 numpy expression (`arcsine_density`), the paper's printed G-form of the
 trace-free limit density, the `limit` CSV and the limit CDF as whole-array
@@ -185,6 +188,33 @@ def exact_s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
     num, den = num ** h, den ** h
     return (s0.numerator * num / (s0.denominator * den),
             s1.numerator * num / (s1.denominator * den))
+
+
+def chebyshev_laurent(j_max: int, s: Fraction, u: Fraction) -> list[list[float]]:
+    """For j = 0 .. j_max, the coefficients [w^k] U_j(X), k = 0 .. j, of
+    X = s - (u/2)(w + 1/w), each rounded once from its exact rational value.
+
+    With D the common denominator of s and u, V_j = (2D)^j U_j(X) has
+    integer coefficients and obeys the Chebyshev recurrence
+    V_{j+1} = 2Y V_j - (2D)^2 V_{j-1} with Y = 2D X = 2sD - uD (w + 1/w).
+    Entry k + j of a Laurent coefficient list holds [w^k].
+    """
+    den = math.lcm(s.denominator, u.denominator)
+    two_s, u_den = int(2 * s * den), int(u * den)
+    scale = 2 * den
+    prev, cur = [], [1]  # V_-1 = 0, V_0 = 1
+    out = [[1.0]]
+    for j in range(j_max):
+        nxt = [0] * (2 * j + 3)
+        for i, c in enumerate(cur):
+            nxt[i + 1] += 2 * two_s * c
+            nxt[i] -= 2 * u_den * c
+            nxt[i + 2] -= 2 * u_den * c
+        for i, c in enumerate(prev):
+            nxt[i + 2] -= scale * scale * c
+        prev, cur = cur, nxt
+        out.append([c / scale ** (j + 1) for c in cur[j + 1:]])
+    return out
 
 
 def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

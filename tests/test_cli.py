@@ -93,6 +93,17 @@ def test_exact_matches_simulate(hadamard_file, tmp_path):
         assert abs(float(ps) - float(pe)) <= 1e-10
 
 
+def test_exact_matches_simulate_on_trace_free_coin(tmp_path):
+    # tracefree_mixed is case5: the Chebyshev closed form, not the walk
+    args = ["--coin", TRACEFREE[2], *QUAT_INIT, "--steps", "301"]
+    assert main(["simulate", *args, "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["exact", *args, "--out", str(tmp_path / "exact.csv")]) == 0
+    sim = np.loadtxt(tmp_path / "sim.csv", delimiter=",", skiprows=1)
+    exa = np.loadtxt(tmp_path / "exact.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(sim[:, 0], exa[:, 0])
+    assert np.max(np.abs(sim[:, 1] - exa[:, 1])) <= 1e-12
+
+
 def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert main(["xi", "--coin", hadamard_file, "--l", "1", "--m", "3"]) == 0
     closed = json.loads(capsys.readouterr().out)
@@ -553,8 +564,8 @@ def test_closed_forms_at_large_n(tmp_path, capsys):
 
 def test_exact_out_of_scope_is_domain_error(tmp_path, capsys):
     rng = np.random.default_rng(90)
-    coin = random_coin(rng, "case5")
-    path = tmp_path / "case5.json"
+    coin = random_coin(rng, "general")
+    path = tmp_path / "general.json"
     path.write_text(coin_to_json(coin), encoding="utf-8")
     code = main(["exact", "--coin", str(path), "--alpha", ALPHA, "--beta", BETA,
                  "--steps", "4", "--out", str(tmp_path / "x.csv")])

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qqwalk.exact import (
     closed_form_prob,
     xi_bruteforce,
     xi_closed,
+    _chebyshev_coeffs,
     _s_sums,
     _sums_by_t,
 )
@@ -30,11 +32,13 @@ from qqwalk.walk import distribution, evolve
 
 from helpers import (
     case4_split,
+    chebyshev_laurent,
     enumerate_xi,
     exact_s_sums,
     is_unitary,
     max_abs,
     qmat_mul,
+    random_quaternion,
     random_spinor,
     ratio4_coin,
 )
@@ -344,8 +348,6 @@ def test_prob_scope():
     rng = np.random.default_rng(60)
     alpha, beta = random_spinor(rng)
     with pytest.raises(DomainError):
-        closed_form_prob(random_coin(rng, "case5"), alpha, beta, 4, 0)
-    with pytest.raises(DomainError):
         closed_form_prob(random_coin(rng, "general"), alpha, beta, 4, 0)
 
 
@@ -381,6 +383,74 @@ def test_closed_form_distribution_matches_walk(kind, seed, n):
     sim = distribution(evolve(coin, alpha, beta, n))
     exact = closed_form_distribution(coin, alpha, beta, n)
     assert np.max(np.abs(sim.probs - exact.probs)) <= 1e-12
+
+
+# ---------------------------------------------------------------------
+# trace-free coins
+# ---------------------------------------------------------------------
+
+# (Re(bc), |a|^2) pairs: generic, Re(bc) = 0, and band-touching ones with
+# Re(bc) +- |a|^2 = +-1, down to |a|^2 = 2^-10 and up to 1 - 2^-10
+CHEBYSHEV_PAIRS = [(Fraction(1, 8), Fraction(1, 2)), (Fraction(-5, 16), Fraction(3, 8)),
+                   (Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4)),
+                   (Fraction(-1, 2), Fraction(1, 2)),
+                   (Fraction(-1023, 1024), Fraction(1, 1024)),
+                   (Fraction(-1, 1024), Fraction(1023, 1024))]
+
+
+@pytest.mark.parametrize("s,u", CHEBYSHEV_PAIRS)
+def test_chebyshev_coeffs_match_exact_rationals(s, u):
+    # the integer recurrence rounds each coefficient once: it equals the
+    # exact value rounded to a float, up to a last-bit tie and the double
+    # rounding of subnormal values
+    exact = chebyshev_laurent(200, s, u)
+    for j in (0, 1, 2, 3, 4, 5, 17, 64, 112, 199, 200):
+        got = _chebyshev_coeffs(float(s), float(u), j)
+        assert len(got) == j + 1
+        for g, e in zip(got, exact[j]):
+            assert abs(g - e) <= 2.3e-16 * abs(e) + 1e-320, (j, g, e)
+    assert _chebyshev_coeffs(float(s), float(u), -1) == []
+
+
+def _band_touching_coin(rng, asq):
+    """A case5 coin with |a|^2 = asq and c = -|b| conj(b^), so that bc is
+    real and Re(bc) - |a|^2 = -1: the two bands of the spectrum touch."""
+    a_hat = random_quaternion(rng).imag_part()
+    a_hat = a_hat / a_hat.norm()
+    b_hat = random_quaternion(rng)
+    b_hat = b_hat / b_hat.norm()
+    cos_phi, sin_phi = math.sqrt(asq), math.sqrt(1.0 - asq)
+    coin = validate_coin(cos_phi * a_hat, sin_phi * b_hat, -sin_phi * b_hat.conj(),
+                         cos_phi * (b_hat.conj() * a_hat.conj() * b_hat))
+    assert classify(coin) == "case5"
+    return coin
+
+
+def _case5_coins():
+    coins = [random_coin(np.random.default_rng(seed), "case5") for seed in (70, 71, 72)]
+    rng = np.random.default_rng(73)
+    coins += [_band_touching_coin(rng, asq) for asq in (2.0 ** -10, 1 - 2.0 ** -10)]
+    return coins
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_case5_distribution_matches_walk(index):
+    coin = _case5_coins()[index]
+    alpha, beta = random_spinor(np.random.default_rng(74 + index))
+    for n in (0, 1, 2, 3, 4, 5, 2000, 2001):
+        sim = distribution(evolve(coin, alpha, beta, n))
+        got = closed_form_distribution(coin, alpha, beta, n)
+        assert isinstance(got.probs, list) and len(got.probs) == n + 1
+        assert min(got.probs) >= 0.0
+        assert np.max(np.abs(sim.probs - np.array(got.probs))) <= 1e-12, n
+
+
+def test_case5_prob_reads_the_distribution():
+    coin = _case5_coins()[0]
+    alpha, beta = random_spinor(np.random.default_rng(79))
+    whole = closed_form_distribution(coin, alpha, beta, 9)
+    for x in range(-11, 12):
+        assert closed_form_prob(coin, alpha, beta, 9, x) == whole.prob(x)
 
 
 @pytest.mark.parametrize("n", (50, 301))

@@ -486,20 +486,37 @@ def test_qqw_density_matches_paper_form():
         assert np.max(rel) <= 1e-12
 
 
-@pytest.mark.parametrize("weight_c", (0.0, 1.0, -0.6))
+@pytest.mark.parametrize("weight_c", (0.0, 1.0, -0.6, 0.7071067811865476))
 def test_limit_cdf_matches_closed_form(weight_c):
     # F(y) = 1/2 + atan2(y sqrt(1 - r^2), sqrt(r^2 - y^2)) / pi
-    #        + (C / pi) atan2(sqrt(r^2 - y^2), sqrt(1 - r^2))
-    for coin in _tracefree_file_coins():
+    #        + (C / pi) atan2(sqrt(r^2 - y^2), sqrt(1 - r^2)),
+    # 0 below the support and 1 above it: the quadrature of limit_cdf and
+    # the closed form of kolmogorov_distance against it
+    for coin in [*_tracefree_file_coins(), hadamard_coin()]:
         params = qqw_limit_params(coin)
         r = params.r
-        ys = np.linspace(-r, r, 401)
+        ys = np.concatenate([np.linspace(-r, r, 401), np.linspace(-1.0, 1.0, 401)])
         inner = np.sqrt(np.maximum(r * r - ys * ys, 0.0))
         outer = math.sqrt(1.0 - r * r)
         want = (0.5 + np.arctan2(ys * outer, inner) / math.pi
                 + weight_c / math.pi * np.arctan2(inner, outer))
         got = limit_cdf(params, weight_c, ys)
         assert np.max(np.abs(got - want)) <= 1e-12
+        closed = list(spectral._closed_cdf(params, weight_c, ys.tolist()))
+        assert np.max(np.abs(np.array(closed) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ("tracefree_mixed", "hadamard"))
+def test_walk_against_law(name):
+    # the walk's distribution (an array) through the same statistic as
+    # limit_compare's closed form (a list)
+    coin = file_coin(name)
+    alpha, beta = Quaternion(1), Quaternion.zero()
+    params = qqw_limit_params(coin)
+    c = weight_constant(coin, alpha, beta)
+    walked = kolmogorov_distance(distribution(evolve(coin, alpha, beta, 2000)), params, c)
+    assert abs(walked - limit_compare(coin, alpha, beta, 2000).kolmogorov) <= 1e-12
+    assert walked <= 0.02
 
 
 def test_qqw_density_outside_support():

@@ -1,7 +1,8 @@
 """numpy loads on first array use: importing the package, classifying a
-coin, the closed forms of `exact` and `xi`, the eigensystem of `spectrum`
-and the limit density of `limit` run on Python floats alone, and never
-import it.  No job imports `dataclasses`, whose import pulls in
+coin, the closed forms of `exact` and `xi`, the eigensystem of `spectrum`,
+the limit density of `limit` and the Kolmogorov distance of `compare` run
+on Python floats alone, and never import it; `simulate` and `xi --brute`
+do.  No job imports `dataclasses`, whose import pulls in
 `inspect`, or `argparse` and its `gettext`.  The layers load on first
 use, so each job executes only the layers it calls."""
 
@@ -153,10 +154,12 @@ def test_spectrum_leaves_numpy_unloaded(name, exit_code):
     assert not _loaded_after(code)
 
 
-def test_compare_loads_numpy():
-    argv = ["compare", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
+@pytest.mark.parametrize("name", ("tracefree_ij", "tracefree_mixed", "hadamard"))
+def test_compare_leaves_numpy_unloaded(name):
+    # case4, case5 and case3: every route of the closed-form distribution
+    argv = ["compare", "--coin", os.path.join(COIN_DIR, f"{name}.json"),
             "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"]
-    assert _loaded_after(f"from qqwalk.cli import main\nassert main({argv!r}) == 0\n")
+    assert not _loaded_after(f"from qqwalk.cli import main\nassert main({argv!r}) == 0\n")
 
 
 LAYERS = {"quaternion", "coin", "walk", "exact", "spectral", "_numpy"}

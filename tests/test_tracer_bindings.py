@@ -2,7 +2,7 @@
 attribute and parameter name; a rename or a dropped cache there breaks
 `perfbench/run.py --trace 1` without failing any other test.  The layers
 load on first use, so a traced job must still record a span for every
-traced function it reaches."""
+traced function it reaches, and for no other."""
 
 import importlib
 import importlib.util
@@ -69,21 +69,26 @@ def test_cache_targets_report_statistics(key):
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 COIN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
-TRACED_JOBS = {  # argv, every traced function the job reaches, work counts
+TRACED_JOBS = {  # argv, the traced functions the job reaches, work counts
     "compare": (["compare", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
                  "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"],
-                {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.split_pq",
+                {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
                  "spectral.limit_compare", "spectral.qqw_limit_params",
-                 "spectral.weight_constant", "walk.evolve", "walk.distribution",
-                 "spectral.kolmogorov_distance", "spectral.limit_cdf"},
-                {"walk.evolve": {"site_updates": 100 * 101 // 2},
-                 "spectral.limit_cdf": {"points": 101 * 400}}),
+                 "spectral.weight_constant", "exact.closed_form_distribution",
+                 "spectral.kolmogorov_distance"},
+                {}),
     "exact": (["exact", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
                "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "40",
                "--out", "out.csv"],
               {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
                "exact.closed_form_distribution"},
               {}),
+    "simulate": (["simulate", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
+                  "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "40",
+                  "--out", "out.csv"],
+                 {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.split_pq",
+                  "walk.evolve", "walk.distribution"},
+                 {"walk.evolve": {"site_updates": 40 * 41 // 2}}),
 }
 
 
@@ -105,5 +110,5 @@ def test_traced_job_records_every_span(job, tmp_path):
     with open(tmp_path / "spans.json", encoding="utf-8") as fh:
         spans = json.load(fh)["spans"]
     names = {name for name, *_ in spans}
-    assert reached <= names, reached - names
+    assert names == reached, names ^ reached
     assert {name: counts for name, _, _, _, counts in spans if counts} == work
