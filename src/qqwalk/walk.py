@@ -30,6 +30,7 @@ holds the start state to the same tolerance.  Both checks fail on NaN.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from . import _numpy as np
@@ -108,7 +109,8 @@ class Distribution(_Sublattice):
         return 0.0 if i is None else float(self.probs[i])
 
     def total(self) -> float:
-        return float(np.sum(self.probs))
+        # fsum reads a list without loading numpy, and rounds once
+        return math.fsum(self.probs)
 
 
 def init_state(alpha: Quaternion, beta: Quaternion) -> WalkState:

@@ -6,10 +6,11 @@ meaningful: a dict-based walk evolution, the site-by-site steppers the
 momentum-space propagator of `qqwalk.walk.evolve` is checked against
 (`step` in quaternion arithmetic, `step_fourier` by the complex images of
 the move operators, and `step_walk`, which also records the total
-probability after every step), path sums by enumeration of every path, the alternating sums in exact rational arithmetic,
+probability after every step), path sums by enumeration of every path,
 the Laurent coefficients of the Chebyshev polynomials
-U_j(s - (u/2)(w + 1/w)) of the trace-free closed form in exact integer
-arithmetic (`chebyshev_laurent`), the case4 split into two commuting
+U_j(s - (u/2)(w + 1/w)) of the closed forms in exact integer arithmetic
+(`chebyshev_laurent`) and, on the line s + u = 1, by a single binomial
+sum per coefficient (`chebyshev_touching`), the case4 split into two commuting
 subwalks, a determinant-sampling route to
 characteristic-polynomial coefficients, the arcsine-type law f_r as one
 numpy expression (`arcsine_density`), the paper's printed G-form of the
@@ -166,30 +167,6 @@ def enumerate_xi(ops: MoveOperators, n_max: int) -> dict[tuple[int, int], np.nda
     return {key: chi_inv_matrix(total) for key, total in sums.items()}
 
 
-def exact_s_sums(asq: float, bsq: float, n: int, t: int) -> tuple[float, float]:
-    """(|a|^2)^h S0 and (|a|^2)^h S1, h = (n - 1) // 2, where
-
-    S0 = sum f(g) / g,  S1 = sum f(g),  g = 1 .. min(t, n - t),
-    f(g) = (-|b|^2/|a|^2)^g C(t-1, g-1) C(n-t-1, g-1).
-
-    The sums are exact rationals; the scaling multiplies numerator and
-    denominator as integers, and one integer true division rounds each
-    result to the nearest float.
-    """
-    ratio = Fraction(bsq) / Fraction(asq)
-    s0 = Fraction(0)
-    s1 = Fraction(0)
-    for g in range(1, min(t, n - t) + 1):
-        f = (-ratio) ** g * comb(t - 1, g - 1) * comb(n - t - 1, g - 1)
-        s1 += f
-        s0 += Fraction(f, g)
-    num, den = asq.as_integer_ratio()
-    h = (n - 1) // 2
-    num, den = num ** h, den ** h
-    return (s0.numerator * num / (s0.denominator * den),
-            s1.numerator * num / (s1.denominator * den))
-
-
 def chebyshev_laurent(j_max: int, s: Fraction, u: Fraction) -> list[list[float]]:
     """For j = 0 .. j_max, the coefficients [w^k] U_j(X), k = 0 .. j, of
     X = s - (u/2)(w + 1/w), each rounded once from its exact rational value.
@@ -215,6 +192,29 @@ def chebyshev_laurent(j_max: int, s: Fraction, u: Fraction) -> list[list[float]]
         prev, cur = cur, nxt
         out.append([c / scale ** (j + 1) for c in cur[j + 1:]])
     return out
+
+
+def chebyshev_touching(j: int, u: Fraction, k: int) -> float:
+    """[w^k] U_j(X) of X = (1 - u) - (u/2)(w + 1/w), on the line s + u = 1
+    where the bands touch, rounded once from its exact rational value.
+
+    It is the single sum
+    sum_{i=|k|}^{j} (-u)^i C(j+i+1, 2i+1) C(2i, i+|k|), from the expansion
+    U_j(x) = sum_i (-2)^i C(j+i+1, 2i+1) (1-x)^i about x = 1 and
+    1 - X = (u/2)(v + 1/v)^2 with v^2 = w, so one coefficient costs O(j)
+    integer products where `chebyshev_laurent` builds every j before it.
+    """
+    k = abs(k)
+    num, den = u.numerator, u.denominator
+    c1, c2 = comb(j + k + 1, 2 * k + 1), 1  # C(j+i+1, 2i+1), C(2i, i+k) at i = k
+    power = (-num) ** k * den ** (j - k)  # (-u)^i times den^j
+    total = 0
+    for i in range(k, j + 1):
+        total += power * c1 * c2
+        c1 = c1 * (j + i + 2) * (j - i) // ((2 * i + 2) * (2 * i + 3))
+        c2 = c2 * (2 * i + 1) * (2 * i + 2) // ((i + k + 1) * (i - k + 1))
+        power = power * -num // den
+    return total / den ** j
 
 
 def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -537,8 +537,8 @@ def random_spinor(rng: np.random.Generator) -> tuple[Quaternion, Quaternion]:
 def ratio4_coin() -> Coin:
     """The case4 coin a = d = 1/sqrt5, b = c = 2j/sqrt5: |b|^2/|a|^2 = 4.
 
-    Its alternating sums leave the float range from n of a few hundred on,
-    while (|a|^2)^(n-1) underflows.
+    From n of a few hundred on, (|a|^2)^(n-1) underflows, and so do the top
+    Chebyshev coefficients (-|a|^2)^j of its closed forms.
     """
     s = 1.0 / math.sqrt(5.0)
     b = Quaternion(0.0, 0.0, 2.0 * s, 0.0)

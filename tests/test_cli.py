@@ -127,8 +127,8 @@ def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert np.max(np.abs(np.array(closed["matrix"])
                          - np.array(brute["matrix"]))) <= 1e-12
     # and for any coin, where the closed forms stop at their domain
-    path = tmp_path / "case5.json"
-    path.write_text(coin_to_json(random_coin(np.random.default_rng(91), "case5")),
+    path = tmp_path / "general.json"
+    path.write_text(coin_to_json(random_coin(np.random.default_rng(91), "general")),
                     encoding="utf-8")
     args = ["xi", "--coin", str(path), "--l", "3", "--m", "4"]
     assert main(args) == 2
@@ -136,12 +136,12 @@ def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["paths"] == 35
 
 
-@pytest.mark.parametrize("kind", ("case4", "complex"))
+@pytest.mark.parametrize("kind", ("case4", "complex", "case5"))
 def test_xi_closed_and_brute_case4_and_complex(kind, tmp_path, capsys):
     # these closed forms divide and raise unit phases to powers in Python
     # complex arithmetic, which rounds unlike numpy's; l = m = 150 takes
     # the power past 100, where Python switches to the polar form
-    path = TRACEFREE_IJ
+    path = {"case4": TRACEFREE_IJ, "case5": TRACEFREE[-1]}.get(kind)
     if kind == "complex":
         path = str(tmp_path / "complex.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -547,7 +547,7 @@ def test_size_above_cap_is_usage_error(hadamard_file, tmp_path, capsys, args):
 
 
 def test_closed_forms_at_large_n(tmp_path, capsys):
-    # |b|^2/|a|^2 = 4: the unscaled sums overflow from n of a few hundred on
+    # |b|^2/|a|^2 = 4: (|a|^2)^(n-1) underflows from n of a few hundred on
     path = tmp_path / "ratio4.json"
     path.write_text(coin_to_json(ratio4_coin()), encoding="utf-8")
     out = tmp_path / "exact.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from qqwalk.coin import (
     MoveOperators,
     classify,
     hadamard_coin,
+    load_coin,
     random_coin,
     split_pq,
     validate_coin,
@@ -26,15 +28,14 @@ from qqwalk.exact import (
     xi_closed,
     _chebyshev_coeffs,
     _s_sums,
-    _sums_by_t,
 )
 from qqwalk.walk import distribution, evolve
 
 from helpers import (
     case4_split,
     chebyshev_laurent,
+    chebyshev_touching,
     enumerate_xi,
-    exact_s_sums,
     is_unitary,
     max_abs,
     qmat_mul,
@@ -177,7 +178,7 @@ def test_closed_complex_domain():
         xi_closed(coin, 0, 4)
     rng = np.random.default_rng(54)
     with pytest.raises(DomainError):
-        xi_closed(random_coin(rng, "case5"), 1, 1)
+        xi_closed(random_coin(rng, "general"), 1, 1)
     with pytest.raises(DomainError):
         xi_closed(random_coin(rng, "case1"), 1, 1)
 
@@ -238,13 +239,34 @@ def test_closed_case4_random():
                 assert max_abs(closed - brute) <= 1e-10
 
 
+COIN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
+TRACEFREE_FILES = [os.path.join(COIN_DIR, f"tracefree_{name}.json")
+                   for name in ("ij", "jk", "mixed")]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_closed_trace_free_matches_enumeration(index):
+    # the trace-free coin files (tracefree_ij classifies as case4, the
+    # others as case5) and random case5 coins, every l, m >= 1 with
+    # l + m <= 9
+    coins = [load_coin(path) for path in TRACEFREE_FILES]
+    coins += [random_coin(np.random.default_rng(seed), "case5") for seed in (65, 66, 67)]
+    coin = coins[index]
+    table = enumerate_xi(split_pq(coin), 9)
+    for l in range(1, 9):
+        for m in range(1, 10 - l):
+            assert max_abs(xi_closed(coin, l, m).matrix - table[l, m]) <= 1e-10, (l, m)
+
+
 def test_closed_matches_propagator_columns():
     # Xi(l, m) maps (alpha, beta) to the amplitude pair at x = m - l after
     # l + m steps: its columns are the walk from (1, 0) and from (0, 1),
     # and xi_bruteforce reads the same sum off the propagator at once.
     rng = np.random.default_rng(64)
     cases = [(hadamard_coin(), l, l) for l in (40, 60, 100)]
-    cases += [(random_coin(rng, kind), 40, 40) for kind in ("complex", "case3", "case4")]
+    cases += [(random_coin(rng, kind), 40, 40)
+              for kind in ("complex", "case3", "case4", "case5")]
+    cases += [(load_coin(path), 40, 40) for path in TRACEFREE_FILES]
     cases.append((ratio4_coin(), 530, 530))
     one, zero = Quaternion.one(), Quaternion.zero()
     for coin, l, m in cases:
@@ -258,19 +280,19 @@ def test_closed_matches_propagator_columns():
             assert gap <= 1e-12, (l, m, col, gap)
 
 
-@pytest.mark.parametrize("kind", ("case3", "case4", "complex"))
+@pytest.mark.parametrize("kind", ("case3", "case4", "complex", "case5"))
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        l=st.integers(min_value=1, max_value=20),
        m=st.integers(min_value=1, max_value=20))
 def test_xi_closed_matches_propagator(kind, seed, l, m):
-    # every family xi_closed dispatches to, case3 coins with both signs
+    # every family xi_closed reads, case3 coins with both signs
     coin = random_coin(np.random.default_rng(seed), kind)
     closed = np.array(xi_closed(coin, l, m).matrix)
     assert max_abs(closed - xi_bruteforce(split_pq(coin), l, m).matrix) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ("case3", "case4", "complex"))
+@pytest.mark.parametrize("kind", ("case3", "case4", "complex", "case5"))
 def test_xi_closed_classifies_once(kind, monkeypatch):
     coin = random_coin(np.random.default_rng(57), kind)
     calls = []
@@ -291,12 +313,12 @@ def _nested_types(value):
 def test_closed_dispatch():
     # both routes give the same plain type: 2 x 2 lists of 4 floats
     rng = np.random.default_rng(57)
-    for kind in ("case3", "case4", "complex"):
+    for kind in ("case3", "case4", "complex", "case5"):
         coin = random_coin(rng, kind)
         for ps in (xi_closed(coin, 2, 2), xi_bruteforce(split_pq(coin), 2, 2)):
             assert _nested_types(ps.matrix) == [[[float] * 4] * 2] * 2, kind
     with pytest.raises(DomainError):
-        xi_closed(random_coin(rng, "case5"), 2, 2)
+        xi_closed(random_coin(rng, "general"), 2, 2)
 
 
 # ---------------------------------------------------------------------
@@ -359,8 +381,8 @@ def test_prob_matches_simulation_case3_case4():
             coin = random_coin(rng, kind)
             alpha, beta = random_spinor(rng)
             cases += [(kind, coin, alpha, beta, n) for n in (6, 11)]
-    # at n = 460 the unscaled sums overflow and (|a|^2)^(n-1) underflows;
-    # at n = 2000 the Jacobi polynomials themselves leave the float range
+    # at n = 460 (|a|^2)^(n-1) underflows, and at n = 2000 the top
+    # Chebyshev coefficients (-|a|^2)^j do
     cases.append(("ratio4", ratio4_coin(), *random_spinor(rng), 460))
     cases.append(("ratio4", ratio4_coin(), *random_spinor(rng), 2000))
     cases.append(("case3", random_coin(rng, "case3"), *random_spinor(rng), 2000))
@@ -389,27 +411,50 @@ def test_closed_form_distribution_matches_walk(kind, seed, n):
 # trace-free coins
 # ---------------------------------------------------------------------
 
-# (Re(bc), |a|^2) pairs: generic, Re(bc) = 0, and band-touching ones with
-# Re(bc) +- |a|^2 = +-1, down to |a|^2 = 2^-10 and up to 1 - 2^-10
+# (s, u) pairs of trace-free coins, (Re(bc), |a|^2): generic, Re(bc) = 0,
+# and band-touching ones with Re(bc) +- |a|^2 = +-1, down to |a|^2 = 2^-10
+# and up to 1 - 2^-10; then pairs (1 - |a|^2, |a|^2) of the closed family,
+# which all lie on the band-touching line s + u = 1
+CLOSED_FAMILY_U = [Fraction(1, 2 ** 13), Fraction(1, 2 ** 10), Fraction(3, 16),
+                   1 - Fraction(1, 2 ** 10), 1 - Fraction(1, 2 ** 13)]
 CHEBYSHEV_PAIRS = [(Fraction(1, 8), Fraction(1, 2)), (Fraction(-5, 16), Fraction(3, 8)),
                    (Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4)),
                    (Fraction(-1, 2), Fraction(1, 2)),
                    (Fraction(-1023, 1024), Fraction(1, 1024)),
                    (Fraction(-1, 1024), Fraction(1023, 1024))]
+CHEBYSHEV_PAIRS += [(1 - u, u) for u in CLOSED_FAMILY_U]
+
+
+def _coeffs(s, u, j):
+    """e_0 .. e_j of the kernel, which yields them from e_j down."""
+    return list(_chebyshev_coeffs(s, float(u), j))[::-1]
 
 
 @pytest.mark.parametrize("s,u", CHEBYSHEV_PAIRS)
 def test_chebyshev_coeffs_match_exact_rationals(s, u):
     # the integer recurrence rounds each coefficient once: it equals the
     # exact value rounded to a float, up to a last-bit tie and the double
-    # rounding of subnormal values
+    # rounding of subnormal values.  s goes in as the Fraction it is, as
+    # the closed family passes it
     exact = chebyshev_laurent(200, s, u)
     for j in (0, 1, 2, 3, 4, 5, 17, 64, 112, 199, 200):
-        got = _chebyshev_coeffs(float(s), float(u), j)
+        got = _coeffs(s, u, j)
         assert len(got) == j + 1
         for g, e in zip(got, exact[j]):
             assert abs(g - e) <= 2.3e-16 * abs(e) + 1e-320, (j, g, e)
-    assert _chebyshev_coeffs(float(s), float(u), -1) == []
+        if s + u == 1:  # the oracle of the touching line, against this one
+            assert [chebyshev_touching(j, u, k) for k in range(j + 1)] == exact[j]
+    assert _coeffs(s, u, -1) == []
+
+
+def test_chebyshev_coeffs_match_exact_rationals_at_j_2000():
+    # `chebyshev_laurent` would build every j up to 2000 (20 s); on the
+    # touching line one coefficient is a single exact sum
+    u = Fraction(3, 16)
+    got = _coeffs(1 - u, u, 2000)
+    for k in (0, 1, 2, 3, 250, 500, 999, 1000, 1500, 1998, 1999, 2000):
+        e = chebyshev_touching(2000, u, k)
+        assert abs(got[k] - e) <= 2.3e-16 * abs(e) + 1e-320, (k, got[k], e)
 
 
 def _band_touching_coin(rng, asq):
@@ -453,11 +498,13 @@ def test_case5_prob_reads_the_distribution():
         assert closed_form_prob(coin, alpha, beta, 9, x) == whole.prob(x)
 
 
-@pytest.mark.parametrize("n", (50, 301))
+@pytest.mark.parametrize("n", (50, 301, 2000, 2001))
 def test_closed_form_distribution_small_a(n):
-    # at |a|^2 = 1e-4 the interior form c0 s0^2 + 2 c1 s0 s1 + c2 s1^2
-    # cancels about three digits of s0 and s1: 1.19e-12 (n = 50) and
-    # 4.9e-13 (n = 301) from the walk here; this pins that accuracy
+    # |a|^2 = 1e-4 is not dyadic, and the coefficients reach 60 where a
+    # probability is 0.02.  The closed form is 1.1e-14, 1.9e-14, 4.6e-14
+    # and 4.3e-14 from the walk here.  With s the float |b|^2, s + u misses
+    # 1 by a rounding and n = 2000 reads 4.1e-12; with the Gram form summed
+    # term by term in place of |R c|^2, n = 2001 reads 1.6e-12
     asq = 1e-4
     a = math.sqrt(asq) * cmath.exp(0.7j)
     b = math.sqrt(1.0 - asq) * cmath.exp(2.1j)
@@ -467,80 +514,57 @@ def test_closed_form_distribution_small_a(n):
     alpha, beta = random_spinor(np.random.default_rng(0))
     sim = distribution(evolve(coin, alpha, beta, n))
     exact = closed_form_distribution(coin, alpha, beta, n)
-    assert np.max(np.abs(sim.probs - exact.probs)) <= 1e-11
+    bound = 1e-12 if n >= 2000 else 1e-11
+    assert np.max(np.abs(sim.probs - exact.probs)) <= bound
+
+
+def test_closed_form_distribution_total_at_large_n():
+    # hadamard.json's floats give |a|^2 + |b|^2 = 1 + 2^-52; the closed
+    # form keeps s + u = 1 exact, so its total does not drift with n
+    coin = load_coin(os.path.join(COIN_DIR, "hadamard.json"))
+    dist = closed_form_distribution(coin, Quaternion.one(), Quaternion.zero(), 200000)
+    assert abs(math.fsum(dist.probs) - 1.0) <= 2e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(num=st.integers(1, 2 ** 10 - 1), j=st.integers(0, 400),
+       lo=st.integers(-403, 403), width=st.integers(1, 4))
+def test_s_sums_match_exact_rationals(num, j, lo, width):
+    # the window a path sum reads, on the closed family's line s + u = 1,
+    # against the exact single sum of `chebyshev_touching`; e_k = 0 for
+    # |k| > j
+    u = Fraction(num, 2 ** 10)
+    hi = lo + width - 1
+    got = _s_sums(1 - u, float(u), j, lo, hi)
+    want = [chebyshev_touching(j, u, k) if abs(k) <= j else 0.0 for k in range(lo, hi + 1)]
+    assert len(got) == width
+    for g, e in zip(got, want):
+        assert abs(g - e) <= 2.3e-16 * abs(e) + 1e-320, (g, e)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(asq=st.floats(0.02, 0.98), n=st.integers(2, 500),
-       eps=st.floats(-1e-10, 1e-10), data=st.data())
-def test_s_sums_match_exact_rationals(asq, n, eps, data):
-    # every t, also t > n/2; |a|^2 + |b|^2 may differ from 1 by as much
-    # as coin validation allows
-    t = data.draw(st.integers(1, n - 1), label="t")
-    bsq = (1.0 - asq) * (1.0 + eps)
-    for got, want in zip(_s_sums(asq, bsq, n, t), exact_s_sums(asq, bsq, n, t)):
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(asq=st.floats(0.02, 0.98), n=st.integers(2, 500),
-       eps=st.floats(-1e-10, 1e-10), data=st.data())
-def test_sums_by_t_match_exact_rationals(asq, n, eps, data):
-    # the pass over t at a drawn site and at its last one, t = n // 2,
-    # the middle site when n is odd
-    t = data.draw(st.integers(1, n // 2), label="t")
-    bsq = (1.0 - asq) * (1.0 + eps)
-    sums = list(_sums_by_t(asq, bsq, n))
-    assert len(sums) == n // 2
-    for site in (t, n // 2):
-        for got, want in zip(sums[site - 1], exact_s_sums(asq, bsq, n, site)):
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), site
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(asq=st.floats(1e-4, 0.9999), n=st.integers(1, 500), data=st.data())
-def test_s_sums_read_the_pass(asq, n, data):
-    # one kernel: a single site is the pass's pair at min(t, n - t), bit for
-    # bit, for t and its mirror n - t (one of them beyond n/2 unless t = n/2);
-    # the edges t = 0 and t = n have no interior sum
-    t = data.draw(st.integers(0, n), label="t")
-    bsq = 1.0 - asq
-    sums = list(_sums_by_t(asq, bsq, n))
-    for site in (t, n - t):
-        near = min(site, n - site)
-        want = sums[near - 1] if near >= 1 else (0.0, 0.0)
-        assert _s_sums(asq, bsq, n, site) == want, site
-    assert _s_sums(asq, bsq, n, 0) == _s_sums(asq, bsq, n, n) == (0.0, 0.0)
-
-
-@pytest.mark.parametrize("asq", (1 / 64, 0.2))
-def test_sums_by_t_match_exact_rationals_at_large_n(asq):
-    # at n = 4001 the polynomials of the pass leave the float range, so it
-    # rescales; the ratios |b|^2/|a|^2 = 63 and 4 are exact, which keeps the
-    # rational sums of the oracle cheap
-    n = 4001
-    bsq = 1.0 - asq
-    sums = list(_sums_by_t(asq, bsq, n))
-    for t in (1, 2, 500, 501, 502, 1001, 1002, 1500, 1999, 2000):
-        for got, want in zip(sums[t - 1], exact_s_sums(asq, bsq, n, t)):
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), t
+@given(pair=st.sampled_from(CHEBYSHEV_PAIRS), j=st.integers(-1, 120),
+       lo=st.integers(-123, 123), width=st.integers(1, 4))
+def test_s_sums_read_the_pass(pair, j, lo, width):
+    # one kernel: a window is the descent's entries bit for bit, mirrored
+    # to e_-k = e_k across k = 0 and zero beyond |k| = j
+    s, u = pair
+    full = _coeffs(s, u, j)
+    want = tuple(full[abs(k)] if abs(k) <= j else 0.0 for k in range(lo, lo + width))
+    assert _s_sums(s, float(u), j, lo, lo + width - 1) == want
 
 
 @pytest.mark.parametrize("n", (301, 2000))
 @pytest.mark.parametrize("asq", (2.0 ** -13, 2.0 ** -10, 1 - 2.0 ** -10, 1 - 2.0 ** -13))
 def test_sums_match_exact_rationals_at_extreme_a(asq, n):
-    # |a|^2 near 0 makes |w| = |b|^2/|a|^2 large and near 1 small; both
-    # ends are dyadic, so |a|^2 + |b|^2 = 1 exactly
-    bsq = 1.0 - asq
-    sums = list(_sums_by_t(asq, bsq, n))
-    for t in (1, 2, n // 7, n // 3, n // 2, n - 3):
-        want = exact_s_sums(asq, bsq, n, t)
-        got = [_s_sums(asq, bsq, n, t)]
-        if t <= n // 2:
-            got.append(sums[t - 1])
-        for pair in got:
-            for g, w in zip(pair, want):
-                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), t
+    # the two coefficient sets a closed-family distribution of n steps
+    # lists, j = n // 2 - 1 and n // 2 - 2, at |a|^2 near 0 and near 1
+    u = Fraction(asq)
+    for j in (n // 2 - 1, n // 2 - 2):
+        got = _coeffs(1 - u, u, j)
+        for k in (0, 1, 2, j // 7, j // 3, j // 2, j - 3, j):
+            e = chebyshev_touching(j, u, k)
+            assert abs(got[k] - e) <= 2.3e-16 * abs(e) + 1e-320, (j, k, got[k], e)
 
 
 def test_distribution_sums_to_one():

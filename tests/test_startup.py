@@ -92,8 +92,9 @@ def test_simulate_loads_numpy(tmp_path):
 
 
 def _closed_form_coin(kind: str, tmp_path) -> str:
-    """hadamard.json (case3), tracefree_ij.json (case4), or a generic
-    complex coin written to tmp_path."""
+    """hadamard.json (case3), tracefree_ij.json (case4),
+    tracefree_mixed.json (case5), or a generic complex coin written to
+    tmp_path."""
     if kind == "complex":
         path = tmp_path / "complex.json"
         path.write_text(coin_to_json(random_coin(np.random.default_rng(5), "complex")),
@@ -101,12 +102,13 @@ def _closed_form_coin(kind: str, tmp_path) -> str:
         assert load_coin(path).is_complex()
         return str(path)
     path = os.path.join(COIN_DIR, {"case3": "hadamard.json",
-                                   "case4": "tracefree_ij.json"}[kind])
+                                   "case4": "tracefree_ij.json",
+                                   "case5": "tracefree_mixed.json"}[kind])
     assert classify(load_coin(path)) == kind
     return path
 
 
-@pytest.mark.parametrize("kind", ("case3", "case4", "complex"))
+@pytest.mark.parametrize("kind", ("case3", "case4", "complex", "case5"))
 def test_closed_forms_leave_numpy_unloaded(kind, tmp_path):
     coin = _closed_form_coin(kind, tmp_path)
     out = str(tmp_path / "exact.csv")
@@ -114,6 +116,17 @@ def test_closed_forms_leave_numpy_unloaded(kind, tmp_path):
             f"assert main(['exact', '--coin', {coin!r}, {QUAT_INIT},"
             f" '--steps', '40', '--out', {out!r}]) == 0\n"
             f"assert main(['xi', '--coin', {coin!r}, '--l', '12', '--m', '17']) == 0\n")
+    assert not _loaded_after(code)
+
+
+def test_closed_form_total_leaves_numpy_unloaded():
+    # `Distribution.total` sums a closed form's list without numpy
+    code = ("import math\n"
+            "from qqwalk import Quaternion, closed_form_distribution, load_coin\n"
+            f"coin = load_coin({os.path.join(COIN_DIR, 'hadamard.json')!r})\n"
+            "dist = closed_form_distribution(coin, Quaternion(1), Quaternion(), 40)\n"
+            "assert dist.total() == math.fsum(dist.probs)\n"
+            "assert abs(dist.total() - 1.0) <= 1e-12\n")
     assert not _loaded_after(code)
 
 
@@ -220,7 +233,7 @@ def test_spectrum_executes_no_walk_or_exact():
     assert _executed_layers(code) == {"coin", "quaternion", "_numpy", "spectral"}
 
 
-@pytest.mark.parametrize("kind", ("case3", "case4", "complex"))
+@pytest.mark.parametrize("kind", ("case3", "case4", "complex", "case5"))
 def test_closed_forms_execute_no_spectral(kind, tmp_path):
     coin = _closed_form_coin(kind, tmp_path)
     code = (_cli(["exact", "--coin", coin, *_init(["--steps", "40", "--out",

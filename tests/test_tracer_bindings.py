@@ -89,6 +89,10 @@ TRACED_JOBS = {  # argv, the traced functions the job reaches, work counts
                  {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.split_pq",
                   "walk.evolve", "walk.distribution"},
                  {"walk.evolve": {"site_updates": 40 * 41 // 2}}),
+    "xi": (["xi", "--coin", os.path.join(COIN_DIR, "hadamard.json"), "--l", "12", "--m", "288"],
+           {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
+            "exact.xi_closed"},
+           {}),
 }
 
 
@@ -108,7 +112,10 @@ def test_traced_job_records_every_span(job, tmp_path):
     assert plain.returncode == traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     with open(tmp_path / "spans.json", encoding="utf-8") as fh:
-        spans = json.load(fh)["spans"]
+        trace = json.load(fh)
+    spans = trace["spans"]
     names = {name for name, *_ in spans}
     assert names == reached, names ^ reached
     assert {name: counts for name, _, _, _, counts in spans if counts} == work
+    if job == "xi":  # the path sum reads its coefficient windows through the cache
+        assert trace["caches"]["exact._s_sums"]["misses"] >= 1
