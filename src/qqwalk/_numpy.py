@@ -8,7 +8,8 @@ numpy loads only when one of them first touches an array.  Coin
 classification, the closed forms, the eigensystem of U(theta) and the
 limit density run on Python floats alone and never load numpy, which keeps
 ``import qqwalk`` and the ``classify``, ``exact``, closed-form ``xi``,
-``spectrum`` and ``limit`` jobs free of its import time.
+``spectrum``, ``limit``, ``compare`` and closed-family ``simulate`` jobs
+free of its import time.
 """
 
 

@@ -122,11 +122,26 @@ def _cmd_classify(*, coin) -> int:
     return 0
 
 
+def _has_closed_distribution(coin) -> bool:
+    """Whether `exact.closed_form_distribution` takes the coin: it is in
+    the closed family, and has no zero entry unless it is case1 or case2.
+    In the other families only a coin within the unitarity tolerance of a
+    case1 or case2 coin has a zero entry."""
+    family = coin_layer.closed_family(coin)
+    return family in ("case1", "case2") or (
+        family is not None and not any(q.is_zero() for q in coin.entries()))
+
+
 def _cmd_simulate(*, coin, alpha, beta, steps, out) -> int:
     coin = _load_coin(coin)
     alpha, beta = _parse_init(alpha, beta)
     _check_size("--steps", steps)
-    dist = walk.distribution(walk.evolve(coin, alpha, beta, steps))
+    if _has_closed_distribution(coin):
+        # the walk's law in O(n) on Python floats, without the propagator or numpy
+        dist = exact.closed_form_distribution(coin, alpha, beta, steps)
+        coin_layer.check_norm((dist.total(),), steps)
+    else:
+        dist = walk.distribution(walk.evolve(coin, alpha, beta, steps))
     _write_dist_csv(out, dist)
     return 0
 
@@ -225,7 +240,8 @@ _INIT = {"alpha": str, "beta": str}
 COMMANDS = {
     "classify": (_cmd_classify, "print the coin class and unitarity residuals",
                  {"coin": str}),
-    "simulate": (_cmd_simulate, "evolve the walk and write x,probability CSV",
+    "simulate": (_cmd_simulate, "write the walk's x,probability CSV (exact's "
+                                "closed form where it has one)",
                  {"coin": str, **_INIT, "steps": int, "out": str}),
     "exact": (_cmd_exact, "closed-form distribution, same CSV schema",
               {"coin": str, **_INIT, "steps": int, "out": str}),

@@ -15,7 +15,10 @@ Classification tags:
 * ``general`` -- anything else
 
 Tags are checked in the order listed; the first match wins, so coins in the
-overlap of several patterns get the more structured tag.
+overlap of several patterns get the more structured tag.  `closed_family`
+reads the tag and `Coin.is_complex` to name the family of the closed forms
+in `exact` a coin belongs to, or None; the CLI routes `simulate` on it
+before `exact` or numpy is loaded.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from .errors import DomainError, NotNormalizedError, NotUnitaryError
+from .errors import DomainError, NormDriftError, NotNormalizedError, NotUnitaryError
 from .quaternion import (
     Quaternion,
     _Frozen,
@@ -40,8 +43,10 @@ __all__ = [
     "validate_coin",
     "unitarity_residuals",
     "check_spinor",
+    "check_norm",
     "split_pq",
     "classify",
+    "closed_family",
     "u_theta",
     "chi_p",
     "chi_q",
@@ -128,6 +133,15 @@ def check_spinor(alpha: Quaternion, beta: Quaternion) -> None:
             f"|alpha|^2 + |beta|^2 = 1 violated by {defect:.3e}")
 
 
+def check_norm(totals, steps: int) -> None:
+    """Raise NormDriftError when any of the total probabilities `totals`
+    (an iterable of floats) misses 1 by more than NORM_TOL, reporting the
+    largest drift; a NaN total fails and is reported."""
+    drift = max((abs(t - 1.0) for t in totals), key=lambda d: (math.isnan(d), d))
+    if not drift <= NORM_TOL:
+        raise NormDriftError(float(drift), steps)
+
+
 def split_pq(coin: Coin) -> MoveOperators:
     """P keeps the top row of the coin, Q keeps the bottom row."""
     zero = Quaternion.zero()
@@ -169,6 +183,26 @@ def classify(coin: Coin) -> str:
     if abs(a.x0) <= ZERO_TOL and abs(d.x0) <= ZERO_TOL:
         return "case5"
     return "general"
+
+
+def closed_family(coin: Coin) -> str | None:
+    """The family of the closed forms in `exact` that a coin belongs to:
+    its tag for case1-case4, else 'complex' for a complex coin, else
+    'case5' for a trace-free coin; None for the other (general) coins."""
+    tag = classify(coin)
+    if tag in ("case1", "case2", "case3", "case4"):
+        return tag
+    if coin.is_complex():
+        return "complex"
+    return tag if tag == "case5" else None
+
+
+def _require_closed_family(coin: Coin, what: str) -> str:
+    """`closed_family`, or DomainError naming `what` for a general coin."""
+    family = closed_family(coin)
+    if family is None:
+        raise DomainError(f"no closed-form {what} for a 'general' quaternionic coin")
+    return family
 
 
 def chi_p(coin: Coin) -> np.ndarray:

@@ -33,7 +33,8 @@ leave it.  The seeds are at most three steps of the walk.
 
 The kernel `_chebyshev_coeffs` runs a five-term recurrence for the Laurent
 coefficients of U_j(X) in integers, down from its top coefficient.  It
-takes s and u as exact rationals.  On the closed family s is the rational
+takes u as a float and s as an exact rational, the integer pair
+(numerator, denominator).  On the closed family s is the rational
 1 - |a|^2 of the float |a|^2, not the float |b|^2: a kernel with s + u
 off 1 by a rounding is the walk of a coin off unitary by as much, and its
 error grows with n.  At |a|^2 = 1e-4 the float |b|^2 put the distribution
@@ -43,11 +44,14 @@ and writes each probability as a quadratic form in six of them, so it
 costs O(n).  A path sum needs a window of four coefficients of each set,
 which `_s_sums` reads off the descent after O(min(l, m)) steps.
 
-The closed forms compute on Python floats and complex numbers and never
-load numpy: a `PathSum.matrix` is a nested 2 x 2 x 4 list from both
-routes, and a closed-form `Distribution` holds its probabilities as a list.
-Only `xi_bruteforce`, which runs the propagator, and the array boundary
-of `case4_subcoins` use numpy.
+The closed forms compute on Python floats, complex numbers and integers,
+and load neither numpy nor `fractions`: a `PathSum.matrix` is a nested
+2 x 2 x 4 list from both routes, and a closed-form `Distribution` holds its
+probabilities as a list.  Only `xi_bruteforce`, which runs the propagator,
+and the array boundary of `case4_subcoins` use numpy.  Which coins have a
+closed form is decided in `coin.closed_family`, before this module loads:
+the CLI's `simulate` writes `closed_form_distribution` on those coins and
+runs the walk on the others.
 """
 
 from __future__ import annotations
@@ -56,18 +60,17 @@ import math
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import (Coin, MoveOperators, _require_nonzero_entries, _u_rows, check_spinor,
-                   classify)
+from .coin import (Coin, MoveOperators, _require_closed_family, _require_nonzero_entries,
+                   _u_rows, check_norm, check_spinor, classify)
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
-from .walk import Distribution, _check_norm, _propagate
+from .walk import Distribution, _propagate
 
 __all__ = [
     "PathSum",
@@ -110,7 +113,7 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
     cols = _propagate(chi_matrix(ops.p), chi_matrix(ops.q),
                       np.eye(4, dtype=np.complex128), n)
     # every column is a walk from a unit vector, so it keeps norm 1
-    _check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
+    check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
     return PathSum(l, m, chi_inv_matrix(cols[m]).tolist())
 
 
@@ -133,20 +136,6 @@ def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     u1 = [[ap, -bp], [cp.conjugate(), dp.conjugate()]]
     u2 = [[ap.conjugate(), bp.conjugate()], [-cp, dp]]
     return tuple(np.array(u, dtype=np.complex128) for u in (u1, u2))
-
-
-def _closed_family(coin: Coin, what: str) -> str:
-    """The closed-form family of a coin: its tag for case1-case4, else
-    'complex' for a complex coin, else 'case5' for a trace-free coin;
-    DomainError, naming `what`, for the other coins."""
-    tag = classify(coin)
-    if tag in ("case1", "case2", "case3", "case4"):
-        return tag
-    if coin.is_complex():
-        return "complex"
-    if tag == "case5":
-        return tag
-    raise DomainError(f"no closed-form {what} for a {tag!r} quaternionic coin")
 
 
 # ---------------------------------------------------------------------
@@ -179,7 +168,7 @@ def _wide_pow(base: float, k: int) -> tuple[int, int]:
     return mant << cut, exp - cut
 
 
-def _chebyshev_coeffs(s: float | Fraction, u: float, j: int) -> Iterator[float]:
+def _chebyshev_coeffs(s: tuple[int, int], u: float, j: int) -> Iterator[float]:
     """Yield e_j, e_{j-1}, .., e_0, where e_k = [w^k] U_j(s - (u/2)(w + 1/w))
     and e_-k = e_k; nothing for j = -1, where U_-1 = 0.
 
@@ -196,7 +185,7 @@ def _chebyshev_coeffs(s: float | Fraction, u: float, j: int) -> Iterator[float]:
     In floats the recurrence loses digits where its terms cancel: at
     j = 1e4 up to 1e-10 of the largest coefficient when the bands touch
     (s +- u = +-1).  So it runs in integers.  2su, A and u^2 are exact
-    rationals of s (a float or a Fraction) and the float u, scaled here to
+    rationals of s = sn / sd, the pair (sn, sd), and the float u, scaled to
     integers; the four live values are integers of _WIDE to _WIDE + 64
     bits with a shared binary exponent, so a step rounds only in its floor
     division, at 2^-96 relative, and each coefficient is rounded once to a
@@ -204,7 +193,7 @@ def _chebyshev_coeffs(s: float | Fraction, u: float, j: int) -> Iterator[float]:
     """
     if j < 0:
         return
-    (sn, sd), (un, ud) = s.as_integer_ratio(), u.as_integer_ratio()
+    (sn, sd), (un, ud) = s, u.as_integer_ratio()
     den = math.lcm(sd, ud)
     sw, uw = sn * (den // sd), un * (den // ud)  # s and u times den
     # 2su, A and u^2 times den^2
@@ -239,7 +228,7 @@ _S_SUMS_CACHE = 4096
 
 
 @lru_cache(maxsize=_S_SUMS_CACHE)
-def _s_sums(s: float | Fraction, u: float, j: int, lo: int, hi: int) -> tuple[float, ...]:
+def _s_sums(s: tuple[int, int], u: float, j: int, lo: int, hi: int) -> tuple[float, ...]:
     """e_k of `_chebyshev_coeffs(s, u, j)` for k = lo .. hi, with e_-k = e_k
     and e_k = 0 for |k| > j: the window that one row of the walk reads,
     after j - min |k| steps of the descent."""
@@ -273,20 +262,21 @@ def _walk_steps(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return states
 
 
-def _kernel_inputs(coin: Coin, family: str) -> tuple[float | Fraction, float, list]:
+def _kernel_inputs(coin: Coin, family: str) -> tuple[tuple[int, int], float, list]:
     """(s, u, twists) of the closed form of a case3, case4, complex or case5
-    coin: the kernel's parameters and, per amplitude component, the pair
-    (t_c, D_c)."""
+    coin: the kernel's parameters, s as its integer pair, and, per
+    amplitude component, the pair (t_c, D_c)."""
     u = coin.a.norm_sq()
     if family == "case5":
-        return (coin.b * coin.c).re, u, [(1.0, -1.0)] * 4
+        return (coin.b * coin.c).re.as_integer_ratio(), u, [(1.0, -1.0)] * 4
     rows = _u_rows(coin, 0.0)
     twists = [None] * 4
     for i, p in ((0, 3), (1, 2)) if family == "case4" else ((0, 2), (1, 3)):
         a, d = rows[i][i], rows[p][p]
         twists[i] = twists[p] = (a / d, d / a.conjugate())
     # exact: s + u = 1 holds for the unitary walk, not for the float |b|^2
-    return 1 - Fraction(u), u, twists
+    num, den = u.as_integer_ratio()
+    return (den - num, den), u, twists
 
 
 def _seed_rows(states: list, eps: int, twists: list) -> list[list[complex]]:
@@ -316,7 +306,7 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     for a coin outside these families, for a zero entry (which rules out
     case1 and case2), and unless l, m >= 1.
     """
-    family = _closed_family(coin, "path sum")
+    family = _require_closed_family(coin, "path sum")
     _check_lm(l, m)
     # case1 and case2 coins, the only ones here whose entries need not be
     # complex, always fail this check
@@ -445,7 +435,7 @@ def _probs(coin: Coin, alpha: Quaternion, beta: Quaternion, n: int) -> list[floa
     check_spinor(alpha, beta)
     if n < 0:
         raise DomainError("n must be non-negative")
-    family = _closed_family(coin, "distribution")
+    family = _require_closed_family(coin, "distribution")
     if n == 0:
         return [1.0]
     if family == "case1":

@@ -15,7 +15,7 @@ arcsine-type density f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2)
 sqrt(r^2 - y^2)), where only the support radius r depends on the coin
 (the closed form `support_radius` for trace-free coins, whose diagonal
 has vanishing real parts, and |a| for the case3, case4 and complex coins
-of `exact`'s closed family), with quadrature that absorbs the
+of `coin.closed_family`), with quadrature that absorbs the
 inverse-square-root edge singularity by the substitution y = r sin(phi).
 The Kolmogorov distance of `limit_compare` reads the weighted CDF in
 closed form and the exact distribution from `exact`, so it needs neither
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from . import exact, walk
-from .coin import ZERO_TOL, Coin, _require_nonzero_entries, _u_rows
+from .coin import ZERO_TOL, Coin, _require_closed_family, _require_nonzero_entries, _u_rows
 from .errors import DegenerateABError, DegenerateError, DomainError
 from .quaternion import Quaternion, _phi_of
 
@@ -354,14 +354,14 @@ def support_radius(coin: Coin) -> float:
 
 def qqw_limit_params(coin: Coin) -> LimitDensity:
     """Limit-density parameters of a coin: r = `support_radius` when it is
-
-    trace-free, else r = |a| when it is in `exact`'s closed family (case3,
-    case4, complex).  DomainError for other coins and for a zero entry.
+    trace-free, else r = |a| when `coin.closed_family` puts it in the
+    closed family (case3, case4, complex).  DomainError for other coins and
+    for a zero entry.
     """
     if _is_trace_free(coin):
         r = support_radius(coin)
     else:
-        exact._closed_family(coin, "limit law")
+        _require_closed_family(coin, "limit law")
         _require_nonzero_entries(coin, "limit law")
         r = math.sqrt(coin.a.norm_sq())
     return LimitDensity(r=r, g=_g_constant(coin.a.norm_sq(), (coin.b * coin.c).re))

@@ -16,16 +16,21 @@ and a polynomial of degree n is fixed by its values at the n+1 roots of
 unity: the length-(n+1) inverse DFT recovers them exactly, without
 aliasing.  The matrix power costs about log2(n) batched 4x4 products, so
 an evolution is O(n log n) instead of the O(n^2) of stepping.  It is the
-only evolution route in the package.  The site-by-site steppers it is
-tested against are oracles in `tests/helpers.py`: `step` in quaternion
-arithmetic, its twin on the complex images of the move operators, and
-`step_walk`, which also records the norm after every step.
+only evolution route in the package, and the tests' reference for the
+closed forms of `exact`.  The CLI's `simulate` runs it only on the general
+coins that `coin.closed_family` leaves out; on the others it writes
+`exact.closed_form_distribution`, the same law in O(n) without numpy.  The
+site-by-site steppers `evolve` is tested against are oracles in
+`tests/helpers.py`: `step` in quaternion arithmetic, its twin on the
+complex images of the move operators, and `step_walk`, which also records
+the norm after every step.
 
 Total probability is asserted, never renormalized: an evolution whose
-final state misses 1 by more than `coin.NORM_TOL` raises NormDriftError,
-and `exact.xi_bruteforce` holds each propagated column to the same check.
-`coin.check_spinor`, the one normalization check of an initial spinor,
-holds the start state to the same tolerance.  Both checks fail on NaN.
+final state misses 1 by more than `coin.NORM_TOL` raises NormDriftError
+from `coin.check_norm`, the one normalization check of a result, which
+`exact.xi_bruteforce` applies to each propagated column and the CLI to a
+closed-form distribution.  `coin.check_spinor` holds the start state to
+the same tolerance.  Both checks fail on NaN.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ import math
 from collections.abc import Sequence
 
 from . import _numpy as np
-from .coin import NORM_TOL, Coin, check_spinor, chi_p, chi_q
-from .errors import NormDriftError
+from .coin import Coin, check_norm, check_spinor, chi_p, chi_q
 from .quaternion import Quaternion, _phi_of, _psi_of
 
 __all__ = [
@@ -150,14 +154,6 @@ def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
     return phi
 
 
-def _check_norm(totals, steps: int) -> None:
-    """Raise NormDriftError when a total probability (or any of an array of
-    them) misses 1 by more than NORM_TOL; NaN fails too."""
-    drift = float(np.max(np.abs(np.asarray(totals) - 1.0)))
-    if not drift <= NORM_TOL:
-        raise NormDriftError(drift, steps)
-
-
 def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion,
            steps: int) -> WalkState:
     """Run `steps` updates from the origin state (alpha, beta) by the
@@ -171,7 +167,7 @@ def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion,
     state = init_state(alpha, beta)
     state = WalkState(steps, _propagate(chi_p(coin), chi_q(coin),
                                         state.phi.T, steps)[:, :, 0])
-    _check_norm(state.total_probability(), steps)
+    check_norm((state.total_probability(),), steps)
     return state
 
 

@@ -8,14 +8,18 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qqwalk.cli as cli
 from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
-from qqwalk.coin import coin_to_json, hadamard_coin, load_coin, random_coin, validate_coin
+from qqwalk.coin import (COIN_CLASSES, ZERO_TOL, closed_family, coin_to_json, hadamard_coin,
+                         load_coin, random_coin, validate_coin)
+from qqwalk.exact import closed_form_distribution
 from qqwalk.spectral import qqw_limit_params, weight_constant
+from qqwalk.walk import Distribution, distribution, evolve
 
-from helpers import numpy_limit_csv, ratio4_coin
+from helpers import numpy_limit_csv, random_spinor, ratio4_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -27,6 +31,7 @@ TOO_BIG = str(cli.MAX_SIZE + 1)
 OUT = "<out>"
 COIN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 TRACEFREE_IJ = os.path.join(COIN_DIR, "tracefree_ij.json")
+SUPERPOSITION = os.path.join(COIN_DIR, "superposition.json")
 TRACEFREE = [os.path.join(COIN_DIR, f"tracefree_{name}.json")
              for name in ("ij", "jk", "mixed")]
 QUAT_INIT = ["--alpha", "[0.5, 0.5, 0, 0]", "--beta", "[0, 0, 0.5, 0.5]"]
@@ -578,13 +583,114 @@ def test_degenerate_spectrum_is_numeric_error(ij_file, capsys):
     capsys.readouterr()
 
 
-def test_norm_drift_is_numeric_error(hadamard_file, tmp_path, monkeypatch, capsys):
+def test_norm_drift_is_numeric_error(tmp_path, monkeypatch, capsys):
     def drifting(*args, **kwargs):
         raise NormDriftError(1e-6, 100)
 
-    # the CLI calls the walk layer through its module, as `walk.evolve`
+    # superposition.json is general, so `simulate` runs the walk, which the
+    # CLI calls through its module, as `walk.evolve`
     monkeypatch.setattr(cli.walk, "evolve", drifting)
-    code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA, "--beta", BETA,
+    code = main(["simulate", "--coin", SUPERPOSITION, "--alpha", ALPHA, "--beta", BETA,
                  "--steps", "100", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert "drifted" in capsys.readouterr().err
+
+
+def test_closed_route_norm_drift_is_numeric_error(hadamard_file, tmp_path, monkeypatch,
+                                                  capsys):
+    # the closed form's total is asserted as the walk's is
+    def drifting(coin, alpha, beta, n):
+        dist = closed_form_distribution(coin, alpha, beta, n)
+        return Distribution(n, [p * (1.0 - 1e-6) for p in dist.probs])
+
+    monkeypatch.setattr(cli.exact, "closed_form_distribution", drifting)
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA, "--beta", BETA,
+                 "--steps", "100", "--out", str(out)])
+    assert code == 3
+    assert "drifted" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_hadamard_at_the_size_limit(tmp_path):
+    # the propagator drifts linearly in n and exited 3 here, 1.6e-10 off;
+    # the closed form keeps s + u = 1 exact
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
+                 "--alpha", f"[{S}, 0, 0, 0]", "--beta", f"[0, {S}, 0, 0]",
+                 "--steps", str(cli.MAX_SIZE), "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert next(fh) == "x,probability\n"
+        total = math.fsum(float(line.partition(",")[2]) for line in fh)
+    assert abs(total - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------
+# simulate: the closed form on exact's coins, the walk on the others
+# ---------------------------------------------------------------------
+
+def _near_zero(rng, coin):
+    """The coin with each zero entry replaced by one of norm below ZERO_TOL
+    and each other zero component by one below ZERO_TOL / 2 in size: it
+    keeps its class, and is ZERO_TOL off it."""
+    entries = []
+    for q in coin.entries():
+        x = q.to_array()
+        if not x.any():
+            x = rng.normal(size=4)
+            x *= rng.uniform() * ZERO_TOL / np.linalg.norm(x)
+        else:
+            x = np.where(x == 0.0, rng.uniform(-0.5, 0.5, size=4) * ZERO_TOL, x)
+        entries.append(Quaternion.from_array(x))
+    return validate_coin(*entries)
+
+
+@pytest.mark.parametrize("near_zero", (False, True), ids=("exact", "near-zero"))
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=0, max_value=40))
+def test_simulate_matches_the_walk_on_every_class(kind, near_zero, seed, n,
+                                                  tmp_path_factory):
+    # each class takes its route, the closed form or the walk, and every
+    # site stays within 1e-12 of the walk.  A coin ZERO_TOL off its class
+    # takes its class's route, and its walk strays from the class's law by
+    # up to about ZERO_TOL per step (7e-13 per step on case2 coins)
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng, kind)
+    family, eps = closed_family(coin), 0.0
+    if near_zero:
+        coin, eps = _near_zero(rng, coin), ZERO_TOL
+    assert closed_family(coin) == family
+    alpha, beta = random_spinor(rng)
+    tmp = tmp_path_factory.mktemp("simulate")
+    (tmp / "coin.json").write_text(coin_to_json(coin), encoding="utf-8")
+    assert main(["simulate", "--coin", str(tmp / "coin.json"),
+                 "--alpha", json.dumps(alpha.to_list()), "--beta", json.dumps(beta.to_list()),
+                 "--steps", str(n), "--out", str(tmp / "sim.csv")]) == 0
+    got = np.loadtxt(tmp / "sim.csv", delimiter=",", skiprows=1, ndmin=2)
+    want = distribution(evolve(coin, alpha, beta, n))
+    assert np.array_equal(got[:, 0], want.positions())
+    assert np.max(np.abs(got[:, 1] - want.probs)) <= 1e-12 + n * eps
+
+
+@pytest.mark.parametrize("entries", (
+    (Quaternion(1.0), Quaternion(), 1e-11 * J, Quaternion(1.0)),   # case4
+    (Quaternion(), Quaternion(1.0), Quaternion(1.0), Quaternion(1e-11)),  # case3
+), ids=("case4-b", "case3-a"))
+def test_simulate_walks_a_coin_with_a_zero_entry(entries, tmp_path):
+    # within the unitarity tolerance of a case1 or case2 coin, a coin of
+    # another closed class can have a zero entry, which the closed form
+    # refuses (exit 2); `simulate` runs the walk on it
+    coin = validate_coin(*entries)
+    path = tmp_path / "coin.json"
+    path.write_text(coin_to_json(coin), encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--coin", str(path), *QUAT_INIT, "--steps", "3",
+                 "--out", str(out)]) == 0
+    assert main(["exact", "--coin", str(path), *QUAT_INIT, "--steps", "3",
+                 "--out", str(tmp_path / "exact.csv")]) == 2
+    alpha, beta = Quaternion(0.5, 0.5), Quaternion(0.0, 0.0, 0.5, 0.5)
+    want = distribution(evolve(coin, alpha, beta, 3))
+    assert out.read_text().splitlines()[1:] == [
+        "%d,%.17g" % row for row in zip(want.positions(), want.probs)]

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qqwalk import Quaternion, NotUnitaryError
+from qqwalk import NormDriftError, Quaternion, NotUnitaryError
 from qqwalk.coin import (
+    COIN_CLASSES,
     Coin,
+    check_norm,
     classify,
+    closed_family,
     coin_from_json,
     coin_to_json,
     hadamard_coin,
@@ -120,6 +123,31 @@ def test_classify_overlap_precedence():
     b = 0.5 * (J + K)
     coin = validate_coin(Quaternion(S), b, -b.conj(), Quaternion(S))
     assert classify(coin) == "case4"
+
+
+def test_closed_family_by_class():
+    # the tag for case1-case5, 'complex' for a complex coin, None for the rest
+    rng = np.random.default_rng(28)
+    for kind in COIN_CLASSES:
+        assert closed_family(random_coin(rng, kind)) == (None if kind == "general" else kind)
+    assert closed_family(random_coin(rng, "complex")) == "complex"
+    # complex and trace-free: the complex walk's law comes first
+    coin = validate_coin(S * I, Quaternion(S), Quaternion(S), S * I)
+    assert classify(coin) == "case5"
+    assert closed_family(coin) == "complex"
+
+
+def test_check_norm_reports_the_largest_drift():
+    check_norm((1.0, 1.0 + 1e-11), 5)
+    check_norm(np.ones(4), 5)
+    with pytest.raises(NormDriftError) as err:
+        check_norm((1.0 + 2e-10, 1.0 - 3e-10), 7)
+    assert err.value.drift == pytest.approx(3e-10, rel=1e-6) and err.value.steps == 7
+    # a NaN total fails, wherever it sits, and is the drift reported
+    for totals in ((math.nan,), (1.0, math.nan), (math.nan, 1.0 + 1e-3)):
+        with pytest.raises(NormDriftError) as err:
+            check_norm(totals, 1)
+        assert math.isnan(err.value.drift)
 
 
 def test_u_theta_at_zero_is_chi():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qqwalk.exact as exact_module
+import qqwalk.coin as coin_module
 from qqwalk import DomainError, NormDriftError, Quaternion
 from qqwalk.coin import (
     COIN_CLASSES,
@@ -301,7 +301,8 @@ def test_xi_closed_classifies_once(kind, monkeypatch):
         calls.append(c)
         return classify(c)
 
-    monkeypatch.setattr(exact_module, "classify", counting_classify)
+    # the family test of `coin` is the one caller
+    monkeypatch.setattr(coin_module, "classify", counting_classify)
     xi_closed(coin, 5, 7)
     assert len(calls) == 1
 
@@ -427,15 +428,15 @@ CHEBYSHEV_PAIRS += [(1 - u, u) for u in CLOSED_FAMILY_U]
 
 def _coeffs(s, u, j):
     """e_0 .. e_j of the kernel, which yields them from e_j down."""
-    return list(_chebyshev_coeffs(s, float(u), j))[::-1]
+    return list(_chebyshev_coeffs(s.as_integer_ratio(), float(u), j))[::-1]
 
 
 @pytest.mark.parametrize("s,u", CHEBYSHEV_PAIRS)
 def test_chebyshev_coeffs_match_exact_rationals(s, u):
     # the integer recurrence rounds each coefficient once: it equals the
     # exact value rounded to a float, up to a last-bit tie and the double
-    # rounding of subnormal values.  s goes in as the Fraction it is, as
-    # the closed family passes it
+    # rounding of subnormal values.  s goes in as the exact integer pair of
+    # the Fraction, as the closed family passes it
     exact = chebyshev_laurent(200, s, u)
     for j in (0, 1, 2, 3, 4, 5, 17, 64, 112, 199, 200):
         got = _coeffs(s, u, j)
@@ -535,7 +536,7 @@ def test_s_sums_match_exact_rationals(num, j, lo, width):
     # |k| > j
     u = Fraction(num, 2 ** 10)
     hi = lo + width - 1
-    got = _s_sums(1 - u, float(u), j, lo, hi)
+    got = _s_sums((1 - u).as_integer_ratio(), float(u), j, lo, hi)
     want = [chebyshev_touching(j, u, k) if abs(k) <= j else 0.0 for k in range(lo, hi + 1)]
     assert len(got) == width
     for g, e in zip(got, want):
@@ -551,7 +552,7 @@ def test_s_sums_read_the_pass(pair, j, lo, width):
     s, u = pair
     full = _coeffs(s, u, j)
     want = tuple(full[abs(k)] if abs(k) <= j else 0.0 for k in range(lo, lo + width))
-    assert _s_sums(s, float(u), j, lo, lo + width - 1) == want
+    assert _s_sums(s.as_integer_ratio(), float(u), j, lo, lo + width - 1) == want
 
 
 @pytest.mark.parametrize("n", (301, 2000))

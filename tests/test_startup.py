@@ -1,10 +1,11 @@
 """numpy loads on first array use: importing the package, classifying a
-coin, the closed forms of `exact` and `xi`, the eigensystem of `spectrum`,
-the limit density of `limit` and the Kolmogorov distance of `compare` run
-on Python floats alone, and never import it; `simulate` and `xi --brute`
-do.  No job imports `dataclasses`, whose import pulls in
-`inspect`, or `argparse` and its `gettext`.  The layers load on first
-use, so each job executes only the layers it calls."""
+coin, the closed forms of `exact`, `xi` and of `simulate` on their coins,
+the eigensystem of `spectrum`, the limit density of `limit` and the
+Kolmogorov distance of `compare` run on Python floats alone, and never
+import it; `simulate` on a general coin and `xi --brute` do.  No job
+imports `dataclasses`, whose import pulls in `inspect`, `argparse` and its
+`gettext`, or `fractions` and `decimal`.  The layers load on first use, so
+each job executes only the layers it calls."""
 
 import glob
 import json
@@ -21,6 +22,7 @@ from qqwalk.coin import classify, coin_to_json, load_coin, random_coin
 SRC = os.path.dirname(os.path.dirname(qqwalk.__file__))
 COIN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
 COINS = sorted(glob.glob(os.path.join(COIN_DIR, "*.json")))
+SUPERPOSITION = os.path.join(COIN_DIR, "superposition.json")  # general: the walk
 QUAT_INIT = "'--alpha', '[0.5, 0.5, 0, 0]', '--beta', '[0, 0, 0.5, 0.5]'"
 
 
@@ -71,7 +73,8 @@ def test_jobs_leave_argparse_and_dataclasses_unloaded(command, tmp_path):
     # tracefree_ij has every closed form, limit law and a simple spectrum
     argv = [command, "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
             *(str(tmp_path / "out.csv") if a == "<out>" else a for a in JOBS[command])]
-    assert not _modules_after(_cli(argv), ("argparse", "gettext", "dataclasses"))
+    assert not _modules_after(_cli(argv), ("argparse", "gettext", "dataclasses",
+                                          "fractions", "decimal"))
 
 
 def test_classify_leaves_numpy_unloaded():
@@ -85,7 +88,7 @@ def test_classify_leaves_numpy_unloaded():
 def test_simulate_loads_numpy(tmp_path):
     out = str(tmp_path / "sim.csv")
     code = ("from qqwalk.cli import main\n"
-            f"assert main(['simulate', '--coin', {COINS[0]!r},"
+            f"assert main(['simulate', '--coin', {SUPERPOSITION!r},"
             " '--alpha', '[1, 0, 0, 0]', '--beta', '[0, 0, 0, 0]',"
             f" '--steps', '4', '--out', {out!r}]) == 0\n")
     assert _loaded_after(code)
@@ -115,7 +118,9 @@ def test_closed_forms_leave_numpy_unloaded(kind, tmp_path):
     code = ("from qqwalk.cli import main\n"
             f"assert main(['exact', '--coin', {coin!r}, {QUAT_INIT},"
             f" '--steps', '40', '--out', {out!r}]) == 0\n"
-            f"assert main(['xi', '--coin', {coin!r}, '--l', '12', '--m', '17']) == 0\n")
+            f"assert main(['xi', '--coin', {coin!r}, '--l', '12', '--m', '17']) == 0\n"
+            f"assert main(['simulate', '--coin', {coin!r}, {QUAT_INIT},"
+            f" '--steps', '40', '--out', {out!r}]) == 0\n")
     assert not _loaded_after(code)
 
 
@@ -222,8 +227,10 @@ def test_classify_executes_coin_and_quaternion_only():
 
 
 def test_limit_executes_no_walk_or_exact(tmp_path):
-    code = _cli(["limit", "--coin", os.path.join(COIN_DIR, "tracefree_ij.json"),
-                 *_init(["--grid", "11", "--out", str(tmp_path / "density.csv")])])
+    # a trace-free (case4) and a closed-family (case3) coin
+    code = "".join(_cli(["limit", "--coin", os.path.join(COIN_DIR, f"{name}.json"),
+                         *_init(["--grid", "11", "--out", str(tmp_path / "density.csv")])])
+                   for name in ("tracefree_ij", "hadamard"))
     assert _executed_layers(code) == {"coin", "quaternion", "_numpy", "spectral"}
 
 
@@ -238,11 +245,13 @@ def test_closed_forms_execute_no_spectral(kind, tmp_path):
     coin = _closed_form_coin(kind, tmp_path)
     code = (_cli(["exact", "--coin", coin, *_init(["--steps", "40", "--out",
                                                    str(tmp_path / "exact.csv")])])
-            + _cli(["xi", "--coin", coin, "--l", "12", "--m", "17"]))
+            + _cli(["xi", "--coin", coin, "--l", "12", "--m", "17"])
+            + _cli(["simulate", "--coin", coin, *_init(["--steps", "40", "--out",
+                                                        str(tmp_path / "sim.csv")])]))
     assert "spectral" not in _executed_layers(code)
 
 
 def test_simulate_executes_no_exact_or_spectral(tmp_path):
-    code = _cli(["simulate", "--coin", COINS[0],
+    code = _cli(["simulate", "--coin", SUPERPOSITION,
                  *_init(["--steps", "4", "--out", str(tmp_path / "sim.csv")])])
     assert _executed_layers(code) == {"coin", "quaternion", "_numpy", "walk"}

@@ -83,12 +83,18 @@ TRACED_JOBS = {  # argv, the traced functions the job reaches, work counts
               {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
                "exact.closed_form_distribution"},
               {}),
-    "simulate": (["simulate", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
+    "simulate": (["simulate", "--coin", os.path.join(COIN_DIR, "superposition.json"),
                   "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "40",
                   "--out", "out.csv"],
-                 {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.split_pq",
-                  "walk.evolve", "walk.distribution"},
+                 {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
+                  "coin.split_pq", "walk.evolve", "walk.distribution"},
                  {"walk.evolve": {"site_updates": 40 * 41 // 2}}),
+    "simulate-closed": (["simulate", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
+                         "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]",
+                         "--steps", "40", "--out", "out.csv"],
+                        {"cli.main", "coin.load_coin", "coin.unitarity_residuals",
+                         "coin.classify", "exact.closed_form_distribution"},
+                        {}),
     "xi": (["xi", "--coin", os.path.join(COIN_DIR, "hadamard.json"), "--l", "12", "--m", "288"],
            {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
             "exact.xi_closed"},
