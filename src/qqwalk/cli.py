@@ -4,8 +4,10 @@ Subcommands: classify | simulate | exact | xi | spectrum | limit | compare,
 with flags as `--flag value` or `--flag=value`; `--help` prints the usage.
 Outputs are deterministic: CSV with a header row, LF endings and floats at
 17 significant digits; JSON via the standard shortest-round-trip float
-representation.  Exit codes: 0 success, 1 usage or input error, 2 domain
-error, 3 numeric failure (degenerate spectrum, total probability drift).
+representation.  `simulate` writes `exact`'s closed form on every coin
+that `coin.closed_family` names and runs the walk on the others.  Exit
+codes: 0 success, 1 usage or input error, 2 domain error, 3 numeric
+failure (degenerate spectrum, total probability drift).
 """
 
 from __future__ import annotations
@@ -122,21 +124,11 @@ def _cmd_classify(*, coin) -> int:
     return 0
 
 
-def _has_closed_distribution(coin) -> bool:
-    """Whether `exact.closed_form_distribution` takes the coin: it is in
-    the closed family, and has no zero entry unless it is case1 or case2.
-    In the other families only a coin within the unitarity tolerance of a
-    case1 or case2 coin has a zero entry."""
-    family = coin_layer.closed_family(coin)
-    return family in ("case1", "case2") or (
-        family is not None and not any(q.is_zero() for q in coin.entries()))
-
-
 def _cmd_simulate(*, coin, alpha, beta, steps, out) -> int:
     coin = _load_coin(coin)
     alpha, beta = _parse_init(alpha, beta)
     _check_size("--steps", steps)
-    if _has_closed_distribution(coin):
+    if coin_layer.closed_family(coin) is not None:
         # the walk's law in O(n) on Python floats, without the propagator or numpy
         dist = exact.closed_form_distribution(coin, alpha, beta, steps)
         coin_layer.check_norm((dist.total(),), steps)

@@ -7,18 +7,23 @@ structural class.
 
 Classification tags:
 
-* ``case1`` -- diagonal coin, b = c = 0
-* ``case2`` -- antidiagonal coin, a = d = 0
+* ``case1`` -- diagonal coin: b or c is zero
+* ``case2`` -- antidiagonal coin: a or d is zero
 * ``case4`` -- a, d carry only 1 and i components, b, c only j and k
 * ``case3`` -- a and d are real
-* ``case5`` -- the real parts of a and d vanish
+* ``case5`` -- trace-free: the real parts of a and d vanish
 * ``general`` -- anything else
 
 Tags are checked in the order listed; the first match wins, so coins in the
-overlap of several patterns get the more structured tag.  `closed_family`
-reads the tag and `Coin.is_complex` to name the family of the closed forms
-in `exact` a coin belongs to, or None; the CLI routes `simulate` on it
-before `exact` or numpy is loaded.
+overlap of several patterns get the more structured tag.  A unitary coin has
+|b| = |c| and |a| = |d|, so a zero entry leaves its partner within about
+1e-10 of zero, and the coin takes the law of its partner zeroed too: n steps
+of its walk, off unitary by as much, stray from that law by at most
+2 n |partner| per site.  So every coin of the other classes has four
+nonzero entries.  `closed_family` reads the tag and `Coin.is_complex` to
+name the family of the closed forms in `exact` a coin belongs to, or None:
+the CLI routes `simulate` on it before `exact` or numpy is loaded, and
+`exact` and `spectral` refuse coins by it.
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ class Coin(_Frozen):
         return all(abs(q.x2) <= ZERO_TOL and abs(q.x3) <= ZERO_TOL
                    for q in self.entries())
 
+    def is_trace_free(self) -> bool:
+        """True when a and d have vanishing real parts."""
+        return abs(self.a.x0) <= ZERO_TOL and abs(self.d.x0) <= ZERO_TOL
+
 
 class MoveOperators(NamedTuple):
     """Left-move and right-move halves of a coin, as (2, 2, 4) arrays."""
@@ -150,11 +159,6 @@ def split_pq(coin: Coin) -> MoveOperators:
     return MoveOperators(p, q)
 
 
-def _require_nonzero_entries(coin: Coin, what: str) -> None:
-    if any(q.is_zero() for q in coin.entries()):
-        raise DomainError(f"{what} requires a, b, c, d all nonzero")
-
-
 def classify(coin: Coin) -> str:
     """Structural class of the coin; first matching tag wins."""
     a, b, c, d = coin.entries()
@@ -171,16 +175,16 @@ def classify(coin: Coin) -> str:
     def real_only(q: Quaternion) -> bool:
         return q.imag_part().norm() <= ZERO_TOL
 
-    if zero(b) and zero(c):
+    if zero(b) or zero(c):
         return "case1"
-    if zero(a) and zero(d):
+    if zero(a) or zero(d):
         return "case2"
     if (simplex_only(a) and simplex_only(d)
             and perplex_only(b) and perplex_only(c)):
         return "case4"
     if real_only(a) and real_only(d):
         return "case3"
-    if abs(a.x0) <= ZERO_TOL and abs(d.x0) <= ZERO_TOL:
+    if coin.is_trace_free():
         return "case5"
     return "general"
 
@@ -202,6 +206,16 @@ def _require_closed_family(coin: Coin, what: str) -> str:
     family = closed_family(coin)
     if family is None:
         raise DomainError(f"no closed-form {what} for a 'general' quaternionic coin")
+    return family
+
+
+def _require_kernel_family(coin: Coin, what: str) -> str:
+    """`_require_closed_family` for the families of the Chebyshev kernel in
+    `exact` (case3, case4, complex, case5), whose coins have four nonzero
+    entries; DomainError naming `what` and the tag for case1 and case2."""
+    family = _require_closed_family(coin, what)
+    if family in ("case1", "case2"):
+        raise DomainError(f"no closed-form {what} for a '{family}' coin")
     return family
 
 

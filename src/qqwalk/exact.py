@@ -48,10 +48,11 @@ The closed forms compute on Python floats, complex numbers and integers,
 and load neither numpy nor `fractions`: a `PathSum.matrix` is a nested
 2 x 2 x 4 list from both routes, and a closed-form `Distribution` holds its
 probabilities as a list.  Only `xi_bruteforce`, which runs the propagator,
-and the array boundary of `case4_subcoins` use numpy.  Which coins have a
-closed form is decided in `coin.closed_family`, before this module loads:
-the CLI's `simulate` writes `closed_form_distribution` on those coins and
-runs the walk on the others.
+uses numpy.  Which coins have a closed form is decided in
+`coin.closed_family`, before this module loads: the CLI's `simulate` writes
+`closed_form_distribution` on those coins and runs the walk on the others.
+The case1 and case2 coins have two-point and localized laws and no path
+sum here; every coin of the kernel's families has four nonzero entries.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import _numpy as np
-from .coin import (Coin, MoveOperators, _require_closed_family, _require_nonzero_entries,
-                   _u_rows, check_norm, check_spinor, classify)
+from .coin import (Coin, MoveOperators, _require_closed_family, _require_kernel_family,
+                   _u_rows, check_norm, check_spinor)
 from .errors import DomainError
 from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
 from .walk import Distribution, _propagate
@@ -76,7 +77,6 @@ __all__ = [
     "PathSum",
     "xi_bruteforce",
     "xi_closed",
-    "case4_subcoins",
     "boundary_prob",
     "closed_form_prob",
     "closed_form_distribution",
@@ -121,21 +121,6 @@ def _require_interior(l: int, m: int) -> None:
     if min(l, m) < 1:
         raise DomainError("closed form requires l >= 1 and m >= 1; "
                           "use the edge formulas for pure P^n or Q^n")
-
-
-def case4_subcoins(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex 2x2 coins driving the subwalks of a case4 coin.
-
-    The first acts on components (0, 3) of the 4-component complex
-    amplitudes, the second on components (1, 2).
-    """
-    if classify(coin) != "case4":
-        raise DomainError("coin must classify as case4")
-    ap, bp = coin.a.simplex, coin.b.perplex
-    cp, dp = coin.c.perplex, coin.d.simplex
-    u1 = [[ap, -bp], [cp.conjugate(), dp.conjugate()]]
-    u2 = [[ap.conjugate(), bp.conjugate()], [-cp, dp]]
-    return tuple(np.array(u, dtype=np.complex128) for u in (u1, u2))
 
 
 # ---------------------------------------------------------------------
@@ -303,14 +288,10 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
 
     Xi(l, m) is row m of the walks from (1, 0) and (0, 1) after l + m
     steps: columns 0 and 2 of its 4x4 complex image.  Raises DomainError
-    for a coin outside these families, for a zero entry (which rules out
-    case1 and case2), and unless l, m >= 1.
+    for a coin outside these families and unless l, m >= 1.
     """
-    family = _require_closed_family(coin, "path sum")
+    family = _require_kernel_family(coin, "path sum")
     _check_lm(l, m)
-    # case1 and case2 coins, the only ones here whose entries need not be
-    # complex, always fail this check
-    _require_nonzero_entries(coin, "closed form")
     _require_interior(l, m)
     half, eps = divmod(l + m, 2)
     s, u, twists = _kernel_inputs(coin, family)
@@ -443,7 +424,6 @@ def _probs(coin: Coin, alpha: Quaternion, beta: Quaternion, n: int) -> list[floa
     elif family == "case2":
         law = {1: alpha.norm_sq(), -1: beta.norm_sq()} if n % 2 else {0: 1.0}
     else:
-        _require_nonzero_entries(coin, "closed form")
         return _kernel_probs(coin, alpha, beta, n, family)
     return [law.get(x, 0.0) for x in range(-n, n + 1, 2)]
 

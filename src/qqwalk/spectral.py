@@ -14,8 +14,9 @@ C = B^{-1} A of `appendix_ab`, and the one weak-limit law: the
 arcsine-type density f_r(y) = sqrt(1 - r^2) / (pi (1 - y^2)
 sqrt(r^2 - y^2)), where only the support radius r depends on the coin
 (the closed form `support_radius` for trace-free coins, whose diagonal
-has vanishing real parts, and |a| for the case3, case4 and complex coins
-of `coin.closed_family`), with quadrature that absorbs the
+has vanishing real parts, and |a| for the other case3, case4 and complex
+coins; `coin.closed_family` decides which coins have a law, and case1,
+case2 and general coins have none), with quadrature that absorbs the
 inverse-square-root edge singularity by the substitution y = r sin(phi).
 The Kolmogorov distance of `limit_compare` reads the weighted CDF in
 closed form and the exact distribution from `exact`, so it needs neither
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from . import exact, walk
-from .coin import ZERO_TOL, Coin, _require_closed_family, _require_nonzero_entries, _u_rows
+from .coin import Coin, _require_kernel_family, _u_rows
 from .errors import DegenerateABError, DegenerateError, DomainError
 from .quaternion import Quaternion, _phi_of
 
@@ -268,16 +269,13 @@ def group_velocities(coin: Coin, theta: float) -> np.ndarray:
                      for p in eigen_system(coin, theta)])
 
 
-def _is_trace_free(coin: Coin) -> bool:
-    # Re a = Re d = 0; trace-free coins with split structure carry the
-    # case4 tag but still have the closed radius of `support_radius`
-    return abs(coin.a.re) <= ZERO_TOL and abs(coin.d.re) <= ZERO_TOL
-
-
 def _case5_params(coin: Coin) -> tuple[float, float]:
-    if not _is_trace_free(coin):
+    # trace-free coins with split structure carry the case4 tag, and complex
+    # ones the complex family, but still have the closed radius of
+    # `support_radius`; trace-free case1 and case2 coins have no law
+    if not coin.is_trace_free():
         raise DomainError("limit law requires vanishing real parts of a and d")
-    _require_nonzero_entries(coin, "limit law")
+    _require_kernel_family(coin, "limit law")
     return coin.a.norm_sq(), (coin.b * coin.c).re
 
 
@@ -355,14 +353,13 @@ def support_radius(coin: Coin) -> float:
 def qqw_limit_params(coin: Coin) -> LimitDensity:
     """Limit-density parameters of a coin: r = `support_radius` when it is
     trace-free, else r = |a| when `coin.closed_family` puts it in the
-    closed family (case3, case4, complex).  DomainError for other coins and
-    for a zero entry.
+    closed family (case3, case4, complex).  DomainError for other coins:
+    case1, case2 and general.
     """
-    if _is_trace_free(coin):
+    if coin.is_trace_free():
         r = support_radius(coin)
     else:
-        _require_closed_family(coin, "limit law")
-        _require_nonzero_entries(coin, "limit law")
+        _require_kernel_family(coin, "limit law")
         r = math.sqrt(coin.a.norm_sq())
     return LimitDensity(r=r, g=_g_constant(coin.a.norm_sq(), (coin.b * coin.c).re))
 

@@ -24,7 +24,8 @@ velocity by grid scan and golden-section search
 `eigvals` and group velocities by their finite differences, the
 eigensystem of U(theta) from numpy's `eig` (`numpy_eigen_system`), the
 product of small quaternion matrices by scalar quaternion products, and tiny
-utilities (`max_abs`, `is_unitary`, random quaternions and spinors).
+utilities (`max_abs`, `is_unitary`, random quaternions and spinors, and
+coins a rounding off their class: `near_zero_coin`, `zero_entry_coin`).
 The componentwise array arithmetic `qmul_arr`, `qconj_arr` and
 `qnorm_arr` over (..., 4) float arrays serves the steppers and the bulk
 algebra checks.
@@ -40,6 +41,7 @@ import numpy as np
 
 from qqwalk import DegenerateABError, DegenerateError, DomainError, Quaternion
 from qqwalk.coin import (
+    ZERO_TOL,
     Coin,
     MoveOperators,
     chi_p,
@@ -221,7 +223,9 @@ def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     """Split the complex images of P and Q into the two commuting subwalks.
 
     Returns (P1, P2, Q1, Q2): P1 keeps row 0 of chi(P), P2 row 1, Q2 row 2
-    of chi(Q), Q1 row 3.  Products across the two families vanish.
+    of chi(Q), Q1 row 3.  Products across the two families vanish, and
+    P1 + Q1 on components (0, 3), P2 + Q2 on (1, 2), are the complex 2x2
+    coins of the two subwalks.
     """
     if classify(coin) != "case4":
         raise DomainError("coin must classify as case4")
@@ -543,3 +547,38 @@ def ratio4_coin() -> Coin:
     s = 1.0 / math.sqrt(5.0)
     b = Quaternion(0.0, 0.0, 2.0 * s, 0.0)
     return validate_coin(Quaternion(s), b, b, Quaternion(s))
+
+
+def near_zero_coin(rng: np.random.Generator, coin: Coin) -> Coin:
+    """The coin with each zero entry replaced by one of norm below ZERO_TOL
+    and each other zero component by one below ZERO_TOL / 2 in size: it
+    keeps its class, and is ZERO_TOL off it."""
+    entries = []
+    for q in coin.entries():
+        x = q.to_array()
+        if not x.any():
+            x = rng.normal(size=4)
+            x *= rng.uniform() * ZERO_TOL / np.linalg.norm(x)
+        else:
+            x = np.where(x == 0.0, rng.uniform(-0.5, 0.5, size=4) * ZERO_TOL, x)
+        entries.append(Quaternion.from_array(x))
+    return validate_coin(*entries)
+
+
+def zero_entry_coin(rng: np.random.Generator, coin: Coin, zeroed: str,
+                    size: float) -> Coin:
+    """A valid coin with entry `zeroed` (one of 'abcd') zero and its partner
+    (b for c, a for d and back) of norm `size`, in the partner's direction
+    or a random one; the other two entries are the coin's at unit norm.
+    It is `size` off a diagonal or antidiagonal coin."""
+    entries = dict(zip("abcd", coin.entries()))
+    partner = {"a": "d", "b": "c", "c": "b", "d": "a"}[zeroed]
+    x = entries[partner].to_array()
+    if not x.any():
+        x = rng.normal(size=4)
+    for key in "abcd":
+        if key not in (zeroed, partner):
+            entries[key] = entries[key] / entries[key].norm()
+    entries[zeroed] = Quaternion.zero()
+    entries[partner] = Quaternion.from_array(x * (size / np.linalg.norm(x)))
+    return validate_coin(*entries.values())

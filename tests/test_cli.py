@@ -1,9 +1,11 @@
+import io
 import json
 import math
 import os
 import re
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
 import numpy as np
@@ -13,13 +15,13 @@ from hypothesis import given, settings, strategies as st
 import qqwalk.cli as cli
 from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
-from qqwalk.coin import (COIN_CLASSES, ZERO_TOL, closed_family, coin_to_json, hadamard_coin,
-                         load_coin, random_coin, validate_coin)
+from qqwalk.coin import (COIN_CLASSES, ZERO_TOL, classify, closed_family, coin_to_json,
+                         hadamard_coin, load_coin, random_coin, validate_coin)
 from qqwalk.exact import closed_form_distribution
 from qqwalk.spectral import qqw_limit_params, weight_constant
 from qqwalk.walk import Distribution, distribution, evolve
 
-from helpers import numpy_limit_csv, random_spinor, ratio4_coin
+from helpers import near_zero_coin, numpy_limit_csv, random_spinor, ratio4_coin, zero_entry_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -364,32 +366,41 @@ def test_limit_and_compare_by_coin_class(kind, command, tmp_path, capsys):
         assert captured.err == ""
 
 
-# a coin with a zero entry has neither a closed-form path sum nor a limit
-# law; both layers refuse it through one check, each naming itself
+# a coin with a zero entry is case1 (b or c zero) or case2 (a or d zero),
+# whose laws are the two-point and the localized one: it has neither a
+# closed-form path sum nor a limit law, and both layers refuse it by its
+# family, each naming itself and the tag
 ZERO_ENTRY_COINS = {
-    "diagonal": (Quaternion(1.0), Quaternion(), Quaternion(), Quaternion(1.0)),
-    "trace-free diagonal": (I, Quaternion(), Quaternion(), J),
+    "diagonal": ("case1", (Quaternion(1.0), Quaternion(), Quaternion(), Quaternion(1.0))),
+    "trace-free diagonal": ("case1", (I, Quaternion(), Quaternion(), J)),
+    "b-zero": ("case1", (Quaternion(1.0), Quaternion(), 1e-11 * J, Quaternion(1.0))),
+    "a-zero": ("case2", (Quaternion(), Quaternion(1.0), Quaternion(1.0), Quaternion(1e-11))),
 }
+FAMILY_REFUSALS = (
+    (["xi", "--l", "2", "--m", "3"], "path sum"),
+    (["limit", *QUAT_INIT, "--grid", "5", "--out", OUT], "limit law"),
+    (["compare", *QUAT_INIT, "--steps", "100"], "limit law"),
+)
 
 
-@pytest.mark.parametrize("coin", sorted(ZERO_ENTRY_COINS))
-@pytest.mark.parametrize("command, err", (
-    (["xi", "--l", "2", "--m", "3"],
-     "error: closed form requires a, b, c, d all nonzero\n"),
-    (["limit", *QUAT_INIT, "--grid", "5", "--out", OUT],
-     "error: limit law requires a, b, c, d all nonzero\n"),
-    (["compare", *QUAT_INIT, "--steps", "100"],
-     "error: limit law requires a, b, c, d all nonzero\n"),
-), ids=("xi", "limit", "compare"))
-def test_zero_entry_messages(coin, command, err, tmp_path, capsys):
-    path = tmp_path / "coin.json"
-    path.write_text(coin_to_json(validate_coin(*ZERO_ENTRY_COINS[coin])), encoding="utf-8")
+def _refuses_by_family(path, tag, command, what, tmp_path):
     out = tmp_path / "density.csv"
     argv = [command[0], "--coin", str(path),
             *(str(out) if a == OUT else a for a in command[1:])]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", err)
+    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as stderr:
+        assert main(argv) == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue() == f"error: no closed-form {what} for a '{tag}' coin\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coin", sorted(ZERO_ENTRY_COINS))
+@pytest.mark.parametrize("command, what", FAMILY_REFUSALS, ids=("xi", "limit", "compare"))
+def test_zero_entry_messages(coin, command, what, tmp_path):
+    tag, entries = ZERO_ENTRY_COINS[coin]
+    path = tmp_path / "coin.json"
+    path.write_text(coin_to_json(validate_coin(*entries)), encoding="utf-8")
+    _refuses_by_family(path, tag, command, what, tmp_path)
 
 
 # ---------------------------------------------------------------------
@@ -629,22 +640,6 @@ def test_simulate_hadamard_at_the_size_limit(tmp_path):
 # simulate: the closed form on exact's coins, the walk on the others
 # ---------------------------------------------------------------------
 
-def _near_zero(rng, coin):
-    """The coin with each zero entry replaced by one of norm below ZERO_TOL
-    and each other zero component by one below ZERO_TOL / 2 in size: it
-    keeps its class, and is ZERO_TOL off it."""
-    entries = []
-    for q in coin.entries():
-        x = q.to_array()
-        if not x.any():
-            x = rng.normal(size=4)
-            x *= rng.uniform() * ZERO_TOL / np.linalg.norm(x)
-        else:
-            x = np.where(x == 0.0, rng.uniform(-0.5, 0.5, size=4) * ZERO_TOL, x)
-        entries.append(Quaternion.from_array(x))
-    return validate_coin(*entries)
-
-
 @pytest.mark.parametrize("near_zero", (False, True), ids=("exact", "near-zero"))
 @pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
 @settings(derandomize=True, max_examples=6, deadline=None)
@@ -660,7 +655,7 @@ def test_simulate_matches_the_walk_on_every_class(kind, near_zero, seed, n,
     coin = random_coin(rng, kind)
     family, eps = closed_family(coin), 0.0
     if near_zero:
-        coin, eps = _near_zero(rng, coin), ZERO_TOL
+        coin, eps = near_zero_coin(rng, coin), ZERO_TOL
     assert closed_family(coin) == family
     alpha, beta = random_spinor(rng)
     tmp = tmp_path_factory.mktemp("simulate")
@@ -674,23 +669,72 @@ def test_simulate_matches_the_walk_on_every_class(kind, near_zero, seed, n,
     assert np.max(np.abs(got[:, 1] - want.probs)) <= 1e-12 + n * eps
 
 
-@pytest.mark.parametrize("entries", (
-    (Quaternion(1.0), Quaternion(), 1e-11 * J, Quaternion(1.0)),   # case4
-    (Quaternion(), Quaternion(1.0), Quaternion(1.0), Quaternion(1e-11)),  # case3
-), ids=("case4-b", "case3-a"))
-def test_simulate_walks_a_coin_with_a_zero_entry(entries, tmp_path):
-    # within the unitarity tolerance of a case1 or case2 coin, a coin of
-    # another closed class can have a zero entry, which the closed form
-    # refuses (exit 2); `simulate` runs the walk on it
+def _simulate_and_exact(path, alpha, beta, n, tmp_path):
+    """The CSV bytes of `simulate` and of `exact` on one coin file."""
+    texts = []
+    for command in ("simulate", "exact"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--coin", str(path), "--alpha", json.dumps(alpha.to_list()),
+                     "--beta", json.dumps(beta.to_list()), "--steps", str(n),
+                     "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    return texts
+
+
+@pytest.mark.parametrize("coin", ("b-zero", "a-zero"))
+def test_exact_takes_a_coin_with_a_zero_entry(coin, tmp_path, capsys):
+    # a coin within the unitarity tolerance of a diagonal or antidiagonal
+    # one is case1 or case2: `simulate` and `exact` write its law.  Its
+    # partner entry of norm 1e-11 puts its walk off unitary, and n steps of
+    # it stray from the law by at most 2 n 1e-11 per site
+    tag, entries = ZERO_ENTRY_COINS[coin]
     coin = validate_coin(*entries)
+    size = min(q.norm() for q in coin.entries() if q.norm())
     path = tmp_path / "coin.json"
     path.write_text(coin_to_json(coin), encoding="utf-8")
-    out = tmp_path / "sim.csv"
-    assert main(["simulate", "--coin", str(path), *QUAT_INIT, "--steps", "3",
-                 "--out", str(out)]) == 0
-    assert main(["exact", "--coin", str(path), *QUAT_INIT, "--steps", "3",
-                 "--out", str(tmp_path / "exact.csv")]) == 2
+    assert main(["classify", "--coin", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == tag
     alpha, beta = Quaternion(0.5, 0.5), Quaternion(0.0, 0.0, 0.5, 0.5)
-    want = distribution(evolve(coin, alpha, beta, 3))
-    assert out.read_text().splitlines()[1:] == [
-        "%d,%.17g" % row for row in zip(want.positions(), want.probs)]
+    for n in (3, 40):
+        sim, ex = _simulate_and_exact(path, alpha, beta, n, tmp_path)
+        assert sim == ex
+        got = np.loadtxt(tmp_path / "exact.csv", delimiter=",", skiprows=1, ndmin=2)
+        want = distribution(evolve(coin, alpha, beta, n))
+        assert np.max(np.abs(got[:, 1] - want.probs)) <= 1e-12 + 2 * n * size
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=0, max_value=40),
+       size=st.floats(min_value=0.0, max_value=1e-11),
+       zeroed=st.sampled_from("abcd"))
+def test_zero_entry_coins_take_the_case1_case2_law(kind, seed, n, size, zeroed,
+                                                  tmp_path_factory):
+    # from a coin of any class, one entry zero and its partner of norm up to
+    # 1e-11 (about 1e-10 fails validation): the coin is case1 when b or c is
+    # zero and case2 when a or d is; `simulate` and `exact` write the same
+    # bytes, within 1e-12 of the walk of the coin with the partner zeroed as
+    # well; `xi`, `limit` and `compare` refuse it by its family.  The walk
+    # of the coin as given is off unitary by the partner's norm, and at
+    # n = 40 can fail its own norm check
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng, kind)
+    if kind == "case1" and zeroed in "ad" or kind == "case2" and zeroed in "bc":
+        zeroed = {"a": "b", "b": "a", "c": "d", "d": "c"}[zeroed]  # its other pair is zero
+    coin = zero_entry_coin(rng, coin, zeroed, size)
+    tag = "case1" if zeroed in "bc" else "case2"
+    assert classify(coin) == tag
+    tmp = tmp_path_factory.mktemp("zero_entry")
+    path = tmp / "coin.json"
+    path.write_text(coin_to_json(coin), encoding="utf-8")
+    alpha, beta = random_spinor(rng)
+    sim, ex = _simulate_and_exact(path, alpha, beta, n, tmp)
+    assert sim == ex
+    got = np.loadtxt(tmp / "exact.csv", delimiter=",", skiprows=1, ndmin=2)
+    exact_class = validate_coin(*(q if q.norm() > 0.5 else Quaternion.zero()
+                                  for q in coin.entries()))  # the others are units
+    want = distribution(evolve(exact_class, alpha, beta, n))
+    assert np.max(np.abs(got[:, 1] - want.probs)) <= 1e-12
+    for command, what in FAMILY_REFUSALS:
+        _refuses_by_family(path, tag, command, what, tmp)

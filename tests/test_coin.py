@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqwalk import NormDriftError, Quaternion, NotUnitaryError
 from qqwalk.coin import (
     COIN_CLASSES,
+    ZERO_TOL,
     Coin,
     check_norm,
     classify,
@@ -22,7 +24,7 @@ from qqwalk.coin import (
 )
 from qqwalk.quaternion import chi_matrix
 
-from helpers import is_unitary, max_abs, qmat_mul
+from helpers import is_unitary, max_abs, near_zero_coin, qmat_mul, zero_entry_coin
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -104,6 +106,11 @@ def test_antidiagonal_coin_squares_vanish():
 def test_classify_tags():
     assert classify(validate_coin(I, Quaternion.zero(), Quaternion.zero(), J)) == "case1"
     assert classify(validate_coin(Quaternion.zero(), J, K, Quaternion.zero())) == "case2"
+    # one zero entry is enough, whatever its partner, which unitarity keeps
+    # within about 1e-10 of zero
+    one, zero = Quaternion(1.0), Quaternion.zero()
+    assert classify(validate_coin(one, zero, 1e-11 * J, one)) == "case1"
+    assert classify(validate_coin(zero, one, one, Quaternion(1e-11))) == "case2"
     # real diagonal with a b that has both simplex and perplex parts
     b = Quaternion(0.0, 0.5, 0.5, 0.0)
     coin3 = validate_coin(Quaternion(S), b, -b.conj(), Quaternion(S))
@@ -135,6 +142,29 @@ def test_closed_family_by_class():
     coin = validate_coin(S * I, Quaternion(S), Quaternion(S), S * I)
     assert classify(coin) == "case5"
     assert closed_family(coin) == "complex"
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       change=st.sampled_from(("none", "near-zero", "a", "b", "c", "d")),
+       size=st.floats(min_value=0.0, max_value=1e-11))
+def test_kernel_families_have_four_nonzero_entries(kind, seed, change, size):
+    # case3, case4, complex and case5 coins, the families of exact's kernel,
+    # have four entries of norm above ZERO_TOL; a coin with a smaller one is
+    # case1 or case2
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng, kind)
+    if change == "near-zero":
+        coin = near_zero_coin(rng, coin)
+    elif change != "none" and not (kind == "case1" and change in "ad"
+                                   or kind == "case2" and change in "bc"):
+        coin = zero_entry_coin(rng, coin, change, size)
+    smallest = min(q.norm() for q in coin.entries())
+    if closed_family(coin) in ("case3", "case4", "complex", "case5"):
+        assert smallest > ZERO_TOL
+    if smallest <= ZERO_TOL:
+        assert classify(coin) in ("case1", "case2")
 
 
 def test_check_norm_reports_the_largest_drift():

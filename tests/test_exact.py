@@ -21,7 +21,6 @@ from qqwalk.coin import (
 )
 from qqwalk.exact import (
     boundary_prob,
-    case4_subcoins,
     closed_form_distribution,
     closed_form_prob,
     xi_bruteforce,
@@ -210,9 +209,12 @@ def test_closed_case4_split_structure():
         for y in (p2, q2):
             assert max_abs(x @ y) == 0.0
             assert max_abs(y @ x) == 0.0
-    u1, u2 = case4_subcoins(coin)
-    assert is_unitary(u1, 1e-12)
-    assert is_unitary(u2, 1e-12)
+    # the two complex 2x2 coins of the subwalks act on components (0, 3)
+    # and (1, 2) of the amplitudes, and each is unitary
+    for p, q, block in ((p1, q1, (0, 3)), (p2, q2, (1, 2))):
+        rest = [i for i in range(4) if i not in block]
+        assert max_abs((p + q)[np.ix_(block, rest)]) == 0.0
+        assert is_unitary((p + q)[np.ix_(block, block)], 1e-12)
 
 
 def test_closed_case4_literal_example():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qqwalk import Coin, NormDriftError, NotNormalizedError, Quaternion
 from qqwalk.coin import COIN_CLASSES, hadamard_coin, load_coin, random_coin, split_pq
 from qqwalk.exact import boundary_prob
-from qqwalk.walk import distribution, evolve, init_state, moment
+from qqwalk.walk import Distribution, distribution, evolve, init_state, moment
 
 from helpers import (
     dict_distribution,
@@ -239,6 +239,17 @@ def test_total_probability_is_one(kind, seed, n):
     state = evolve(random_coin(rng, kind), *random_spinor(rng), n)
     assert abs(state.total_probability() - 1.0) <= 1e-12
     assert abs(distribution(state).total() - 1.0) <= 1e-12
+
+
+def test_distribution_total_drops_only_tiny_entries():
+    # a NaN entry makes the total NaN, from a list or an array, so the norm
+    # check fails on it
+    assert math.isnan(Distribution(2, [0.5, math.nan, 0.5]).total())
+    assert math.isnan(Distribution(1, np.array([math.nan, 1.0])).total())
+    # entries below 2^-200 are left out, (n + 1) 2^-200 at most
+    assert Distribution(3, [0.25, 2.0**-201, 0.75, 1e-300]).total() == 1.0
+    assert Distribution(1, [2.0**-201, 2.0**-201]).total() == 0.0
+    assert Distribution(1, [2.0**-200, 2.0**-200]).total() == 2.0**-199
 
 
 @pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
