@@ -16,13 +16,13 @@ sqrt(r^2 - y^2)), where only the support radius r depends on the coin
 (the closed form `support_radius` for trace-free coins, whose diagonal
 has vanishing real parts, and |a| for the other case3, case4 and complex
 coins; `coin.closed_family` decides which coins have a law, and case1,
-case2 and general coins have none), with quadrature that absorbs the
-inverse-square-root edge singularity by the substitution y = r sin(phi).
-The Kolmogorov distance of `limit_compare` reads the weighted CDF in
-closed form and the exact distribution from `exact`, so it needs neither
-the quadrature nor the walk.  Each quantity has one route here; the
-paper's other printings of C and r and a numeric scan for r are test
-oracles.
+case2 and general coins have none).  The weighted moments of f_r are
+closed forms on Python floats, and so is the weighted CDF that the
+Kolmogorov distance of `limit_compare` reads against the exact
+distribution from `exact`.  `limit_cdf` integrates that CDF by quadrature
+that absorbs the inverse-square-root edge singularity by the substitution
+y = r sin(phi), as the tests' reference.  The paper's other printings of
+C and r and a numeric scan for r are test oracles.
 """
 
 from __future__ import annotations
@@ -426,21 +426,44 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-QUAD_BLOCK = 64  # rows of ys per block of `_weighted_integrals`
+QUAD_BLOCK = 64  # rows of ys per block of `limit_cdf`
 
 
-def _weighted_integrals(params: LimitDensity, weight_c: float, moment: int,
-                        phi_hi: np.ndarray, n_nodes: int) -> np.ndarray:
-    """integral of t^moment (1 - C t) f(t) dt from -r to r sin(phi_hi), for
-    each entry of phi_hi in [-pi/2, pi/2].  The caller checks the radius.
+def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
+                               moment: int = 0) -> float:
+    """integral of y^moment (1 - C y) f_r(y) dy over (-r, r), in closed form.
+
+    f_r is even, so this is m_p for an even order p and -C m_{p+1} for an
+    odd one, with m_{2k} the integral of y^{2k} f_r.  Since
+    y^{2k} / (1 - y^2) = 1 / (1 - y^2) - sum_{j<k} y^{2j},
+    m_{2k} = 1 - sqrt(1 - r^2) sum_{j<k} r^{2j} C(2j, j) / 4^j, each term
+    rounded from r**(2j) and the exact C(2j, j) / 4^j and added by
+    `math.fsum`.  ValueError for a negative order: the integral diverges.
+    """
+    if moment < 0:
+        raise ValueError("moment order must be non-negative")
+    _check_radius(params.r)
+    r = params.r
+    total = math.fsum(r ** (2 * j) * (math.comb(2 * j, j) / 4 ** j)
+                      for j in range((moment + 1) // 2))
+    even = 1.0 - math.sqrt((1.0 - r) * (1.0 + r)) * total
+    return -weight_c * even if moment % 2 else even
+
+
+def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
+    """F(y) = integral_{-r}^{y} (1 - C t) f_r(t) dt at each of ys, as an
+    array, by quadrature; `_closed_cdf` is the same function in closed form.
 
     Under t = r sin(phi) the Jacobian cancels the inverse-square-root edge
     factor analytically, so the integrand is the bounded function
-    t^moment (1 - C t) [f(t) sqrt(r^2 - t^2)], sampled at open
-    Gauss-Legendre nodes on each (-pi/2, phi_hi).  The (rows, nodes) grids
-    are built QUAD_BLOCK rows at a time, so they stay in cache whatever the
-    number of ys; each row is summed on its own, as in one whole grid.
+    (1 - C t) [f_r(t) sqrt(r^2 - t^2)], sampled at open Gauss-Legendre
+    nodes on each (-pi/2, asin(y / r)).  The (rows, nodes) grids are built
+    QUAD_BLOCK rows at a time, so they stay in cache whatever the number of
+    ys; each row is summed on its own, as in one whole grid.
     """
+    _check_radius(params.r)
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    phi_hi = np.arcsin(np.clip(ys / params.r, -1.0, 1.0))
     x, w = _gauss_legendre(n_nodes)
     half = 0.5 * (phi_hi + 0.5 * math.pi)          # (ny,)
     mid = 0.5 * (phi_hi - 0.5 * math.pi)
@@ -449,33 +472,9 @@ def _weighted_integrals(params: LimitDensity, weight_c: float, moment: int,
         rows = slice(lo, lo + QUAD_BLOCK)
         phi = mid[rows, None] + half[rows, None] * x[None, :]  # (block, nn)
         t = params.r * np.sin(phi)
-        factor = 1.0 - weight_c * t
-        if moment:  # limit_cdf's moment 0 skips a power over its grid
-            factor = (t ** moment) * factor
-        integrand = factor * _edge_free_factor(params.r, t)
+        integrand = (1.0 - weight_c * t) * _edge_free_factor(params.r, t)
         out[rows] = np.sum(w[None, :] * integrand, axis=1) * half[rows]
     return out
-
-
-DENSITY_NODES = 2000  # Gauss-Legendre nodes of `integrate_weighted_density`
-
-
-def integrate_weighted_density(params: LimitDensity, weight_c: float = 0.0,
-                               moment: int = 0) -> float:
-    """integral of y^moment (1 - C y) f(y) dy over (-r, r)."""
-    _check_radius(params.r)
-    whole = np.array([0.5 * math.pi])
-    return float(_weighted_integrals(params, weight_c, moment, whole,
-                                     DENSITY_NODES)[0])
-
-
-def limit_cdf(params: LimitDensity, weight_c: float, ys, n_nodes: int = 400):
-    """F(y) = integral_{-r}^{y} (1 - C t) f(t) dt at each of ys, as an array,
-    by quadrature; `_closed_cdf` is the same function in closed form."""
-    _check_radius(params.r)
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    phi_hi = np.arcsin(np.clip(ys / params.r, -1.0, 1.0))
-    return _weighted_integrals(params, weight_c, 0, phi_hi, n_nodes)
 
 
 def _closed_cdf(params: LimitDensity, weight_c: float, ys) -> Iterator[float]:

@@ -15,7 +15,9 @@ subwalks, a determinant-sampling route to
 characteristic-polynomial coefficients, the arcsine-type law f_r as one
 numpy expression (`arcsine_density`), the paper's printed G-form of the
 trace-free limit density, the `limit` CSV and the limit CDF as whole-array
-numpy computations (`numpy_limit_csv`, `unblocked_limit_cdf`), the paper's general-momentum and trace-free
+numpy computations (`numpy_limit_csv`, `unblocked_limit_cdf`), the
+weighted moments of f_r by Gauss-Legendre quadrature
+(`quadrature_moment`), the paper's general-momentum and trace-free
 printings of the eigenvector direction C and |B|^2 (`paper_direction`),
 its surd form of the trace-free support radius
 (`paper_support_radius_surd`), the radius as the supremum of the group
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -390,6 +393,25 @@ def unblocked_limit_cdf(params, weight_c: float, ys, n_nodes: int = 400) -> np.n
     integrand = (1.0 - weight_c * t) * (math.sqrt(1.0 - r * r)
                                         / (math.pi * (1.0 - t * t)))
     return np.sum(w[None, :] * integrand, axis=1) * half
+
+
+@lru_cache(maxsize=4)
+def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n_nodes)
+
+
+def quadrature_moment(params, weight_c: float = 0.0, moment: int = 0,
+                      n_nodes: int = 2000) -> float:
+    """integral of y^moment (1 - C y) f_r(y) dy over (-r, r) by n_nodes
+    Gauss-Legendre nodes under y = r sin(phi), whose Jacobian cancels the
+    edge singularity: the bounded integrand y^moment (1 - C y)
+    sqrt(1 - r^2) / (pi (1 - y^2)) over phi in (-pi/2, pi/2)."""
+    r = params.r
+    x, w = _leggauss(n_nodes)
+    t = r * np.sin(0.5 * math.pi * x)
+    integrand = t ** moment * (1.0 - weight_c * t) * (math.sqrt(1.0 - r * r)
+                                                      / (math.pi * (1.0 - t * t)))
+    return float(np.sum(w * integrand) * 0.5 * math.pi)
 
 
 def paper_direction(coin: Coin, theta: float, lam: float,

@@ -607,6 +607,28 @@ def test_norm_drift_is_numeric_error(tmp_path, monkeypatch, capsys):
     assert "drifted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps, drift", (("100", "9.642e-10"), ("1000", "9.652e-09")))
+def test_valid_general_coin_can_drift_past_the_norm_check(steps, drift, tmp_path,
+                                                          capsys):
+    # UNITARITY_TOL and NORM_TOL are both 1e-10: a general coin 5.1e-11 off
+    # unitary passes validation, and its walk drifts by about 2n times that,
+    # so simulate exits 3 cleanly from n = 100 on, with no CSV
+    base = random_coin(np.random.default_rng(3), "general")
+    d = base.d
+    coin = validate_coin(base.a, base.b, base.c, Quaternion(d.x0, d.x1 + 4e-11, d.x2, d.x3))
+    assert closed_family(coin) is None
+    path = tmp_path / "coin.json"
+    path.write_text(coin_to_json(coin), encoding="utf-8")
+    argv = ["simulate", "--coin", str(path), "--alpha", ALPHA, "--beta", BETA]
+    assert main([*argv, "--steps", "10", "--out", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sim.csv"
+    assert main([*argv, "--steps", steps, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: total probability drifted by {drift} after {steps} steps\n")
+    assert not out.exists()
+
+
 def test_closed_route_norm_drift_is_numeric_error(hadamard_file, tmp_path, monkeypatch,
                                                   capsys):
     # the closed form's total is asserted as the walk's is

@@ -11,6 +11,7 @@ from qqwalk import Quaternion, DomainError, spectral
 from qqwalk.coin import (COIN_CLASSES, classify, hadamard_coin, load_coin, random_coin,
                          u_theta, validate_coin)
 from qqwalk.errors import DegenerateABError, DegenerateError
+from qqwalk.exact import closed_form_distribution
 from qqwalk.quaternion import random_unit_quaternion
 from qqwalk.spectral import (
     LimitDensity,
@@ -34,8 +35,8 @@ from qqwalk.walk import distribution, evolve, moment
 
 from helpers import (arcsine_density, central_difference_velocities, eigen_angles,
                      numeric_char_poly, numpy_eigen_system, paper_direction,
-                     paper_qqw_density, paper_support_radius_surd, random_spinor,
-                     scan_support_radius, unblocked_limit_cdf)
+                     paper_qqw_density, paper_support_radius_surd, quadrature_moment,
+                     random_spinor, scan_support_radius, unblocked_limit_cdf)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -446,10 +447,12 @@ def test_limit_law_rejects_radius_out_of_range(r):
 
 
 def test_qw_density_normalizes():
+    # through the quadrature of limit_cdf: the closed-form moments are 1 at
+    # order 0 by construction
     rng = np.random.default_rng(80)
     for r in rng.uniform(0.2, 0.95, size=50):
         params = LimitDensity(r=float(r), g=0.0)
-        total = integrate_weighted_density(params)
+        total = limit_cdf(params, 0.0, [params.r])[0]
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -532,11 +535,31 @@ def test_qqw_density_normalizes():
         random_coin(rng, "case5") for _ in range(8)]
     for coin in coins:
         params = qqw_limit_params(coin)
-        assert integrate_weighted_density(params) == pytest.approx(1.0, abs=1e-6)
+        assert limit_cdf(params, 0.0, [params.r])[0] == pytest.approx(1.0, abs=1e-6)
         alpha, beta = random_spinor(rng)
         c = weight_constant(coin, alpha, beta)
-        assert integrate_weighted_density(params, weight_c=c) == pytest.approx(
-            1.0, abs=1e-6)
+        assert limit_cdf(params, c, [params.r])[0] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_weighted_moments_match_quadrature(order):
+    # the closed-form moments against 2000-node Gauss-Legendre quadrature,
+    # on the trace-free coin files, hadamard and radii up to 0.999
+    rng = np.random.default_rng(88)
+    laws = [qqw_limit_params(coin) for coin in [*_tracefree_file_coins(), hadamard_coin()]]
+    laws += [LimitDensity(r=r, g=0.0) for r in (0.01, 0.3, 0.9, 0.99, 0.999)]
+    for params in laws:
+        for c in (0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
+            got = integrate_weighted_density(params, c, order)
+            assert abs(got - quadrature_moment(params, c, order)) <= 1e-11
+
+
+@pytest.mark.parametrize("order", (-1, -2))
+def test_weighted_moment_rejects_negative_order(order):
+    # y^-1 and y^-2 are not integrable at 0 against f_r
+    params = qqw_limit_params(file_coin("tracefree_mixed"))
+    with pytest.raises(ValueError, match="moment order must be non-negative"):
+        integrate_weighted_density(params, 0.3, order)
 
 
 def test_qqw_params_domain():
@@ -624,7 +647,7 @@ def test_limit_compare_contract():
 
 
 def test_second_moment_route():
-    # E[(X_n / n)^2] from the exact distribution approaches the quadrature
+    # E[(X_n / n)^2] from the exact distribution approaches the closed-form
     # moment of the weighted limit density
     coin = mixed_case5_coin()
     alpha, beta = Quaternion(1), Quaternion.zero()
@@ -656,6 +679,33 @@ def test_first_moment_from_quaternionic_spinor():
     lim = integrate_weighted_density(qqw_limit_params(coin),
                                      weight_constant(coin, alpha, beta), 1)
     assert abs(emp - lim) <= 1e-3
+
+
+def test_moments_converge_at_rate_one_over_n():
+    # E[(X_n / n)^k] - m_k shrinks like 1/n for odd k and like 1/n^2 for
+    # even k: from n = 1000 to 10000 the error falls 9.6-10.2 and 95-102
+    # fold here (9.7-10.8 and 99-101 from 10^4 to 10^5).  The odd moments
+    # test C and its cross term, from random quaternionic spinors.  The
+    # band needs a 1/n coefficient away from zero: where it is ten times
+    # smaller than these, the n^-2 terms still show at n = 1000
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(94)
+    coins = [file_coin(name) for name in ("hadamard", "tracefree_ij", "tracefree_jk",
+                                          "tracefree_mixed")]
+    coins += [random_coin(rng, kind) for kind in ("case3", "case4", "complex", "case5")]
+    for coin in coins:
+        alpha, beta = random_spinor(rng)
+        params = qqw_limit_params(coin)
+        c = weight_constant(coin, alpha, beta)
+        errs = []
+        for n in (1000, 10000):
+            dist = closed_form_distribution(coin, alpha, beta, n)
+            errs.append([abs(moment(dist, k) / n ** k - integrate_weighted_density(params, c, k))
+                         for k in (1, 2, 3, 4)])
+        ratios = [e0 / e1 for e0, e1 in zip(*errs)]
+        assert all(8.0 <= q <= 12.5 for q in ratios[0::2]), ratios
+        assert all(80.0 <= q <= 125.0 for q in ratios[1::2]), ratios
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_supports_differ_between_walk_families():

@@ -1,11 +1,12 @@
 """numpy loads on first array use: importing the package, classifying a
 coin, the closed forms of `exact`, `xi` and of `simulate` on their coins,
-the eigensystem of `spectrum`, the limit density of `limit` and the
-Kolmogorov distance of `compare` run on Python floats alone, and never
-import it; `simulate` on a general coin and `xi --brute` do.  No job
-imports `dataclasses`, whose import pulls in `inspect`, `argparse` and its
-`gettext`, or `fractions` and `decimal`.  The layers load on first use, so
-each job executes only the layers it calls."""
+the eigensystem of `spectrum`, the limit density of `limit`, the
+Kolmogorov distance of `compare` and the weighted moments of the limit
+law run on Python floats alone, and never import it; `simulate` on a
+general coin and `xi --brute` do.  No job imports `dataclasses`, whose
+import pulls in `inspect`, `argparse` and its `gettext`, or `fractions`
+and `decimal`.  The layers load on first use, so each job executes only
+the layers it calls."""
 
 import glob
 import json
@@ -178,6 +179,16 @@ def test_compare_leaves_numpy_unloaded(name):
     argv = ["compare", "--coin", os.path.join(COIN_DIR, f"{name}.json"),
             "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "100"]
     assert not _loaded_after(f"from qqwalk.cli import main\nassert main({argv!r}) == 0\n")
+
+
+def test_limit_moments_leave_numpy_unloaded():
+    # the weighted moments of the limit law are closed forms in math
+    code = ("from qqwalk import load_coin\n"
+            "from qqwalk.spectral import integrate_weighted_density, qqw_limit_params\n"
+            + "".join(f"params = qqw_limit_params(load_coin({f!r}))\n"
+                      "[integrate_weighted_density(params, 0.3, k) for k in range(5)]\n"
+                      for f in COINS if f != SUPERPOSITION))
+    assert not _loaded_after(code)
 
 
 LAYERS = {"quaternion", "coin", "walk", "exact", "spectral", "_numpy"}
