@@ -4,10 +4,11 @@ Subcommands: classify | simulate | exact | xi | spectrum | limit | compare,
 with flags as `--flag value` or `--flag=value`; `--help` prints the usage.
 Outputs are deterministic: CSV with a header row, LF endings and floats at
 17 significant digits; JSON via the standard shortest-round-trip float
-representation.  `simulate` writes `exact`'s closed form on every coin
-that `coin.closed_family` names and runs the walk on the others.  Exit
-codes: 0 success, 1 usage or input error, 2 domain error, 3 numeric
-failure (degenerate spectrum, total probability drift).
+representation.  `simulate` and `xi` work for every valid coin: each takes
+`exact`'s closed form where `coin.closed_family` or, for `xi`,
+`coin.kernel_family` names one (and l, m >= 1), and the propagator
+elsewhere.  Exit codes: 0 success, 1 usage or input error, 2 domain error,
+3 numeric failure (degenerate spectrum, total probability drift).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from itertools import islice
-from math import comb, isfinite
+from math import isfinite
 
 from . import coin as coin_layer
 from . import exact, quaternion, spectral, walk
@@ -147,30 +148,23 @@ def _cmd_exact(*, coin, alpha, beta, steps, out) -> int:
     return 0
 
 
-def _cmd_xi(*, coin, l, m, brute=False) -> int:
+def _cmd_xi(*, coin, l, m) -> int:
     coin = _load_coin(coin)
     if l < 0 or m < 0:
         raise UsageError("--l and --m must be non-negative")
     _check_size("--l + --m", l + m)
-    if brute:
-        ps = exact.xi_bruteforce(coin_layer.split_pq(coin), l, m)
-    else:
+    if coin_layer.kernel_family(coin) is not None and min(l, m) >= 1:
+        # O(min(l, m)) on Python floats, without the propagator or numpy
         ps = exact.xi_closed(coin, l, m)
+    else:
+        ps = exact.xi_bruteforce(coin_layer.split_pq(coin), l, m)
     payload = {
         "l": ps.l,
         "m": ps.m,
         "position": ps.position,
         "matrix": ps.matrix,
     }
-    if brute:
-        payload["paths"] = comb(l + m, l)
-    # C(l+m, l) has ~0.3 (l+m) digits; Python prints at most 4300 by default
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        print(json.dumps(payload, sort_keys=True))
-    finally:
-        sys.set_int_max_str_digits(digits)
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -228,7 +222,7 @@ _INIT = {"alpha": str, "beta": str}
 
 # command: (handler, help, {flag: type}).  Each flag is a keyword-only
 # parameter of the handler; it is required unless the handler gives it a
-# default, and a bool flag takes no value.
+# default.
 COMMANDS = {
     "classify": (_cmd_classify, "print the coin class and unitarity residuals",
                  {"coin": str}),
@@ -237,9 +231,9 @@ COMMANDS = {
                  {"coin": str, **_INIT, "steps": int, "out": str}),
     "exact": (_cmd_exact, "closed-form distribution, same CSV schema",
               {"coin": str, **_INIT, "steps": int, "out": str}),
-    "xi": (_cmd_xi, "print a path-sum matrix as JSON; --brute: from the "
-                    "propagator, for any coin",
-           {"coin": str, "l": int, "m": int, "brute": bool}),
+    "xi": (_cmd_xi, "print a path-sum matrix as JSON (the closed form where "
+                    "it has one)",
+           {"coin": str, "l": int, "m": int}),
     "spectrum": (_cmd_spectrum, "eigenvalues/eigenvectors of the symbol",
                  {"coin": str, "theta": float}),
     "limit": (_cmd_limit, "write the weighted limit density as y,density CSV",
@@ -259,8 +253,8 @@ def _usage(commands) -> str:
         handler, text, flags = COMMANDS[name]
         optional = handler.__kwdefaults__ or {}
         words = []
-        for flag, kind in flags.items():
-            word = f"--{flag}" if kind is bool else f"--{flag} {flag.upper()}"
+        for flag in flags:
+            word = f"--{flag} {flag.upper()}"
             words.append(f"[{word}]" if flag in optional else word)
         lines += [f"  {name} {' '.join(words)}", f"      {text}"]
     lines.append("COIN is a coin JSON file; ALPHA and BETA are JSON arrays [x0,x1,x2,x3].")
@@ -289,11 +283,6 @@ def _parse(argv: list) -> tuple:
         kind = flags.get(key) if flag.startswith("--") else None
         if kind is None:
             raise UsageError(f"{name}: unknown argument {word!r}")
-        if kind is bool:
-            if eq:
-                raise UsageError(f"{flag} takes no value")
-            values[key] = True
-            continue
         if not eq:
             value = next(words, None)
             if value is None:

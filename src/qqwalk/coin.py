@@ -21,9 +21,10 @@ overlap of several patterns get the more structured tag.  A unitary coin has
 of its walk, off unitary by as much, stray from that law by at most
 2 n |partner| per site.  So every coin of the other classes has four
 nonzero entries.  `closed_family` reads the tag and `Coin.is_complex` to
-name the family of the closed forms in `exact` a coin belongs to, or None:
-the CLI routes `simulate` on it before `exact` or numpy is loaded, and
-`exact` and `spectral` refuse coins by it.
+name the family of the closed forms in `exact` a coin belongs to, or None,
+and `kernel_family` the family of its path sums: the CLI routes `simulate`
+and `xi` on them before `exact` or numpy is loaded, and `exact` and
+`spectral` refuse coins by them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "split_pq",
     "classify",
     "closed_family",
+    "kernel_family",
     "u_theta",
     "chi_p",
     "chi_q",
@@ -209,12 +211,18 @@ def _require_closed_family(coin: Coin, what: str) -> str:
     return family
 
 
+def kernel_family(coin: Coin) -> str | None:
+    """`closed_family` narrowed to the Chebyshev kernel's families in `exact`
+    (case3, case4, complex, case5), whose coins have four nonzero entries."""
+    family = closed_family(coin)
+    return None if family in ("case1", "case2") else family
+
+
 def _require_kernel_family(coin: Coin, what: str) -> str:
-    """`_require_closed_family` for the families of the Chebyshev kernel in
-    `exact` (case3, case4, complex, case5), whose coins have four nonzero
-    entries; DomainError naming `what` and the tag for case1 and case2."""
-    family = _require_closed_family(coin, what)
-    if family in ("case1", "case2"):
+    """`kernel_family`, or DomainError naming `what` and the coin's tag."""
+    family = kernel_family(coin)
+    if family is None:
+        family = _require_closed_family(coin, what)  # raises for a general coin
         raise DomainError(f"no closed-form {what} for a '{family}' coin")
     return family
 

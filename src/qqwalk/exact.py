@@ -48,11 +48,11 @@ The closed forms compute on Python floats, complex numbers and integers,
 and load neither numpy nor `fractions`: a `PathSum.matrix` is a nested
 2 x 2 x 4 list from both routes, and a closed-form `Distribution` holds its
 probabilities as a list.  Only `xi_bruteforce`, which runs the propagator,
-uses numpy.  Which coins have a closed form is decided in
-`coin.closed_family`, before this module loads: the CLI's `simulate` writes
-`closed_form_distribution` on those coins and runs the walk on the others.
-The case1 and case2 coins have two-point and localized laws and no path
-sum here; every coin of the kernel's families has four nonzero entries.
+uses numpy.  Which coins have a closed form is decided in `coin`, before
+this module loads, so the CLI's `simulate` and `xi` take the closed forms
+where they exist and the propagator elsewhere: both work for every valid
+coin.  The case1 and case2 coins have two-point and localized laws and no
+closed-form path sum; the kernel's families have four nonzero entries.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
 def _require_interior(l: int, m: int) -> None:
     if min(l, m) < 1:
         raise DomainError("closed form requires l >= 1 and m >= 1; "
-                          "use the edge formulas for pure P^n or Q^n")
+                          "xi_bruteforce takes the edges")
 
 
 # ---------------------------------------------------------------------

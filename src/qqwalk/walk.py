@@ -183,8 +183,10 @@ def distribution(state: WalkState) -> Distribution:
 
 
 def moment(dist: Distribution, r: int) -> float:
-    """Sum of x^r * P(x) over the support."""
+    """Sum of x^r * P(x) over the support: one `math.fsum` of Python floats,
+    no numpy.  Where some |x|^r exceeds the largest float (n = 1000,
+    r = 103), x^r raises OverflowError; a numpy sum gave inf."""
     if r < 0:
         raise ValueError("moment order must be non-negative")
-    x = dist.positions().astype(float)
-    return float(np.sum(x ** r * dist.probs))
+    return math.fsum(float(x) ** r * p
+                     for x, p in zip(range(-dist.n, dist.n + 1, 2), dist.probs))

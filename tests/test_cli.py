@@ -2,11 +2,9 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,12 +14,13 @@ import qqwalk.cli as cli
 from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
 from qqwalk.coin import (COIN_CLASSES, ZERO_TOL, classify, closed_family, coin_to_json,
-                         hadamard_coin, load_coin, random_coin, validate_coin)
-from qqwalk.exact import closed_form_distribution
+                         hadamard_coin, load_coin, random_coin, split_pq, validate_coin)
+from qqwalk.exact import closed_form_distribution, xi_bruteforce
 from qqwalk.spectral import qqw_limit_params, weight_constant
 from qqwalk.walk import Distribution, distribution, evolve
 
-from helpers import near_zero_coin, numpy_limit_csv, random_spinor, ratio4_coin, zero_entry_coin
+from helpers import (enumerate_xi, near_zero_coin, numpy_limit_csv, random_spinor, ratio4_coin,
+                     zero_entry_coin)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -112,35 +111,29 @@ def test_exact_matches_simulate_on_trace_free_coin(tmp_path):
 
 
 def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
+    ops = split_pq(load_coin(hadamard_file))
     assert main(["xi", "--coin", hadamard_file, "--l", "1", "--m", "3"]) == 0
     closed = json.loads(capsys.readouterr().out)
-    assert main(["xi", "--coin", hadamard_file, "--l", "1", "--m", "3",
-                 "--brute"]) == 0
-    brute = json.loads(capsys.readouterr().out)
-    assert brute["paths"] == 4
-    assert closed["position"] == brute["position"] == 2
+    brute = xi_bruteforce(ops, 1, 3)
+    assert closed["position"] == brute.position == 2
     for r in range(2):
         for c in range(2):
             got = np.array(closed["matrix"][r][c])
-            want = np.array(brute["matrix"][r][c])
+            want = np.array(brute.matrix[r][c])
             assert np.max(np.abs(got - want)) <= 1e-10
-    # --brute sums paths at any size: C(80, 40) is about 1e23 of them
-    args = ["xi", "--coin", hadamard_file, "--l", "40", "--m", "40"]
-    assert main(args) == 0
+    # the propagator sums paths at any size: C(80, 40) is about 1e23 of them
+    assert main(["xi", "--coin", hadamard_file, "--l", "40", "--m", "40"]) == 0
     closed = json.loads(capsys.readouterr().out)
-    assert main([*args, "--brute"]) == 0
-    brute = json.loads(capsys.readouterr().out)
-    assert brute["paths"] == math.comb(80, 40)
     assert np.max(np.abs(np.array(closed["matrix"])
-                         - np.array(brute["matrix"]))) <= 1e-12
-    # and for any coin, where the closed forms stop at their domain
+                         - np.array(xi_bruteforce(ops, 40, 40).matrix))) <= 1e-12
+    # and a coin outside the closed forms takes the propagator itself
     path = tmp_path / "general.json"
     path.write_text(coin_to_json(random_coin(np.random.default_rng(91), "general")),
                     encoding="utf-8")
-    args = ["xi", "--coin", str(path), "--l", "3", "--m", "4"]
-    assert main(args) == 2
-    assert main([*args, "--brute"]) == 0
-    assert json.loads(capsys.readouterr().out)["paths"] == 35
+    assert main(["xi", "--coin", str(path), "--l", "3", "--m", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"l": 3, "m": 4, "position": 1,
+                       "matrix": xi_bruteforce(split_pq(load_coin(path)), 3, 4).matrix}
 
 
 @pytest.mark.parametrize("kind", ("case4", "complex", "case5"))
@@ -153,25 +146,14 @@ def test_xi_closed_and_brute_case4_and_complex(kind, tmp_path, capsys):
         path = str(tmp_path / "complex.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(coin_to_json(random_coin(np.random.default_rng(92), "complex")))
+    ops = split_pq(load_coin(path))
     for l, m in ((1, 3), (12, 17), (150, 150)):
-        args = ["xi", "--coin", path, "--l", str(l), "--m", str(m)]
-        assert main(args) == 0
+        assert main(["xi", "--coin", path, "--l", str(l), "--m", str(m)]) == 0
         closed = json.loads(capsys.readouterr().out)
-        assert main([*args, "--brute"]) == 0
-        brute = json.loads(capsys.readouterr().out)
-        assert closed["position"] == brute["position"] == m - l
+        brute = xi_bruteforce(ops, l, m)
+        assert closed["position"] == brute.position == m - l
         assert np.max(np.abs(np.array(closed["matrix"])
-                             - np.array(brute["matrix"]))) <= 1e-12, (l, m)
-
-
-def test_xi_brute_prints_long_path_counts(hadamard_file, capsys):
-    # C(16000, 8000) has 4815 digits, more than Python prints by default
-    limit = sys.get_int_max_str_digits()
-    assert main(["xi", "--coin", hadamard_file, "--l", "8000", "--m", "8000",
-                 "--brute"]) == 0
-    assert sys.get_int_max_str_digits() == limit
-    digits = re.search(r'"paths": (\d+)', capsys.readouterr().out).group(1)
-    assert Decimal(digits) == Decimal(math.comb(16000, 8000))
+                             - np.array(brute.matrix))) <= 1e-12, (l, m)
 
 
 JOBS = [
@@ -179,7 +161,7 @@ JOBS = [
     ["simulate", *QUAT_INIT, "--steps", "120", "--out", OUT],
     ["exact", *QUAT_INIT, "--steps", "120", "--out", OUT],
     ["xi", "--l", "3", "--m", "4"],
-    ["xi", "--l", "3", "--m", "4", "--brute"],
+    ["xi", "--coin", SUPERPOSITION, "--l", "3", "--m", "4"],  # by xi_bruteforce
     ["spectrum", "--theta", "0.4"],
     ["limit", *QUAT_INIT, "--grid", "101", "--out", OUT],
     ["compare", *QUAT_INIT, "--steps", "120"],
@@ -188,15 +170,20 @@ JOB_IDS = ["classify", "simulate", "exact", "xi", "xi-brute", "spectrum", "limit
            "compare"]
 
 
+def _job_argv(args: list, out, coin: str = TRACEFREE_IJ) -> list:
+    """A job's command line: `--coin coin` unless the job names its own, and
+    OUT replaced by out."""
+    given = ["--coin", coin] if "--coin" not in args else []
+    return [args[0], *given, *(str(out) if a == OUT else a for a in args[1:])]
+
+
 @pytest.mark.parametrize("args", JOBS, ids=JOB_IDS)
 def test_rerun_is_byte_identical(tmp_path, capsys, args):
     # the second run in the same process meets warm caches
     runs = []
     for k in range(2):
         out = tmp_path / f"{k}.csv"
-        argv = [args[0], "--coin", TRACEFREE_IJ, *(str(out) if a == OUT else a
-                                                   for a in args[1:])]
-        assert main(argv) == 0
+        assert main(_job_argv(args, out)) == 0
         runs.append((capsys.readouterr().out,
                      out.read_bytes() if OUT in args else None))
     assert runs[0] == runs[1]
@@ -207,8 +194,7 @@ def _joined(argv: list) -> list:
     """argv with each `--flag value` pair written as one `--flag=value` word."""
     words, joined = iter(argv), []
     for word in words:
-        joined.append(f"{word}={next(words)}"
-                      if word.startswith("--") and word != "--brute" else word)
+        joined.append(f"{word}={next(words)}" if word.startswith("--") else word)
     return joined
 
 
@@ -217,9 +203,7 @@ def test_flag_forms_agree(tmp_path, capsys, args):
     runs = []
     for form in (list, _joined):
         out = tmp_path / f"{form.__name__}.csv"
-        argv = form([args[0], "--coin", TRACEFREE_IJ,
-                     *(str(out) if a == OUT else a for a in args[1:])])
-        assert main(argv) == 0
+        assert main(form(_job_argv(args, out))) == 0
         runs.append((capsys.readouterr().out,
                      out.read_bytes() if OUT in args else None))
     assert runs[0] == runs[1]
@@ -237,10 +221,10 @@ def test_flag_forms_agree(tmp_path, capsys, args):
     ["xi", "--coin", TRACEFREE_IJ, "--l", "1.5", "--m", "2"],
     ["xi", "--coin", TRACEFREE_IJ, "--l=", "--m", "2"],
     ["spectrum", "--coin", TRACEFREE_IJ, "--theta=abc"],
-    ["xi", "--coin", TRACEFREE_IJ, "--l", "1", "--m", "2", "--brute=yes"],
+    ["xi", "--coin", TRACEFREE_IJ, "--l", "1", "--m", "2", "--brute"],
 ], ids=["no-command", "unknown-command", "unknown-flag", "stray-word",
         "flag-prefix", "missing-value", "missing-flag", "bad-int", "empty-int",
-        "bad-float", "value-for-switch"])
+        "bad-float", "brute-is-unknown"])
 def test_parse_errors_are_usage_errors(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -262,7 +246,7 @@ def test_help_prints_usage(argv, capsys):
 def test_help_marks_optional_flags(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "[--grid GRID]" in out and "[--brute]" in out and "--steps STEPS" in out
+    assert "[--grid GRID]" in out and "--steps STEPS" in out
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
@@ -368,8 +352,8 @@ def test_limit_and_compare_by_coin_class(kind, command, tmp_path, capsys):
 
 # a coin with a zero entry is case1 (b or c zero) or case2 (a or d zero),
 # whose laws are the two-point and the localized one: it has neither a
-# closed-form path sum nor a limit law, and both layers refuse it by its
-# family, each naming itself and the tag
+# closed-form path sum nor a limit law.  `spectral` refuses it by its
+# family, naming the law and the tag, and `xi` takes the propagator
 ZERO_ENTRY_COINS = {
     "diagonal": ("case1", (Quaternion(1.0), Quaternion(), Quaternion(), Quaternion(1.0))),
     "trace-free diagonal": ("case1", (I, Quaternion(), Quaternion(), J)),
@@ -377,7 +361,6 @@ ZERO_ENTRY_COINS = {
     "a-zero": ("case2", (Quaternion(), Quaternion(1.0), Quaternion(1.0), Quaternion(1e-11))),
 }
 FAMILY_REFUSALS = (
-    (["xi", "--l", "2", "--m", "3"], "path sum"),
     (["limit", *QUAT_INIT, "--grid", "5", "--out", OUT], "limit law"),
     (["compare", *QUAT_INIT, "--steps", "100"], "limit law"),
 )
@@ -395,12 +378,41 @@ def _refuses_by_family(path, tag, command, what, tmp_path):
 
 
 @pytest.mark.parametrize("coin", sorted(ZERO_ENTRY_COINS))
-@pytest.mark.parametrize("command, what", FAMILY_REFUSALS, ids=("xi", "limit", "compare"))
+@pytest.mark.parametrize("command, what", FAMILY_REFUSALS, ids=("limit", "compare"))
 def test_zero_entry_messages(coin, command, what, tmp_path):
     tag, entries = ZERO_ENTRY_COINS[coin]
     path = tmp_path / "coin.json"
     path.write_text(coin_to_json(validate_coin(*entries)), encoding="utf-8")
     _refuses_by_family(path, tag, command, what, tmp_path)
+
+
+ALL_PAIRS = [(l, n - l) for n in range(9) for l in range(n + 1)]
+EDGES = [(l, m) for l, m in ALL_PAIRS if min(l, m) == 0]
+
+
+@pytest.mark.parametrize("coin", ["superposition", "hadamard-edges",
+                                  *sorted(ZERO_ENTRY_COINS)])
+def test_xi_takes_the_propagator_off_the_closed_forms(coin, tmp_path, capsys):
+    # a general coin, the edges l = 0 and m = 0 of a case3 coin, and case1
+    # and case2 coins: `xi` prints `xi_bruteforce`'s matrix, which matches
+    # path enumeration
+    pairs = ALL_PAIRS
+    if coin == "superposition":
+        path = SUPERPOSITION
+    elif coin == "hadamard-edges":
+        path, pairs = os.path.join(COIN_DIR, "hadamard.json"), EDGES
+    else:
+        path = tmp_path / "coin.json"
+        path.write_text(coin_to_json(validate_coin(*ZERO_ENTRY_COINS[coin][1])),
+                        encoding="utf-8")
+    ops = split_pq(load_coin(path))
+    table = enumerate_xi(ops, 8)
+    for l, m in pairs:
+        assert main(["xi", "--coin", str(path), "--l", str(l), "--m", str(m)]) == 0, (l, m)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"l": l, "m": m, "position": m - l,
+                           "matrix": xi_bruteforce(ops, l, m).matrix}, (l, m)
+        assert np.max(np.abs(np.array(payload["matrix"]) - table[l, m])) <= 1e-12, (l, m)
 
 
 # ---------------------------------------------------------------------
@@ -547,15 +559,13 @@ def test_unwritable_out_is_usage_error(hadamard_file, tmp_path, capsys):
     ["compare", "--alpha", ALPHA, "--beta", BETA, "--steps", TOO_BIG],
     ["limit", "--alpha", ALPHA, "--beta", BETA, "--grid", TOO_BIG, "--out", OUT],
     ["xi", "--l", str(cli.MAX_SIZE), "--m", "1"],
-    ["xi", "--l", "1", "--m", str(cli.MAX_SIZE), "--brute"],
+    ["xi", "--coin", SUPERPOSITION, "--l", "1", "--m", str(cli.MAX_SIZE)],
 ], ids=["simulate-steps", "exact-steps", "compare-steps", "limit-grid",
         "xi-l-m", "xi-brute-l-m"])
 def test_size_above_cap_is_usage_error(hadamard_file, tmp_path, capsys, args):
     # rejected before anything of that size is allocated
     out = tmp_path / "x.csv"
-    argv = [args[0], "--coin", hadamard_file, *(str(out) if a == OUT else a
-                                                 for a in args[1:])]
-    assert main(argv) == 1
+    assert main(_job_argv(args, out, hadamard_file)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "exceeds the limit" in captured.err
@@ -737,9 +747,10 @@ def test_zero_entry_coins_take_the_case1_case2_law(kind, seed, n, size, zeroed,
     # 1e-11 (about 1e-10 fails validation): the coin is case1 when b or c is
     # zero and case2 when a or d is; `simulate` and `exact` write the same
     # bytes, within 1e-12 of the walk of the coin with the partner zeroed as
-    # well; `xi`, `limit` and `compare` refuse it by its family.  The walk
-    # of the coin as given is off unitary by the partner's norm, and at
-    # n = 40 can fail its own norm check
+    # well; `limit` and `compare` refuse it by its family, and `xi` prints
+    # the propagator's path sum.  The walk of the coin as given is off
+    # unitary by the partner's norm, and at n = 40 can fail its own norm
+    # check
     rng = np.random.default_rng(seed)
     coin = random_coin(rng, kind)
     if kind == "case1" and zeroed in "ad" or kind == "case2" and zeroed in "bc":
@@ -760,3 +771,7 @@ def test_zero_entry_coins_take_the_case1_case2_law(kind, seed, n, size, zeroed,
     assert np.max(np.abs(got[:, 1] - want.probs)) <= 1e-12
     for command, what in FAMILY_REFUSALS:
         _refuses_by_family(path, tag, command, what, tmp)
+    with redirect_stdout(io.StringIO()) as stdout:
+        assert main(["xi", "--coin", str(path), "--l", "1", "--m", "1"]) == 0
+    brute = xi_bruteforce(split_pq(coin), 1, 1)
+    assert json.loads(stdout.getvalue())["matrix"] == brute.matrix

@@ -173,7 +173,7 @@ def test_closed_complex_random():
 
 def test_closed_complex_domain():
     coin = hadamard_coin()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="xi_bruteforce takes the edges"):
         xi_closed(coin, 0, 4)
     rng = np.random.default_rng(54)
     with pytest.raises(DomainError):

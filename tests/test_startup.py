@@ -1,11 +1,12 @@
 """numpy loads on first array use: importing the package, classifying a
-coin, the closed forms of `exact`, `xi` and of `simulate` on their coins,
-the eigensystem of `spectrum`, the limit density of `limit`, the
-Kolmogorov distance of `compare` and the weighted moments of the limit
-law run on Python floats alone, and never import it; `simulate` on a
-general coin and `xi --brute` do.  No job imports `dataclasses`, whose
-import pulls in `inspect`, `argparse` and its `gettext`, or `fractions`
-and `decimal`.  The layers load on first use, so each job executes only
+coin, the closed forms of `exact`, `xi` and of `simulate` on their coins
+with the total and moments of a closed-form distribution, the
+eigensystem of `spectrum`, the limit density of `limit`, the Kolmogorov
+distance of `compare` and the weighted moments of the limit law run on
+Python floats alone, and never import it; `simulate` and `xi` on a
+general coin do, and so does `xi` wherever it takes the propagator.  No
+job imports `dataclasses`, whose import pulls in `inspect`, `argparse`
+and its `gettext`, or `fractions` and `decimal`.  The layers load on first use, so each job executes only
 the layers it calls."""
 
 import glob
@@ -136,6 +137,16 @@ def test_closed_form_total_leaves_numpy_unloaded():
     assert not _loaded_after(code)
 
 
+def test_closed_form_moment_leaves_numpy_unloaded():
+    # `walk.moment` sums a closed form's list without numpy
+    code = ("from qqwalk import Quaternion, closed_form_distribution, load_coin, moment\n"
+            f"coin = load_coin({os.path.join(COIN_DIR, 'hadamard.json')!r})\n"
+            "dist = closed_form_distribution(coin, Quaternion(1), Quaternion(), 40)\n"
+            "assert abs(moment(dist, 0) - 1.0) <= 1e-12\n"
+            "assert moment(dist, 2) > 0.0\n")
+    assert not _loaded_after(code)
+
+
 def test_exact_out_of_scope_leaves_numpy_unloaded(tmp_path):
     # superposition.json has no closed form: the refusal comes before any array
     coin = os.path.join(COIN_DIR, "superposition.json")
@@ -147,10 +158,14 @@ def test_exact_out_of_scope_leaves_numpy_unloaded(tmp_path):
 
 
 def test_xi_brute_loads_numpy():
-    code = ("from qqwalk.cli import main\n"
-            f"assert main(['xi', '--coin', {COINS[0]!r}, '--l', '3', '--m', '4',"
-            " '--brute']) == 0\n")
-    assert _loaded_after(code)
+    # a general coin has no closed-form path sum: `xi` takes xi_bruteforce
+    assert _loaded_after(_cli(["xi", "--coin", SUPERPOSITION, "--l", "3", "--m", "4"]))
+
+
+def test_xi_above_the_cap_leaves_numpy_unloaded():
+    # the size refusal comes before any array of the propagator
+    assert not _loaded_after(_cli(["xi", "--coin", SUPERPOSITION,
+                                   "--l", "1", "--m", "1000000"], 1))
 
 
 @pytest.mark.parametrize("name", ("tracefree_ij", "tracefree_jk", "tracefree_mixed"))

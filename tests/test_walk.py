@@ -302,6 +302,14 @@ def test_moments():
     assert moment(dist, 2) == pytest.approx(13.0 ** 2, abs=1e-9)
 
 
+def test_moment_overflow_raises():
+    # x^r is a Python float power: 1000^102 is finite, 1000^103 is not
+    dist = Distribution(1000, [0.0] * 1000 + [1.0])
+    assert moment(dist, 102) == 1000.0 ** 102
+    with pytest.raises(OverflowError):
+        moment(dist, 103)
+
+
 def test_edge_probabilities_match_closed_form():
     rng = np.random.default_rng(40)
     for _ in range(10):
