@@ -7,13 +7,17 @@ Outputs are deterministic: CSV with a header row, LF endings and floats at
 representation.  `simulate` and `xi` work for every valid coin: each takes
 `exact`'s closed form where `coin.closed_family` or, for `xi`,
 `coin.kernel_family` names one (and l, m >= 1), and the propagator
-elsewhere.  Exit codes: 0 success, 1 usage or input error, 2 domain error,
-3 numeric failure (degenerate spectrum, total probability drift).
+elsewhere.  Exit codes: 0 success, 1 usage or input error (an unwritable
+--out or stdout included), 2 domain error, 3 numeric failure (degenerate
+spectrum, total probability drift).  `main` returns the exit code; `run`,
+the process entry point, ends the process with it right after flushing the
+output, without interpreter teardown.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from itertools import islice
 from math import isfinite
@@ -78,6 +82,15 @@ def _parse_init(alpha: str, beta: str) -> tuple[quaternion.Quaternion, quaternio
     return alpha, beta
 
 
+def _print(text: str) -> None:
+    """Write a line to stdout and flush it; a failed write is a usage
+    error, as an unwritable --out is."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, header: str, rows) -> None:
     """Write the header and then each row of an iterable of strings, every
     line ending in LF.  Rows are consumed CSV_CHUNK at a time, so no list
@@ -121,7 +134,7 @@ def _cmd_classify(*, coin) -> int:
         "class": coin_layer.classify(coin),
         "residuals": coin_layer.unitarity_residuals(*coin.entries()),
     }
-    print(json.dumps(payload, sort_keys=True))
+    _print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -164,7 +177,7 @@ def _cmd_xi(*, coin, l, m) -> int:
         "position": ps.position,
         "matrix": ps.matrix,
     }
-    print(json.dumps(payload, sort_keys=True))
+    _print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -180,7 +193,7 @@ def _cmd_spectrum(*, coin, theta) -> int:
         "vectors": [[_complex_json(z) for z in p.vector] for p in pairs],
         "residuals": [p.residual for p in pairs],
     }
-    print(json.dumps(payload, sort_keys=True))
+    _print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -210,7 +223,7 @@ def _cmd_compare(*, coin, alpha, beta, steps) -> int:
         "G": result.g,
         "weightC": result.weight_c,
     }
-    print(json.dumps(payload, sort_keys=True))
+    _print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -243,8 +256,9 @@ COMMANDS = {
 }
 
 
-class _Help(Exception):
-    pass
+def _cmd_help(*, text) -> int:
+    _print(text)
+    return 0
 
 
 def _usage(commands) -> str:
@@ -262,14 +276,14 @@ def _usage(commands) -> str:
 
 
 def _parse(argv: list) -> tuple:
-    """(handler, keyword arguments) of a command line; raises UsageError,
-    or _Help for -h/--help.  A flag's value is always the next word, so
-    `--theta -1e-3` reads -1e-3."""
+    """(handler, keyword arguments) of a command line, the usage printer
+    being the handler of -h/--help; raises UsageError.  A flag's value is
+    always the next word, so `--theta -1e-3` reads -1e-3."""
     if not argv:
         raise UsageError("missing command; try --help")
     name, *words = argv
     if name in ("-h", "--help"):
-        raise _Help(_usage(COMMANDS))
+        return _cmd_help, {"text": _usage(COMMANDS)}
     if name not in COMMANDS:
         raise UsageError(f"unknown command {name!r}; choose from {', '.join(COMMANDS)}")
     handler, _, flags = COMMANDS[name]
@@ -277,7 +291,7 @@ def _parse(argv: list) -> tuple:
     words = iter(words)
     for word in words:
         if word in ("-h", "--help"):
-            raise _Help(_usage([name]))
+            return _cmd_help, {"text": _usage([name])}
         flag, eq, value = word.partition("=")
         key = flag[2:]
         kind = flags.get(key) if flag.startswith("--") else None
@@ -302,9 +316,6 @@ def main(argv=None) -> int:
     try:
         handler, values = _parse(sys.argv[1:] if argv is None else list(argv))
         return handler(**values)
-    except _Help as usage:
-        print(usage)
-        return 0
     except (UsageError, NotNormalizedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -317,5 +328,21 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
+def run() -> None:
+    """The process entry point: main(), then flush stdout and stderr and
+    end the process with os._exit, skipping interpreter teardown (freeing
+    the loaded modules costs about as much as a short job).  So atexit
+    handlers do not run.  Every --out file is closed before main() returns,
+    and main() flushes each stdout write and reports a failed one itself."""
+    rc = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # the rest of a failed write, reported by main()
+                pass
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -250,7 +250,7 @@ def test_help_marks_optional_flags(capsys):
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
-    # the console script calls main() with no arguments
+    # cli.run(), the entry point of the script and of -m, calls main() with no arguments
     monkeypatch.setattr(sys, "argv", ["qqwalk", "classify", "--coin", TRACEFREE_IJ])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["class"] == "case4"
