@@ -170,7 +170,7 @@ def _cmd_xi(*, coin, l, m) -> int:
         # O(min(l, m)) on Python floats, without the propagator or numpy
         ps = exact.xi_closed(coin, l, m)
     else:
-        ps = exact.xi_bruteforce(coin_layer.split_pq(coin), l, m)
+        ps = exact.xi_bruteforce(coin, l, m)
     payload = {
         "l": ps.l,
         "m": ps.m,

@@ -2,8 +2,9 @@
 
 Validation of the unitarity relations and of an initial spinor, the split
 into left/right move operators, structural classification of the coin, the
-4x4 complex momentum symbol of the walk, and random generators for each
-structural class.
+4x4 complex momentum symbol U(theta) of the walk (rows 0-1 and 2-3 of U(0)
+image the left and right moves for `walk` and `exact`), and random
+generators for each structural class.
 
 Classification tags:
 
@@ -38,7 +39,6 @@ from .errors import DomainError, NormDriftError, NotNormalizedError, NotUnitaryE
 from .quaternion import (
     Quaternion,
     _Frozen,
-    chi_matrix,
     qmat_from_quaternions,
     random_unit_quaternion,
 )
@@ -55,8 +55,6 @@ __all__ = [
     "closed_family",
     "kernel_family",
     "u_theta",
-    "chi_p",
-    "chi_q",
     "hadamard_coin",
     "coin_to_json",
     "coin_from_json",
@@ -225,16 +223,6 @@ def _require_kernel_family(coin: Coin, what: str) -> str:
         family = _require_closed_family(coin, what)  # raises for a general coin
         raise DomainError(f"no closed-form {what} for a '{family}' coin")
     return family
-
-
-def chi_p(coin: Coin) -> np.ndarray:
-    """4x4 complex image of the left-move operator."""
-    return chi_matrix(split_pq(coin).p)
-
-
-def chi_q(coin: Coin) -> np.ndarray:
-    """4x4 complex image of the right-move operator."""
-    return chi_matrix(split_pq(coin).q)
 
 
 def _u_rows(coin: Coin, theta: float) -> list[list[complex]]:

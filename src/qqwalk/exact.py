@@ -2,7 +2,8 @@
 
 For any coin, `xi_bruteforce` reads the path sum over all time-ordered
 products of l left moves and m right moves off the walk's momentum-space
-propagator: Xi(l, m) is the z^m coefficient of (chi(P) + z chi(Q))^(l+m).
+propagator: Xi(l, m) is the z^m coefficient of (chi(P) + z chi(Q))^(l+m),
+whose columns 0 and 2 are row m of the walks from (1, 0) and (0, 1).
 The exact edge probabilities P(X_n = +-n) hold for every coin too.
 
 Every other closed form here comes from one identity and one kernel.  It
@@ -47,12 +48,13 @@ which `_s_sums` reads off the descent after O(min(l, m)) steps.
 The closed forms compute on Python floats, complex numbers and integers,
 and load neither numpy nor `fractions`: a `PathSum.matrix` is a nested
 2 x 2 x 4 list from both routes, and a closed-form `Distribution` holds its
-probabilities as a list.  Only `xi_bruteforce`, which runs the propagator,
-uses numpy.  Which coins have a closed form is decided in `coin`, before
-this module loads, so the CLI's `simulate` and `xi` take the closed forms
-where they exist and the propagator elsewhere: both work for every valid
-coin.  The case1 and case2 coins have two-point and localized laws and no
-closed-form path sum; the kernel's families have four nonzero entries.
+probabilities as a list.  This module imports no numpy: only
+`xi_bruteforce`, through `walk._propagate`, runs it.  Which coins have a
+closed form is decided in `coin`, before this module loads, so the CLI's
+`simulate` and `xi` take the closed forms where they exist and the
+propagator elsewhere: both work for every valid coin.  The case1 and
+case2 coins have two-point and localized laws and no closed-form path
+sum; the kernel's families have four nonzero entries.
 """
 
 from __future__ import annotations
@@ -66,11 +68,10 @@ from itertools import chain, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from . import _numpy as np
-from .coin import (Coin, MoveOperators, _require_closed_family, _require_kernel_family,
-                   _u_rows, check_norm, check_spinor)
+from .coin import (Coin, _require_closed_family, _require_kernel_family, _u_rows,
+                   check_spinor)
 from .errors import DomainError
-from .quaternion import Quaternion, chi_inv_matrix, chi_matrix
+from .quaternion import Quaternion
 from .walk import Distribution, _propagate
 
 __all__ = [
@@ -100,21 +101,19 @@ def _check_lm(l: int, m: int) -> None:
         raise DomainError("l and m must be non-negative")
 
 
-def xi_bruteforce(ops: MoveOperators, l: int, m: int) -> PathSum:
+def xi_bruteforce(coin: Coin, l: int, m: int) -> PathSum:
     """Sum of all interleavings of l copies of P and m copies of Q, any coin.
 
     Products are taken in time order (the factor for the latest step
     multiplies from the left).  The sum is the z^m coefficient of
-    (chi(P) + z chi(Q))^(l+m), which `walk._propagate` evaluates from the
-    identity block in O(n log n); nothing is enumerated.
+    (chi(P) + z chi(Q))^(l+m): row m of the walks from (1, 0) and (0, 1),
+    which `walk._propagate` evaluates in O(n log n); nothing is enumerated.
     """
     _check_lm(l, m)
-    n = l + m
-    cols = _propagate(chi_matrix(ops.p), chi_matrix(ops.q),
-                      np.eye(4, dtype=np.complex128), n)
-    # every column is a walk from a unit vector, so it keeps norm 1
-    check_norm(np.sum(np.abs(cols) ** 2, axis=(0, 1)), n)
-    return PathSum(l, m, chi_inv_matrix(cols[m]).tolist())
+    # columns 0 and 2 of the identity: the spinors (1, 0) and (0, 1)
+    cols = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    left, right = _propagate(coin, cols, l + m)[m].T.tolist()
+    return _path_sum(l, m, left, right)
 
 
 def _require_interior(l: int, m: int) -> None:
@@ -226,13 +225,14 @@ def _s_sums(s: tuple[int, int], u: float, j: int, lo: int, hi: int) -> tuple[flo
                  for k in range(lo, hi + 1))
 
 
-def _walk_steps(coin: Coin, alpha: Quaternion, beta: Quaternion,
+def _walk_steps(u0: list[list[complex]], alpha: Quaternion, beta: Quaternion,
                 steps: int) -> list[list[list[complex]]]:
     """The walk after 0 .. steps steps, stepped on Python complexes (for a
-    few steps only): each state lists its rows by the number of right
-    moves, each row the four complex amplitudes of `walk.WalkState`."""
+    few steps only) by the rows u0 of U(0): each state lists its rows by the
+    number of right moves, each row the four complex amplitudes of
+    `walk.WalkState`."""
     # rows 0-1 of U(0) are the image of the left move, rows 2-3 of the right
-    p0, p1, q0, q1 = _u_rows(coin, 0.0)
+    p0, p1, q0, q1 = u0
     state = [[alpha.simplex, alpha.perplex.conjugate(),
               beta.simplex, beta.perplex.conjugate()]]
     states = [state]
@@ -247,17 +247,17 @@ def _walk_steps(coin: Coin, alpha: Quaternion, beta: Quaternion,
     return states
 
 
-def _kernel_inputs(coin: Coin, family: str) -> tuple[tuple[int, int], float, list]:
+def _kernel_inputs(coin: Coin, u0: list[list[complex]],
+                   family: str) -> tuple[tuple[int, int], float, list]:
     """(s, u, twists) of the closed form of a case3, case4, complex or case5
-    coin: the kernel's parameters, s as its integer pair, and, per
-    amplitude component, the pair (t_c, D_c)."""
+    coin with rows u0 of U(0): the kernel's parameters, s as its integer
+    pair, and, per amplitude component, the pair (t_c, D_c)."""
     u = coin.a.norm_sq()
     if family == "case5":
         return (coin.b * coin.c).re.as_integer_ratio(), u, [(1.0, -1.0)] * 4
-    rows = _u_rows(coin, 0.0)
     twists = [None] * 4
     for i, p in ((0, 3), (1, 2)) if family == "case4" else ((0, 2), (1, 3)):
-        a, d = rows[i][i], rows[p][p]
+        a, d = u0[i][i], u0[p][p]
         twists[i] = twists[p] = (a / d, d / a.conjugate())
     # exact: s + u = 1 holds for the unitary walk, not for the float |b|^2
     num, den = u.as_integer_ratio()
@@ -282,6 +282,14 @@ def _from_phi(sp: complex, pp_bar: complex) -> list[float]:
     return [sp.real, sp.imag, pp_bar.real, -pp_bar.imag]
 
 
+def _path_sum(l: int, m: int, left: list[complex], right: list[complex]) -> PathSum:
+    """Xi(l, m) from row m of the walks from (1, 0) and (0, 1) after l + m
+    steps, its left and right columns: four complex amplitudes each."""
+    (l0, l1, r0, r1), (l2, l3, r2, r3) = left, right
+    return PathSum(l, m, [[_from_phi(l0, l1), _from_phi(l2, l3)],
+                          [_from_phi(r0, r1), _from_phi(r2, r3)]])
+
+
 def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     """Closed form of the path sum Xi(l, m) for a case3, case4, complex or
     trace-free (case5) coin.
@@ -294,7 +302,8 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     _check_lm(l, m)
     _require_interior(l, m)
     half, eps = divmod(l + m, 2)
-    s, u, twists = _kernel_inputs(coin, family)
+    u0 = _u_rows(coin, 0.0)
+    s, u, twists = _kernel_inputs(coin, u0, family)
     # row m weighs seed row i by e^(half-1)_k at k = r + 1 - i and by
     # e^(half-2)_k at k = r - i, r = m - half
     r = m - half
@@ -304,12 +313,10 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     one, zero = Quaternion.one(), Quaternion.zero()
     cols = []
     for alpha, beta in ((one, zero), (zero, one)):
-        rows = _seed_rows(_walk_steps(coin, alpha, beta, eps + 2), eps, twists)
+        rows = _seed_rows(_walk_steps(u0, alpha, beta, eps + 2), eps, twists)
         cols.append([p * sum(map(mul, coeffs, comp))
                      for p, comp in zip(phases, zip(*rows))])
-    (l0, l1, r0, r1), (l2, l3, r2, r3) = cols
-    return PathSum(l, m, [[_from_phi(l0, l1), _from_phi(l2, l3)],
-                          [_from_phi(r0, r1), _from_phi(r2, r3)]])
+    return _path_sum(l, m, *cols)
 
 
 # ---------------------------------------------------------------------
@@ -386,10 +393,11 @@ def _kernel_probs(coin: Coin, alpha: Quaternion, beta: Quaternion,
     do (4e-14 there), at the same cost, written out term by term.
     """
     m, eps = divmod(n, 2)
-    states = _walk_steps(coin, alpha, beta, eps + 2)
+    u0 = _u_rows(coin, 0.0)
+    states = _walk_steps(u0, alpha, beta, eps + 2)
     if m == 0:
         return [sum(z.real * z.real + z.imag * z.imag for z in row) for row in states[n]]
-    s, u, twists = _kernel_inputs(coin, family)
+    s, u, twists = _kernel_inputs(coin, u0, family)
     ((r00, r01, r02, r03, r04, r05), (_, r11, r12, r13, r14, r15),
      (_, _, r22, r23, r24, r25), (_, _, _, r33, r34, r35),
      (_, _, _, _, r44, r45), (_, _, _, _, _, r55)) = _r_factor(_seed_rows(states, eps, twists))

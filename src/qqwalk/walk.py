@@ -9,8 +9,9 @@ quaternion pair (left, right).  Its `psi` property is the same state as an
 and quaternion component.
 
 `evolve` computes the state in momentum space.  One step multiplies the
-generating function sum_i phi_i z^i by the symbol chi_p + z chi_q, so
-after n steps it is the degree-n polynomial (chi_p + z chi_q)^n phi_0.
+generating function sum_i phi_i z^i by the symbol cp + z cq, where the
+move images cp and cq are rows 0-1 and 2-3 of `coin.u_theta` at theta = 0,
+so after n steps it is the degree-n polynomial (cp + z cq)^n phi_0.
 Its n+1 coefficients are the amplitudes on the n+1 sites of the support,
 and a polynomial of degree n is fixed by its values at the n+1 roots of
 unity: the length-(n+1) inverse DFT recovers them exactly, without
@@ -25,10 +26,10 @@ site-by-site steppers `evolve` is tested against are oracles in
 complex images of the move operators, and `step_walk`, which also records
 the norm after every step.
 
-Total probability is asserted, never renormalized: an evolution whose
-final state misses 1 by more than `coin.NORM_TOL` raises NormDriftError
-from `coin.check_norm`, the one normalization check of a result, which
-`exact.xi_bruteforce` applies to each propagated column and the CLI to a
+Total probability is asserted, never renormalized: `_propagate` raises
+NormDriftError from `coin.check_norm`, the one normalization check of a
+result, when a walk it returns misses 1 by more than `coin.NORM_TOL`, for
+`evolve` and `exact.xi_bruteforce` alike; the CLI applies it to a
 closed-form distribution.  `coin.check_spinor` holds the start state to
 the same tolerance.  Both checks fail on NaN.
 """
@@ -39,7 +40,7 @@ import math
 from collections.abc import Sequence
 
 from . import _numpy as np
-from .coin import Coin, check_norm, check_spinor, chi_p, chi_q
+from .coin import Coin, check_norm, check_spinor, u_theta
 from .quaternion import Quaternion, _phi_of, _psi_of
 
 __all__ = [
@@ -127,13 +128,18 @@ def init_state(alpha: Quaternion, beta: Quaternion) -> WalkState:
     return WalkState(0, _phi_of(np.array([[alpha.to_array(), beta.to_array()]])))
 
 
-def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
-               n: int) -> np.ndarray:
-    """Coefficients (n + 1, 4, k) of (cp + z cq)^n cols: the walk from each
-    column of the (4, k) block cols, indexed by the number of right moves."""
+def _propagate(coin: Coin, cols: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients (n + 1, 4, k) of (cp + z cq)^n cols, cp and cq rows 0-1
+    and 2-3 of U(0): the walk from each column of the (4, k) block cols
+    (an array or nested lists), indexed by the number of right moves.
+    Raises NormDriftError when a column's total probability misses 1 by
+    more than NORM_TOL."""
+    cp = u_theta(coin, 0.0)
+    cq = cp.copy()
+    cp[2:] = cq[:2] = 0.0
     z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
     power = cp + z[:, None, None] * cq  # symbol at each root
-    vec = np.repeat(cols[None], n + 1, axis=0)
+    vec = np.repeat([cols], n + 1, axis=0)
     e = n
     while e:
         if e & 1:
@@ -152,9 +158,9 @@ def _propagate(cp: np.ndarray, cq: np.ndarray, cols: np.ndarray,
         reach[0, 0] = reach[n, 1] = True
     elif not (cp[:, :2].any() or cq[:, 2:].any()):
         reach[n // 2, 0] = reach[(n + 1) // 2, 1] = True
-    else:
-        return phi
-    phi[~np.repeat(reach, 2, axis=1)] = 0.0
+    if reach.any():
+        phi[~np.repeat(reach, 2, axis=1)] = 0.0
+    check_norm(np.sum(np.abs(phi) ** 2, axis=(0, 1)), n)
     return phi
 
 
@@ -168,11 +174,8 @@ def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion,
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    state = init_state(alpha, beta)
-    state = WalkState(steps, _propagate(chi_p(coin), chi_q(coin),
-                                        state.phi.T, steps)[:, :, 0])
-    check_norm((state.total_probability(),), steps)
-    return state
+    phi = init_state(alpha, beta).phi
+    return WalkState(steps, _propagate(coin, phi.T, steps)[:, :, 0])
 
 
 def distribution(state: WalkState) -> Distribution:

@@ -5,7 +5,8 @@ definitions but through a different computational route, so agreement is
 meaningful: a dict-based walk evolution, the site-by-site steppers the
 momentum-space propagator of `qqwalk.walk.evolve` is checked against
 (`step` in quaternion arithmetic, `step_fourier` by the complex images of
-the move operators, and `step_walk`, which also records the total
+the move operators, built by `move_images` from `split_pq` rather than
+from `u_theta`, and `step_walk`, which also records the total
 probability after every step), path sums by enumeration of every path,
 the Laurent coefficients of the Chebyshev polynomials
 U_j(s - (u/2)(w + 1/w)) of the closed forms in exact integer arithmetic
@@ -47,8 +48,6 @@ from qqwalk.coin import (
     ZERO_TOL,
     Coin,
     MoveOperators,
-    chi_p,
-    chi_q,
     classify,
     split_pq,
     u_theta,
@@ -127,9 +126,16 @@ def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
     return nxt
 
 
+def move_images(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 complex images of the left and right move operators, built
+    from `split_pq` and `chi_matrix` rather than from `u_theta`."""
+    ops = split_pq(coin)
+    return chi_matrix(ops.p), chi_matrix(ops.q)
+
+
 def step_fourier(state: WalkState, coin: Coin) -> WalkState:
     """One evolution step by the complex images of the move operators."""
-    return WalkState(state.n + 1, _step_c4(state.phi, chi_p(coin), chi_q(coin)))
+    return WalkState(state.n + 1, _step_c4(state.phi, *move_images(coin)))
 
 
 def step_walk(coin: Coin, alpha: Quaternion, beta: Quaternion,
@@ -140,7 +146,7 @@ def step_walk(coin: Coin, alpha: Quaternion, beta: Quaternion,
     (length steps + 1).  The move images are built once per walk.
     """
     phi = init_state(alpha, beta).phi
-    cp, cq = chi_p(coin), chi_q(coin)
+    cp, cq = move_images(coin)
     norms = np.zeros(steps + 1)
     norms[0] = np.vdot(phi, phi).real
     for s in range(steps):
@@ -232,9 +238,7 @@ def case4_split(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     """
     if classify(coin) != "case4":
         raise DomainError("coin must classify as case4")
-    ops = split_pq(coin)
-    cp = chi_matrix(ops.p)
-    cq = chi_matrix(ops.q)
+    cp, cq = move_images(coin)
     p1 = np.zeros_like(cp)
     p2 = np.zeros_like(cp)
     q1 = np.zeros_like(cq)

@@ -111,10 +111,10 @@ def test_exact_matches_simulate_on_trace_free_coin(tmp_path):
 
 
 def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
-    ops = split_pq(load_coin(hadamard_file))
+    coin = load_coin(hadamard_file)
     assert main(["xi", "--coin", hadamard_file, "--l", "1", "--m", "3"]) == 0
     closed = json.loads(capsys.readouterr().out)
-    brute = xi_bruteforce(ops, 1, 3)
+    brute = xi_bruteforce(coin, 1, 3)
     assert closed["position"] == brute.position == 2
     for r in range(2):
         for c in range(2):
@@ -125,7 +125,7 @@ def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert main(["xi", "--coin", hadamard_file, "--l", "40", "--m", "40"]) == 0
     closed = json.loads(capsys.readouterr().out)
     assert np.max(np.abs(np.array(closed["matrix"])
-                         - np.array(xi_bruteforce(ops, 40, 40).matrix))) <= 1e-12
+                         - np.array(xi_bruteforce(coin, 40, 40).matrix))) <= 1e-12
     # and a coin outside the closed forms takes the propagator itself
     path = tmp_path / "general.json"
     path.write_text(coin_to_json(random_coin(np.random.default_rng(91), "general")),
@@ -133,7 +133,7 @@ def test_xi_closed_and_brute(hadamard_file, tmp_path, capsys):
     assert main(["xi", "--coin", str(path), "--l", "3", "--m", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"l": 3, "m": 4, "position": 1,
-                       "matrix": xi_bruteforce(split_pq(load_coin(path)), 3, 4).matrix}
+                       "matrix": xi_bruteforce(load_coin(path), 3, 4).matrix}
 
 
 @pytest.mark.parametrize("kind", ("case4", "complex", "case5"))
@@ -146,11 +146,11 @@ def test_xi_closed_and_brute_case4_and_complex(kind, tmp_path, capsys):
         path = str(tmp_path / "complex.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(coin_to_json(random_coin(np.random.default_rng(92), "complex")))
-    ops = split_pq(load_coin(path))
+    coin = load_coin(path)
     for l, m in ((1, 3), (12, 17), (150, 150)):
         assert main(["xi", "--coin", path, "--l", str(l), "--m", str(m)]) == 0
         closed = json.loads(capsys.readouterr().out)
-        brute = xi_bruteforce(ops, l, m)
+        brute = xi_bruteforce(coin, l, m)
         assert closed["position"] == brute.position == m - l
         assert np.max(np.abs(np.array(closed["matrix"])
                              - np.array(brute.matrix))) <= 1e-12, (l, m)
@@ -405,13 +405,13 @@ def test_xi_takes_the_propagator_off_the_closed_forms(coin, tmp_path, capsys):
         path = tmp_path / "coin.json"
         path.write_text(coin_to_json(validate_coin(*ZERO_ENTRY_COINS[coin][1])),
                         encoding="utf-8")
-    ops = split_pq(load_coin(path))
-    table = enumerate_xi(ops, 8)
+    loaded = load_coin(path)
+    table = enumerate_xi(split_pq(loaded), 8)
     for l, m in pairs:
         assert main(["xi", "--coin", str(path), "--l", str(l), "--m", str(m)]) == 0, (l, m)
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"l": l, "m": m, "position": m - l,
-                           "matrix": xi_bruteforce(ops, l, m).matrix}, (l, m)
+                           "matrix": xi_bruteforce(loaded, l, m).matrix}, (l, m)
         assert np.max(np.abs(np.array(payload["matrix"]) - table[l, m])) <= 1e-12, (l, m)
 
 
@@ -773,5 +773,5 @@ def test_zero_entry_coins_take_the_case1_case2_law(kind, seed, n, size, zeroed,
         _refuses_by_family(path, tag, command, what, tmp)
     with redirect_stdout(io.StringIO()) as stdout:
         assert main(["xi", "--coin", str(path), "--l", "1", "--m", "1"]) == 0
-    brute = xi_bruteforce(split_pq(coin), 1, 1)
+    brute = xi_bruteforce(coin, 1, 1)
     assert json.loads(stdout.getvalue())["matrix"] == brute.matrix

@@ -11,7 +11,7 @@ import qqwalk.coin as coin_module
 from qqwalk import DomainError, NormDriftError, Quaternion
 from qqwalk.coin import (
     COIN_CLASSES,
-    MoveOperators,
+    Coin,
     classify,
     hadamard_coin,
     load_coin,
@@ -37,6 +37,7 @@ from helpers import (
     enumerate_xi,
     is_unitary,
     max_abs,
+    move_images,
     qmat_mul,
     random_quaternion,
     random_spinor,
@@ -64,7 +65,7 @@ def test_bruteforce_literal_example():
                 + qmat_mul(q, qmat_mul(p, qmat_mul(q, q)))
                 + qmat_mul(q, qmat_mul(q, qmat_mul(p, q)))
                 + qmat_mul(q, qmat_mul(q, qmat_mul(q, p))))
-    ps = xi_bruteforce(ops, 1, 3)
+    ps = xi_bruteforce(coin, 1, 3)
     assert np.allclose(ps.matrix, expected, atol=1e-14)
     assert ps.position == 2
 
@@ -72,7 +73,6 @@ def test_bruteforce_literal_example():
 def test_bruteforce_pure_powers():
     rng = np.random.default_rng(50)
     coin = random_coin(rng)
-    ops = split_pq(coin)
     n = 6
     # Q^n = d^{n-1} Q and P^n = a^{n-1} P (scalars act from the left)
     d_pow = Quaternion.one()
@@ -80,12 +80,12 @@ def test_bruteforce_pure_powers():
     for _ in range(n - 1):
         d_pow = coin.d * d_pow
         a_pow = coin.a * a_pow
-    right = xi_bruteforce(ops, 0, n)
+    right = xi_bruteforce(coin, 0, n)
     expected_q = np.zeros((2, 2, 4))
     expected_q[1, 0] = (d_pow * coin.c).to_array()
     expected_q[1, 1] = (d_pow * coin.d).to_array()
     assert np.allclose(right.matrix, expected_q, atol=1e-12)
-    left = xi_bruteforce(ops, n, 0)
+    left = xi_bruteforce(coin, n, 0)
     expected_p = np.zeros((2, 2, 4))
     expected_p[0, 0] = (a_pow * coin.a).to_array()
     expected_p[0, 1] = (a_pow * coin.b).to_array()
@@ -93,20 +93,23 @@ def test_bruteforce_pure_powers():
 
 
 def test_bruteforce_identity():
-    ops = split_pq(hadamard_coin())
-    ident = xi_bruteforce(ops, 0, 0)
+    ident = xi_bruteforce(hadamard_coin(), 0, 0)
     assert ident.matrix[0][0][0] == 1.0 and ident.matrix[1][1][0] == 1.0
 
 
-def test_bruteforce_asserts_total_probability():
-    # a Hadamard split with a scaled by 1 + 1e-6 is no longer unitary, so
-    # the propagated identity columns leave norm 1 after the first step
-    ops = split_pq(hadamard_coin())
-    p = ops.p.copy()
-    p[0, 0] *= 1.0 + 1e-6
-    xi_bruteforce(ops, 1, 1)
+@pytest.mark.parametrize("caller", ("evolve", "xi_bruteforce"))
+def test_propagator_asserts_total_probability(caller):
+    # an unvalidated Hadamard coin with a scaled by 1 + 1e-6 is no longer
+    # unitary, so the propagated walks leave norm 1 after the first step:
+    # `walk._propagate` asserts it for both of its callers
+    h = hadamard_coin()
+    coin = Coin((1.0 + 1e-6) * h.a, h.b, h.c, h.d)
+    one, zero = Quaternion.one(), Quaternion.zero()
+    run = {"evolve": lambda c: evolve(c, one, zero, 2),
+           "xi_bruteforce": lambda c: xi_bruteforce(c, 1, 1)}[caller]
+    run(h)
     with pytest.raises(NormDriftError):
-        xi_bruteforce(MoveOperators(p, ops.q), 1, 1)
+        run(coin)
 
 
 @pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
@@ -116,12 +119,12 @@ def test_bruteforce_matches_enumeration(kind, seed):
     # the propagator against the sum over every path, edges l = 0 and m = 0
     # included.  The zeros of enumeration come out exact where the reach
     # rule sets them (case1, case2); elsewhere they are round-off.
-    ops = split_pq(random_coin(np.random.default_rng(seed), kind))
-    table = enumerate_xi(ops, 9)
+    coin = random_coin(np.random.default_rng(seed), kind)
+    table = enumerate_xi(split_pq(coin), 9)
     for n in range(10):
         for m in range(n + 1):
             want = table[n - m, m]
-            got = np.array(xi_bruteforce(ops, n - m, m).matrix)
+            got = np.array(xi_bruteforce(coin, n - m, m).matrix)
             assert max_abs(got - want) <= 1e-13, (n - m, m)
             if kind in ("case1", "case2"):
                 assert np.all(got[want == 0.0] == 0.0), (n - m, m)
@@ -134,11 +137,10 @@ def test_bruteforce_reconstructs_amplitudes():
     alpha, beta = random_spinor(rng)
     n = 7
     st = evolve(coin, alpha, beta, n)
-    ops = split_pq(coin)
     for x in range(-n, n + 1, 2):
         l = (n - x) // 2
         m = (n + x) // 2
-        xi = np.array(xi_bruteforce(ops, l, m).matrix)
+        xi = np.array(xi_bruteforce(coin, l, m).matrix)
         left = (Quaternion.from_array(xi[0, 0]) * alpha
                 + Quaternion.from_array(xi[0, 1]) * beta)
         right = (Quaternion.from_array(xi[1, 0]) * alpha
@@ -200,10 +202,9 @@ def test_closed_case3_both_signs():
 def test_closed_case4_split_structure():
     coin = ij_coin()
     p1, p2, q1, q2 = case4_split(coin)
-    from qqwalk.coin import chi_p, chi_q
-
-    assert np.allclose(p1 + p2, chi_p(coin))
-    assert np.allclose(q1 + q2, chi_q(coin))
+    cp, cq = move_images(coin)
+    assert np.allclose(p1 + p2, cp)
+    assert np.allclose(q1 + q2, cq)
     # cross products between the two families vanish identically
     for x in (p1, q1):
         for y in (p2, q2):
@@ -273,7 +274,7 @@ def test_closed_matches_propagator_columns():
     one, zero = Quaternion.one(), Quaternion.zero()
     for coin, l, m in cases:
         xi = np.array(xi_closed(coin, l, m).matrix)
-        gap = max_abs(xi - xi_bruteforce(split_pq(coin), l, m).matrix)
+        gap = max_abs(xi - xi_bruteforce(coin, l, m).matrix)
         assert gap <= 1e-12, (l, m, gap)
         for col, (alpha, beta) in enumerate(((one, zero), (zero, one))):
             left, right = evolve(coin, alpha, beta, l + m).amplitude(m - l)
@@ -291,7 +292,7 @@ def test_xi_closed_matches_propagator(kind, seed, l, m):
     # every family xi_closed reads, case3 coins with both signs
     coin = random_coin(np.random.default_rng(seed), kind)
     closed = np.array(xi_closed(coin, l, m).matrix)
-    assert max_abs(closed - xi_bruteforce(split_pq(coin), l, m).matrix) <= 1e-12
+    assert max_abs(closed - xi_bruteforce(coin, l, m).matrix) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ("case3", "case4", "complex", "case5"))
@@ -318,7 +319,7 @@ def test_closed_dispatch():
     rng = np.random.default_rng(57)
     for kind in ("case3", "case4", "complex", "case5"):
         coin = random_coin(rng, kind)
-        for ps in (xi_closed(coin, 2, 2), xi_bruteforce(split_pq(coin), 2, 2)):
+        for ps in (xi_closed(coin, 2, 2), xi_bruteforce(coin, 2, 2)):
             assert _nested_types(ps.matrix) == [[[float] * 4] * 2] * 2, kind
     with pytest.raises(DomainError):
         xi_closed(random_coin(rng, "general"), 2, 2)

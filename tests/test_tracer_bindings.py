@@ -87,7 +87,7 @@ TRACED_JOBS = {  # argv, the traced functions the job reaches, work counts
                   "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]", "--steps", "40",
                   "--out", "out.csv"],
                  {"cli.main", "coin.load_coin", "coin.unitarity_residuals", "coin.classify",
-                  "coin.split_pq", "walk.evolve", "walk.distribution"},
+                  "walk.evolve", "walk.distribution"},
                  {"walk.evolve": {"site_updates": 40 * 41 // 2}}),
     "simulate-closed": (["simulate", "--coin", os.path.join(COIN_DIR, "hadamard.json"),
                          "--alpha", "[1, 0, 0, 0]", "--beta", "[0, 0, 0, 0]",
