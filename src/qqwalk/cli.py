@@ -333,7 +333,14 @@ def run() -> None:
     end the process with os._exit, skipping interpreter teardown (freeing
     the loaded modules costs about as much as a short job).  So atexit
     handlers do not run.  Every --out file is closed before main() returns,
-    and main() flushes each stdout write and reports a failed one itself."""
+    and main() flushes each stdout write and reports a failed one itself.
+
+    Before main(), OPENBLAS_NUM_THREADS defaults to 1, unless it is set:
+    a job that loads numpy then skips starting OpenBLAS's thread pool,
+    about half of numpy's import time.  No job uses BLAS threads (the
+    propagator is batched 4x4 products and a 1-D FFT), so its output is
+    the same bytes."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     rc = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

@@ -2,7 +2,9 @@
 `qqwalk` script end the process with os._exit right after flushing their
 output.  Output buffered and never flushed would be lost there, so these
 runs drop PYTHONUNBUFFERED, which would hide it, and compare each spawned
-job with the same job run in-process through `main`."""
+job with the same job run in-process through `main`.  A spawned job loads
+numpy with one BLAS thread, the in-process one with the test process's
+thread pool, so the numpy jobs check that this leaves the bytes alone."""
 
 import io
 import os
@@ -27,6 +29,9 @@ OUT = "<out>"
 JOBS = {
     "classify": (["classify", "--coin", TRACEFREE_IJ], 0),
     "xi": (["xi", "--coin", HADAMARD, "--l", "12", "--m", "288"], 0),
+    "xi-walk": (["xi", "--coin", SUPERPOSITION, "--l", "40", "--m", "40"], 0),
+    "simulate-walk": (["simulate", "--coin", SUPERPOSITION, *INIT, "--steps", "3000",
+                       "--out", OUT], 0),
     "spectrum": (["spectrum", "--coin", TRACEFREE_IJ, "--theta", "0.4"], 0),
     "compare": (["compare", "--coin", HADAMARD, *INIT, "--steps", "400"], 0),
     "limit": (["limit", "--coin", TRACEFREE_IJ, *INIT, "--grid", "101", "--out", OUT], 0),
@@ -103,6 +108,38 @@ def test_run_skips_atexit_handlers():
     proc = _spawn(None, subprocess.PIPE, code=code)
     assert proc.returncode == 0, proc.stderr
     assert b'"class": "case4"' in proc.stdout and b"teardown" not in proc.stdout
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_run_loads_numpy_with_one_blas_thread_by_default(preset):
+    code = ("import os\n"
+            "import qqwalk.cli as cli\n"
+            "from qqwalk import _numpy\n"
+            "def main():\n"
+            "    _numpy.ndarray\n"
+            "    task = '/proc/self/task'\n"
+            "    threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+            "    print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+            "    return 0\n"
+            "cli.main = main\n"
+            "cli.run()\n")
+    env = _env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = _spawn(None, subprocess.PIPE, env=env, code=code)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.decode().split()
+    assert value == (preset or "1")
+    if preset is None and threads != "None":
+        assert threads == "1"
+
+
+def test_main_leaves_the_environment_alone(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert cli.main(JOBS["xi-walk"][0]) == 0
+    assert dict(os.environ) == before
 
 
 STDOUT_ERROR = b"error: cannot write stdout: "
