@@ -6,12 +6,12 @@ Outputs are deterministic: CSV with a header row, LF endings and floats at
 17 significant digits; JSON via the standard shortest-round-trip float
 representation.  `simulate` and `xi` work for every valid coin: each takes
 `exact`'s closed form where `coin.closed_family` or, for `xi`,
-`coin.kernel_family` names one (and l, m >= 1), and the propagator
-elsewhere.  Exit codes: 0 success, 1 usage or input error (an unwritable
---out or stdout included), 2 domain error, 3 numeric failure (degenerate
-spectrum, total probability drift).  `main` returns the exit code; `run`,
-the process entry point, ends the process with it right after flushing the
-output, without interpreter teardown.
+`coin.kernel_family` names one, and the propagator elsewhere.  Exit
+codes: 0 success, 1 usage or input error (an unwritable --out or stdout
+included), 2 domain error, 3 numeric failure (degenerate spectrum, total
+probability drift).  `main` returns the exit code; `run`, the process
+entry point, ends the process with it right after flushing the output,
+without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -145,7 +145,6 @@ def _cmd_simulate(*, coin, alpha, beta, steps, out) -> int:
     if coin_layer.closed_family(coin) is not None:
         # the walk's law in O(n) on Python floats, without the propagator or numpy
         dist = exact.closed_form_distribution(coin, alpha, beta, steps)
-        coin_layer.check_norm((dist.total(),), steps)
     else:
         dist = walk.distribution(walk.evolve(coin, alpha, beta, steps))
     _write_dist_csv(out, dist)
@@ -166,7 +165,7 @@ def _cmd_xi(*, coin, l, m) -> int:
     if l < 0 or m < 0:
         raise UsageError("--l and --m must be non-negative")
     _check_size("--l + --m", l + m)
-    if coin_layer.kernel_family(coin) is not None and min(l, m) >= 1:
+    if coin_layer.kernel_family(coin) is not None:
         # O(min(l, m)) on Python floats, without the propagator or numpy
         ps = exact.xi_closed(coin, l, m)
     else:

@@ -69,7 +69,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .coin import (Coin, _require_closed_family, _require_kernel_family, _u_rows,
-                   check_spinor)
+                   check_norm, check_spinor)
 from .errors import DomainError
 from .quaternion import Quaternion
 from .walk import Distribution, _propagate
@@ -114,12 +114,6 @@ def xi_bruteforce(coin: Coin, l: int, m: int) -> PathSum:
     cols = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     left, right = _propagate(coin, cols, l + m)[m].T.tolist()
     return _path_sum(l, m, left, right)
-
-
-def _require_interior(l: int, m: int) -> None:
-    if min(l, m) < 1:
-        raise DomainError("closed form requires l >= 1 and m >= 1; "
-                          "xi_bruteforce takes the edges")
 
 
 # ---------------------------------------------------------------------
@@ -295,14 +289,18 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     trace-free (case5) coin.
 
     Xi(l, m) is row m of the walks from (1, 0) and (0, 1) after l + m
-    steps: columns 0 and 2 of its 4x4 complex image.  Raises DomainError
-    for a coin outside these families and unless l, m >= 1.
+    steps: columns 0 and 2 of its 4x4 complex image, edges l = 0 and
+    m = 0 included.  Raises DomainError for a coin outside these families.
     """
     family = _require_kernel_family(coin, "path sum")
     _check_lm(l, m)
-    _require_interior(l, m)
     half, eps = divmod(l + m, 2)
     u0 = _u_rows(coin, 0.0)
+    one, zero = Quaternion.one(), Quaternion.zero()
+    seeds = [_walk_steps(u0, alpha, beta, eps + 2)
+             for alpha, beta in ((one, zero), (zero, one))]
+    if half == 0:  # l + m <= 1: the identity, P or Q, a row of the seed walk
+        return _path_sum(l, m, *(states[eps][m] for states in seeds))
     s, u, twists = _kernel_inputs(coin, u0, family)
     # row m weighs seed row i by e^(half-1)_k at k = r + 1 - i and by
     # e^(half-2)_k at k = r - i, r = m - half
@@ -310,10 +308,9 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     coeffs = (*_s_sums(s, u, half - 1, r - 2, r + 1)[::-1],
               *_s_sums(s, u, half - 2, r - 1, r)[::-1])
     phases = [(-d) ** (half - 1) * t ** (half - 1 - m) for t, d in twists]
-    one, zero = Quaternion.one(), Quaternion.zero()
     cols = []
-    for alpha, beta in ((one, zero), (zero, one)):
-        rows = _seed_rows(_walk_steps(u0, alpha, beta, eps + 2), eps, twists)
+    for states in seeds:
+        rows = _seed_rows(states, eps, twists)
         cols.append([p * sum(map(mul, coeffs, comp))
                      for p, comp in zip(phases, zip(*rows))])
     return _path_sum(l, m, *cols)
@@ -336,12 +333,6 @@ def boundary_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
         raise DomainError("n must be non-negative")
     if n == 0:
         return 1.0
-    return _edge_prob(coin, alpha, beta, n, side)
-
-
-def _edge_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
-               n: int, side: int) -> float:
-    """`boundary_prob` for n >= 1 on checked inputs."""
     asq = coin.a.norm_sq()
     bsq = coin.b.norm_sq()
     asq_n = alpha.norm_sq()
@@ -446,10 +437,15 @@ def closed_form_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     complex walk (real diagonal; split simplex/perplex structure), and for
     trace-free coins.
     """
-    return Distribution(n, _probs(coin, alpha, beta, n)).prob(x)
+    return closed_form_distribution(coin, alpha, beta, n).prob(x)
 
 
 def closed_form_distribution(coin: Coin, alpha: Quaternion, beta: Quaternion,
                              n: int) -> Distribution:
-    """Closed-form P(X_n = x) over the whole parity support."""
-    return Distribution(n, _probs(coin, alpha, beta, n))
+    """Closed-form P(X_n = x) over the whole parity support.
+
+    Raises NormDriftError when its total misses 1 by more than NORM_TOL,
+    as `walk._propagate` does for a walk."""
+    dist = Distribution(n, _probs(coin, alpha, beta, n))
+    check_norm((dist.total(),), n)
+    return dist

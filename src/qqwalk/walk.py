@@ -29,7 +29,7 @@ the norm after every step.
 Total probability is asserted, never renormalized: `_propagate` raises
 NormDriftError from `coin.check_norm`, the one normalization check of a
 result, when a walk it returns misses 1 by more than `coin.NORM_TOL`, for
-`evolve` and `exact.xi_bruteforce` alike; the CLI applies it to a
+`evolve` and `exact.xi_bruteforce` alike; `exact` applies it to every
 closed-form distribution.  `coin.check_spinor` holds the start state to
 the same tolerance.  Both checks fail on NaN.
 """
@@ -181,8 +181,7 @@ def evolve(coin: Coin, alpha: Quaternion, beta: Quaternion,
 def distribution(state: WalkState) -> Distribution:
     """Pointwise squared amplitude norms."""
     psi = state.psi
-    probs = np.sum(psi * psi, axis=(1, 2))
-    return Distribution(state.n, np.maximum(probs, 0.0))
+    return Distribution(state.n, np.sum(psi * psi, axis=(1, 2)))
 
 
 def moment(dist: Distribution, r: int) -> float:

@@ -15,9 +15,9 @@ from qqwalk import NormDriftError, Quaternion
 from qqwalk.cli import main
 from qqwalk.coin import (COIN_CLASSES, ZERO_TOL, classify, closed_family, coin_to_json,
                          hadamard_coin, load_coin, random_coin, split_pq, validate_coin)
-from qqwalk.exact import closed_form_distribution, xi_bruteforce
+from qqwalk.exact import xi_bruteforce, xi_closed
 from qqwalk.spectral import qqw_limit_params, weight_constant
-from qqwalk.walk import Distribution, distribution, evolve
+from qqwalk.walk import distribution, evolve
 
 from helpers import (enumerate_xi, near_zero_coin, numpy_limit_csv, random_spinor, ratio4_coin,
                      zero_entry_coin)
@@ -390,29 +390,54 @@ ALL_PAIRS = [(l, n - l) for n in range(9) for l in range(n + 1)]
 EDGES = [(l, m) for l, m in ALL_PAIRS if min(l, m) == 0]
 
 
-@pytest.mark.parametrize("coin", ["superposition", "hadamard-edges",
-                                  *sorted(ZERO_ENTRY_COINS)])
+@pytest.mark.parametrize("coin", ["superposition", *sorted(ZERO_ENTRY_COINS)])
 def test_xi_takes_the_propagator_off_the_closed_forms(coin, tmp_path, capsys):
-    # a general coin, the edges l = 0 and m = 0 of a case3 coin, and case1
-    # and case2 coins: `xi` prints `xi_bruteforce`'s matrix, which matches
-    # path enumeration
-    pairs = ALL_PAIRS
+    # a general coin, and case1 and case2 coins: `xi` prints
+    # `xi_bruteforce`'s matrix, which matches path enumeration
     if coin == "superposition":
         path = SUPERPOSITION
-    elif coin == "hadamard-edges":
-        path, pairs = os.path.join(COIN_DIR, "hadamard.json"), EDGES
     else:
         path = tmp_path / "coin.json"
         path.write_text(coin_to_json(validate_coin(*ZERO_ENTRY_COINS[coin][1])),
                         encoding="utf-8")
     loaded = load_coin(path)
     table = enumerate_xi(split_pq(loaded), 8)
-    for l, m in pairs:
+    for l, m in ALL_PAIRS:
         assert main(["xi", "--coin", str(path), "--l", str(l), "--m", str(m)]) == 0, (l, m)
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"l": l, "m": m, "position": m - l,
                            "matrix": xi_bruteforce(loaded, l, m).matrix}, (l, m)
         assert np.max(np.abs(np.array(payload["matrix"]) - table[l, m])) <= 1e-12, (l, m)
+
+
+def test_xi_takes_the_closed_form_at_the_edges(tmp_path, capsys):
+    # on the kernel's families (case3, case4, case5 and complex) the edges
+    # l = 0 and m = 0 take the closed form, as the interior does: `xi`
+    # prints `xi_closed`'s matrix, which matches path enumeration
+    complex_path = tmp_path / "complex.json"
+    complex_path.write_text(coin_to_json(random_coin(np.random.default_rng(93), "complex")),
+                            encoding="utf-8")
+    for path in (os.path.join(COIN_DIR, "hadamard.json"), TRACEFREE_IJ, TRACEFREE[-1],
+                 complex_path):
+        loaded = load_coin(path)
+        table = enumerate_xi(split_pq(loaded), 8)
+        for l, m in EDGES:
+            assert main(["xi", "--coin", str(path), "--l", str(l), "--m", str(m)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload == {"l": l, "m": m, "position": m - l,
+                               "matrix": xi_closed(loaded, l, m).matrix}, (path, l, m)
+            gap = np.max(np.abs(np.array(payload["matrix"]) - table[l, m]))
+            assert gap <= 1e-12, (path, l, m)
+
+
+@pytest.mark.parametrize("l, m", ((0, cli.MAX_SIZE), (cli.MAX_SIZE, 0)))
+def test_xi_edges_at_the_size_limit(l, m, capsys):
+    # Q^m and P^l on hadamard, whose entries 2^(-m/2) underflow to zero
+    path = os.path.join(COIN_DIR, "hadamard.json")
+    assert main(["xi", "--coin", path, "--l", str(l), "--m", str(m)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["position"] == m - l
+    assert not np.any(np.array(payload["matrix"]))
 
 
 # ---------------------------------------------------------------------
@@ -639,20 +664,27 @@ def test_valid_general_coin_can_drift_past_the_norm_check(steps, drift, tmp_path
     assert not out.exists()
 
 
-def test_closed_route_norm_drift_is_numeric_error(hadamard_file, tmp_path, monkeypatch,
-                                                  capsys):
-    # the closed form's total is asserted as the walk's is
-    def drifting(coin, alpha, beta, n):
-        dist = closed_form_distribution(coin, alpha, beta, n)
-        return Distribution(n, [p * (1.0 - 1e-6) for p in dist.probs])
-
-    monkeypatch.setattr(cli.exact, "closed_form_distribution", drifting)
+def test_closed_route_norm_drift_is_numeric_error(tmp_path, capsys):
+    # the closed form's total is asserted as the walk's is, by `exact`
+    # itself, so every command that reads it fails alike: tracefree_mixed
+    # with b and c scaled by 1 + 9e-11 is a valid coin (residual 9e-11)
+    # whose law at n = 1000 sums to 1 + 1.48e-10
+    base = load_coin(os.path.join(COIN_DIR, "tracefree_mixed.json"))
+    scale = 1.0 + 9e-11
+    path = tmp_path / "near.json"
+    path.write_text(coin_to_json(validate_coin(base.a, scale * base.b, scale * base.c,
+                                               base.d)), encoding="utf-8")
     out = tmp_path / "x.csv"
-    code = main(["simulate", "--coin", hadamard_file, "--alpha", ALPHA, "--beta", BETA,
-                 "--steps", "100", "--out", str(out)])
-    assert code == 3
-    assert "drifted" in capsys.readouterr().err
-    assert not out.exists()
+    for command in (["simulate", "--out", str(out)], ["exact", "--out", str(out)],
+                    ["compare"]):
+        code = main([command[0], "--coin", str(path), "--alpha", ALPHA, "--beta", BETA,
+                     "--steps", "1000", *command[1:]])
+        assert code == 3, command[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: total probability drifted by 1.482e-10"
+                                " after 1000 steps\n"), command[0]
+        assert not out.exists()
 
 
 def test_simulate_hadamard_at_the_size_limit(tmp_path):

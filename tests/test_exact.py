@@ -166,17 +166,14 @@ def test_closed_complex_random():
     for _ in range(5):
         coin = random_coin(rng, "complex")
         table = enumerate_xi(split_pq(coin), 8)
-        for l in range(1, 5):
-            for m in range(1, 5):
+        for l in range(5):
+            for m in range(5):
                 closed = xi_closed(coin, l, m).matrix
                 brute = table[l, m]
                 assert max_abs(closed - brute) <= 1e-10
 
 
 def test_closed_complex_domain():
-    coin = hadamard_coin()
-    with pytest.raises(DomainError, match="xi_bruteforce takes the edges"):
-        xi_closed(coin, 0, 4)
     rng = np.random.default_rng(54)
     with pytest.raises(DomainError):
         xi_closed(random_coin(rng, "general"), 1, 1)
@@ -191,8 +188,8 @@ def test_closed_case3_both_signs():
         coin = random_coin(rng, "case3")
         seen.add(1 if abs(coin.d.re - coin.a.re) < 1e-9 else -1)
         table = enumerate_xi(split_pq(coin), 6)
-        for l in range(1, 4):
-            for m in range(1, 4):
+        for l in range(4):
+            for m in range(4):
                 closed = xi_closed(coin, l, m).matrix
                 brute = table[l, m]
                 assert max_abs(closed - brute) <= 1e-10
@@ -235,8 +232,8 @@ def test_closed_case4_random():
     for _ in range(5):
         coin = random_coin(rng, "case4")
         table = enumerate_xi(split_pq(coin), 6)
-        for l in range(1, 4):
-            for m in range(1, 4):
+        for l in range(4):
+            for m in range(4):
                 closed = xi_closed(coin, l, m).matrix
                 brute = table[l, m]
                 assert max_abs(closed - brute) <= 1e-10
@@ -250,15 +247,44 @@ TRACEFREE_FILES = [os.path.join(COIN_DIR, f"tracefree_{name}.json")
 @pytest.mark.parametrize("index", range(6))
 def test_closed_trace_free_matches_enumeration(index):
     # the trace-free coin files (tracefree_ij classifies as case4, the
-    # others as case5) and random case5 coins, every l, m >= 1 with
+    # others as case5) and random case5 coins, every l, m >= 0 with
     # l + m <= 9
     coins = [load_coin(path) for path in TRACEFREE_FILES]
     coins += [random_coin(np.random.default_rng(seed), "case5") for seed in (65, 66, 67)]
     coin = coins[index]
     table = enumerate_xi(split_pq(coin), 9)
-    for l in range(1, 9):
-        for m in range(1, 10 - l):
+    for l in range(10):
+        for m in range(10 - l):
             assert max_abs(xi_closed(coin, l, m).matrix - table[l, m]) <= 1e-10, (l, m)
+
+
+def _qmat_pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x^k of a 2 x 2 quaternion matrix by square-and-multiply."""
+    out = np.zeros((2, 2, 4))
+    out[0, 0, 0] = out[1, 1, 0] = 1.0
+    while k:
+        if k & 1:
+            out = qmat_mul(x, out)
+        x = qmat_mul(x, x)
+        k >>= 1
+    return out
+
+
+def test_closed_edges_match_powers():
+    # the one-word sums Xi(l, 0) = P^l and Xi(0, m) = Q^m shrink like
+    # |a|^n (5.5e-76 on hadamard at n = 500), so they are held to their own
+    # size: a round-off of 1e-16 in absolute terms would swamp them
+    rng = np.random.default_rng(58)
+    coins = [hadamard_coin()]
+    coins += [random_coin(rng, kind) for kind in ("case3", "case4", "complex", "case5")]
+    for coin in coins:
+        ops = split_pq(coin)
+        for l, m, word in ((500, 0, ops.p), (0, 500, ops.q)):
+            want = _qmat_pow(word, l + m)
+            size = max_abs(want)
+            assert size > 1e-200, (l, m)
+            gap = max_abs(np.array(xi_closed(coin, l, m).matrix) - want)
+            assert gap <= 1e-12 * size, (l, m, gap / size)
 
 
 def test_closed_matches_propagator_columns():

@@ -162,6 +162,14 @@ def test_xi_brute_loads_numpy():
     assert _loaded_after(_cli(["xi", "--coin", SUPERPOSITION, "--l", "3", "--m", "4"]))
 
 
+def test_xi_edges_leave_numpy_unloaded():
+    # the edges l = 0 and m = 0 of a kernel-family coin take the closed form
+    hadamard = os.path.join(COIN_DIR, "hadamard.json")
+    assert not _loaded_after("".join(
+        _cli(["xi", "--coin", hadamard, "--l", str(l), "--m", str(m)])
+        for l, m in ((0, 0), (1, 0), (0, 1), (0, 500), (500, 0))))
+
+
 def test_xi_above_the_cap_leaves_numpy_unloaded():
     # the size refusal comes before any array of the propagator
     assert not _loaded_after(_cli(["xi", "--coin", SUPERPOSITION,
