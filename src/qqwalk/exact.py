@@ -1,10 +1,12 @@
 """Closed-form distributions and path-sum matrices.
 
-For any coin, `xi_bruteforce` reads the path sum over all time-ordered
-products of l left moves and m right moves off the walk's momentum-space
-propagator: Xi(l, m) is the z^m coefficient of (chi(P) + z chi(Q))^(l+m),
-whose columns 0 and 2 are row m of the walks from (1, 0) and (0, 1).
-The exact edge probabilities P(X_n = +-n) hold for every coin too.
+For any coin, `xi_bruteforce` gives the path sum over all time-ordered
+products of l left moves and m right moves.  An edge l = 0 or m = 0 is
+one word, P^l or Q^m, read off a power of one entry; every other sum
+comes off the walk's momentum-space propagator: Xi(l, m) is the z^m
+coefficient of (chi(P) + z chi(Q))^(l+m), whose columns 0 and 2 are row
+m of the walks from (1, 0) and (0, 1).  The exact edge probabilities
+P(X_n = +-n) hold for every coin too.
 
 Every other closed form here comes from one identity and one kernel.  It
 covers four families: complex coins, coins with real diagonal (case3),
@@ -49,12 +51,15 @@ The closed forms compute on Python floats, complex numbers and integers,
 and load neither numpy nor `fractions`: a `PathSum.matrix` is a nested
 2 x 2 x 4 list from both routes, and a closed-form `Distribution` holds its
 probabilities as a list.  This module imports no numpy: only
-`xi_bruteforce`, through `walk._propagate`, runs it.  Which coins have a
-closed form is decided in `coin`, before this module loads, so the CLI's
-`simulate` and `xi` take the closed forms where they exist and the
-propagator elsewhere: both work for every valid coin.  The case1 and
-case2 coins have two-point and localized laws and no closed-form path
-sum; the kernel's families have four nonzero entries.
+`xi_bruteforce`, through `walk._propagate`, runs it, and only for l and
+m >= 1.  The one-word edges, the unit phases and the kernel's start value
+are powers by `quaternion._power`, the loop the propagator runs too, and
+not by complex `**`.  Which coins have a closed form is decided in
+`coin`, before this module loads, so the CLI's `simulate` and `xi` take
+the closed forms where they exist and `walk.evolve` or `xi_bruteforce`
+elsewhere: both work for every valid coin.  The case1 and case2 coins
+have two-point and localized laws and no closed-form path sum; the
+kernel's families have four nonzero entries.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from typing import NamedTuple
 from .coin import (Coin, _require_closed_family, _require_kernel_family, _u_rows,
                    check_norm, check_spinor)
 from .errors import DomainError
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _power
 from .walk import Distribution, _propagate
 
 __all__ = [
@@ -105,11 +110,26 @@ def xi_bruteforce(coin: Coin, l: int, m: int) -> PathSum:
     """Sum of all interleavings of l copies of P and m copies of Q, any coin.
 
     Products are taken in time order (the factor for the latest step
-    multiplies from the left).  The sum is the z^m coefficient of
-    (chi(P) + z chi(Q))^(l+m): row m of the walks from (1, 0) and (0, 1),
-    which `walk._propagate` evaluates in O(n log n); nothing is enumerated.
+    multiplies from the left).  An edge is one word, read off a power of
+    one entry by `_power` in O(log n) without numpy:
+    Xi(l, 0) = P^l = [[a^l, a^(l-1) b], [0, 0]],
+    Xi(0, m) = Q^m = [[0, 0], [d^(m-1) c, d^m]] and Xi(0, 0) = I.  For
+    l, m >= 1 the sum is the z^m coefficient of (chi(P) + z chi(Q))^(l+m):
+    row m of the walks from (1, 0) and (0, 1), which `walk._propagate`
+    evaluates in O(n log n); nothing is enumerated.
     """
     _check_lm(l, m)
+    if l == 0 or m == 0:
+        one, zero = Quaternion.one(), Quaternion.zero()
+        if l == m:  # Xi(0, 0) = I
+            rows = [[one, zero], [zero, one]]
+        elif m == 0:
+            w = _power(coin.a, l - 1, mul, one)
+            rows = [[coin.a * w, w * coin.b], [zero, zero]]
+        else:
+            w = _power(coin.d, m - 1, mul, one)
+            rows = [[zero, zero], [w * coin.c, coin.d * w]]
+        return PathSum(l, m, [[q.to_list() for q in row] for row in rows])
     # columns 0 and 2 of the identity: the spinors (1, 0) and (0, 1)
     cols = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     left, right = _propagate(coin, cols, l + m)[m].T.tolist()
@@ -123,27 +143,6 @@ def xi_bruteforce(coin: Coin, l: int, m: int) -> PathSum:
 # Working width of the integer recurrence of `_chebyshev_coeffs`: the live
 # values keep 96 to 160 bits, so a step rounds at 2^-96 relative.
 _WIDE = 96
-
-
-def _wide_pow(base: float, k: int) -> tuple[int, int]:
-    """(mantissa, exponent) with base**k = mantissa * 2**exponent, k >= 0,
-    the mantissa of _WIDE bits and its relative error below k 2^-94:
-    square-and-multiply on integers cut back to _WIDE bits, so neither the
-    range nor the precision of a float limits it."""
-    num, den = base.as_integer_ratio()  # den is a power of two
-    bm, be = num, 1 - den.bit_length()
-    mant, exp = 1, 0
-    while k:
-        if k & 1:
-            mant, exp = mant * bm, exp + be
-            cut = max(0, mant.bit_length() - _WIDE)
-            mant, exp = mant >> cut, exp + cut
-        bm, be = bm * bm, 2 * be
-        cut = max(0, bm.bit_length() - _WIDE)
-        bm, be = bm >> cut, be + cut
-        k >>= 1
-    cut = _WIDE - mant.bit_length()
-    return mant << cut, exp - cut
 
 
 def _chebyshev_coeffs(s: tuple[int, int], u: float, j: int) -> Iterator[float]:
@@ -176,7 +175,18 @@ def _chebyshev_coeffs(s: tuple[int, int], u: float, j: int) -> Iterator[float]:
     sw, uw = sn * (den // sd), un * (den // ud)  # s and u times den
     # 2su, A and u^2 times den^2
     b, a, c = 2 * sw * uw, 4 * sw * sw + 2 * uw * uw - 4 * den * den, uw * uw
-    mant, exp = _wide_pow(u, j)
+
+    def wide_mul(x, y):  # of (mantissa, exponent) pairs, cut back to _WIDE bits
+        mant = x[0] * y[0]
+        cut = max(0, mant.bit_length() - _WIDE)
+        return mant >> cut, x[1] + y[1] + cut
+
+    # e_j = (-u)^j, u = un 2^(1 - ud.bit_length()) as ud is a power of two,
+    # in a range and precision no float limits: the mantissa has _WIDE bits
+    # and a relative error below j 2^-94
+    mant, exp = _power((un, 1 - ud.bit_length()), j, wide_mul, (1, 0))
+    cut = _WIDE - mant.bit_length()
+    mant, exp = mant << cut, exp - cut
     e1, e2, e3, e4 = -mant if j % 2 else mant, 0, 0, 0  # e_{k+1} .. e_{k+4}
     yield math.ldexp(float(e1), exp)
     jj = (j + 1) ** 2
@@ -258,14 +268,22 @@ def _kernel_inputs(coin: Coin, u0: list[list[complex]],
     return (den - num, den), u, twists
 
 
+def _unit_pow(z: complex, k: int) -> complex:
+    """z^k for a unit phase z and any integer k, by `_power`.  For |k| <= 100
+    these are the products and the quotient of Python's complex `**`, which
+    goes polar beyond: `complex(-1.0, 0.0) ** -501` is -1 - 5.8e-14j."""
+    p = _power(z, abs(k), mul, 1 + 0j)
+    return p if k >= 0 else 1 / p
+
+
 def _seed_rows(states: list, eps: int, twists: list) -> list[list[complex]]:
     """The six rows whose combinations give every row of psi_n: rows 0 .. 3
     of psi_{eps+2} and rows 0, 1 of psi_eps times D_c t_c, row i of each
     twisted by t_c^i; the seeds of an even n are padded with zero rows."""
     pad = [[0j] * 4] * (1 - eps)
-    top = [[t ** i * z for (t, _), z in zip(twists, row)]
+    top = [[_unit_pow(t, i) * z for (t, _), z in zip(twists, row)]
            for i, row in enumerate(states[eps + 2])]
-    low = [[d * t ** (i + 1) * z for (t, d), z in zip(twists, row)]
+    low = [[d * _unit_pow(t, i + 1) * z for (t, d), z in zip(twists, row)]
            for i, row in enumerate(states[eps])]
     return [*top, *pad, *low, *pad]
 
@@ -307,7 +325,7 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     r = m - half
     coeffs = (*_s_sums(s, u, half - 1, r - 2, r + 1)[::-1],
               *_s_sums(s, u, half - 2, r - 1, r)[::-1])
-    phases = [(-d) ** (half - 1) * t ** (half - 1 - m) for t, d in twists]
+    phases = [_unit_pow(-d, half - 1) * _unit_pow(t, half - 1 - m) for t, d in twists]
     cols = []
     for states in seeds:
         rows = _seed_rows(states, eps, twists)

@@ -3,8 +3,9 @@
 Hamilton product, conjugation, the simplex/perplex decomposition, the 2x2
 complex embedding of a quaternion (its blockwise extension to small
 quaternion matrices, and the conversion of quaternion pairs to and from
-the first column of their image), and a closed-form solver for the
-one-sided linear equation a*x - x*b = c.
+the first column of their image), a closed-form solver for the
+one-sided linear equation a*x - x*b = c, and `_power`, the one binary
+powering of `walk` and `exact`, over any product.
 
 Scalars are immutable `Quaternion` values; the complex image `chi_arr` also
 takes float64 arrays whose trailing axis holds the four components
@@ -218,6 +219,19 @@ class Quaternion(_Frozen):
 
     def __repr__(self) -> str:
         return f"Quaternion({self.x0!r}, {self.x1!r}, {self.x2!r}, {self.x3!r})"
+
+
+def _power(x, k: int, mul, acc):
+    """x^k acc by binary powering, k >= 0, for any associative product
+    mul: one product mul(x, acc) per set bit of k, low bit first, and one
+    squaring mul(x, x) between bits.  k = 0 returns acc unchanged."""
+    while k:
+        if k & 1:
+            acc = mul(x, acc)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return acc
 
 
 def chi_arr(x: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ so after n steps it is the degree-n polynomial (cp + z cq)^n phi_0.
 Its n+1 coefficients are the amplitudes on the n+1 sites of the support,
 and a polynomial of degree n is fixed by its values at the n+1 roots of
 unity: the length-(n+1) inverse DFT recovers them exactly, without
-aliasing.  The matrix power costs about log2(n) batched 4x4 products, so
-an evolution is O(n log n) instead of the O(n^2) of stepping.  It is the
+aliasing.  The matrix power, by `quaternion._power` on `np.matmul`,
+costs about log2(n) batched 4x4 products, so an evolution is
+O(n log n) instead of the O(n^2) of stepping.  It is the
 only evolution route in the package, and the tests' reference for the
 closed forms of `exact`.  The CLI's `simulate` runs it only on the general
 coins that `coin.closed_family` leaves out; on the others it writes
@@ -29,7 +30,8 @@ the norm after every step.
 Total probability is asserted, never renormalized: `_propagate` raises
 NormDriftError from `coin.check_norm`, the one normalization check of a
 result, when a walk it returns misses 1 by more than `coin.NORM_TOL`, for
-`evolve` and `exact.xi_bruteforce` alike; `exact` applies it to every
+`evolve` and the interior path sums of `exact.xi_bruteforce` alike,
+whose one-word edges take no propagator; `exact` applies it to every
 closed-form distribution.  `coin.check_spinor` holds the start state to
 the same tolerance.  Both checks fail on NaN.
 """
@@ -41,7 +43,7 @@ from collections.abc import Sequence
 
 from . import _numpy as np
 from .coin import Coin, check_norm, check_spinor, u_theta
-from .quaternion import Quaternion, _phi_of, _psi_of
+from .quaternion import Quaternion, _phi_of, _power, _psi_of
 
 __all__ = [
     "WalkState",
@@ -139,14 +141,7 @@ def _propagate(coin: Coin, cols: np.ndarray, n: int) -> np.ndarray:
     cp[2:] = cq[:2] = 0.0
     z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
     power = cp + z[:, None, None] * cq  # symbol at each root
-    vec = np.repeat([cols], n + 1, axis=0)
-    e = n
-    while e:
-        if e & 1:
-            vec = power @ vec
-        e >>= 1
-        if e:
-            power = power @ power
+    vec = _power(power, n, np.matmul, np.repeat([cols], n + 1, axis=0))
     phi = np.fft.ifft(vec, axis=0)
     # The DFT leaves round-off on sites the walk cannot reach.  A unitary
     # coin has zero entries only when b = c = 0 (a^n alpha at -n, d^n beta

@@ -432,12 +432,13 @@ def test_xi_takes_the_closed_form_at_the_edges(tmp_path, capsys):
 
 @pytest.mark.parametrize("l, m", ((0, cli.MAX_SIZE), (cli.MAX_SIZE, 0)))
 def test_xi_edges_at_the_size_limit(l, m, capsys):
-    # Q^m and P^l on hadamard, whose entries 2^(-m/2) underflow to zero
-    path = os.path.join(COIN_DIR, "hadamard.json")
-    assert main(["xi", "--coin", path, "--l", str(l), "--m", str(m)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["position"] == m - l
-    assert not np.any(np.array(payload["matrix"]))
+    # Q^m and P^l, whose entries underflow to zero: on hadamard by the
+    # closed form, on superposition as one word
+    for path in (os.path.join(COIN_DIR, "hadamard.json"), SUPERPOSITION):
+        assert main(["xi", "--coin", path, "--l", str(l), "--m", str(m)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["position"] == m - l
+        assert not np.any(np.array(payload["matrix"]))
 
 
 # ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ from qqwalk.exact import (
     xi_closed,
     _chebyshev_coeffs,
     _s_sums,
+    _unit_pow,
 )
 from qqwalk.walk import distribution, evolve
 
@@ -285,6 +286,68 @@ def test_closed_edges_match_powers():
             assert size > 1e-200, (l, m)
             gap = max_abs(np.array(xi_closed(coin, l, m).matrix) - want)
             assert gap <= 1e-12 * size, (l, m, gap / size)
+
+
+def test_closed_phases_stay_exact_past_exponent_100():
+    # on the real hadamard coin every unit phase is +-1; raised by binary
+    # powering it stays +-1 + 0j past exponent 100, where Python's complex
+    # ** goes polar and left i components of 2e-40 at (12, 288)
+    for l, m in ((12, 288), (1001, 0)):
+        matrix = xi_closed(hadamard_coin(), l, m).matrix
+        assert all(x == 0.0 for row in matrix for q in row for x in q[1:]), (l, m)
+
+
+def test_closed_interior_row_past_exponent_100():
+    # a non-real phase t raised to the power half - 1 - m = -101
+    coin = random_coin(np.random.default_rng(7), "complex")
+    closed = np.array(xi_closed(coin, 100, 300).matrix)
+    assert max_abs(closed - xi_bruteforce(coin, 100, 300).matrix) <= 1e-12
+
+
+def test_unit_pow_matches_complex_power():
+    # for -100 <= k < 0 the products and the quotient of complex **, bit for
+    # bit (k >= 0 is `_power`'s own test); beyond it, -1 stays -1 + 0j
+    rng = np.random.default_rng(12)
+    for angle, k in zip(rng.uniform(-math.pi, math.pi, 2000), rng.integers(-100, 0, 2000)):
+        z = cmath.exp(1j * angle)
+        got, want = _unit_pow(z, int(k)), z ** int(k)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (z, k)
+    assert _unit_pow(complex(-1.0, 0.0), -501) == -1.0
+
+
+def _qmul_exact(p, q):
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3, p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1, p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
+def test_bruteforce_edges_match_exact_powers():
+    # on a general coin an edge is one word, P^l = [[a^l, a^(l-1) b], [0, 0]]
+    # or Q^m = [[0, 0], [d^(m-1) c, d^m]]: each entry is held to the exact
+    # power of the float entries, relative to its size, and the blocks no
+    # word reaches are exact zeros (the propagator left 1e-16 there)
+    coin = load_coin(os.path.join(COIN_DIR, "superposition.json"))
+    # the entries times 2^60 are integers, whose products are fast
+    a, b, c, d = ([Fraction(x) * 2**60 for x in q.to_list()] for q in coin.entries())
+    assert all(x.denominator == 1 for q in (a, b, c, d) for x in q)
+    for l, m in ((0, 200), (200, 0), (0, 57), (333, 0)):
+        x = a if m == 0 else d
+        w = (1, 0, 0, 0)
+        for _ in range(l + m - 1):
+            w = _qmul_exact(x, w)
+        if m == 0:
+            want = [[_qmul_exact(a, w), _qmul_exact(w, b)], None]
+        else:
+            want = [None, [_qmul_exact(w, c), _qmul_exact(d, w)]]
+        for got_row, want_row in zip(xi_bruteforce(coin, l, m).matrix, want):
+            if want_row is None:
+                assert got_row == [[0.0] * 4] * 2, (l, m)
+                continue
+            for got, exact in zip(got_row, want_row):
+                exact = [e / 2 ** (60 * (l + m)) for e in exact]
+                gap = sum((Fraction(g) - e) ** 2 for g, e in zip(got, exact))
+                assert gap <= Fraction(1, 10**26) * sum(e * e for e in exact), (l, m)
 
 
 def test_closed_matches_propagator_columns():

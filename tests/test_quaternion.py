@@ -1,10 +1,11 @@
 import math
+from operator import mul
 
 import numpy as np
 import pytest
 
 from qqwalk import Quaternion, chi, chi_matrix, solve_sylvester, sylvester_residual
-from qqwalk.quaternion import chi_arr, chi_inv_matrix, random_unit_quaternion
+from qqwalk.quaternion import _power, chi_arr, chi_inv_matrix, random_unit_quaternion
 
 from helpers import (is_unitary, qconj_arr, qmat_mul, qmul_arr, qnorm_arr,
                      random_quaternion)
@@ -32,6 +33,20 @@ def test_identity_and_scalars():
     assert (ONE * x).approx_eq(x)
     assert (2.0 * x).approx_eq(x + x)
     assert (x / 2.0).approx_eq(Quaternion(0.15, -0.6, 0.25, 1.0))
+
+
+def test_power_is_binary_powering():
+    # k = 0 returns acc itself; on integers it is pow; on complex numbers
+    # it makes the products of Python's complex ** for k <= 100, bit for bit
+    acc = object()
+    assert _power(2.5, 0, mul, acc) is acc
+    for x, k in ((3, 1), (-7, 13), (2, 100), (5, 77), (-1, 2**40 + 1)):
+        assert _power(x, k, mul, 1) == pow(x, k)
+    rng = np.random.default_rng(11)
+    for angle, k in zip(rng.uniform(-math.pi, math.pi, 2000), rng.integers(0, 101, 2000)):
+        z = complex(math.cos(angle), math.sin(angle))
+        got, want = _power(z, int(k), mul, 1 + 0j), z ** int(k)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (z, k)
 
 
 def test_expansion_identity():

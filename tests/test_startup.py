@@ -3,8 +3,9 @@ coin, the closed forms of `exact`, `xi` and of `simulate` on their coins
 with the total and moments of a closed-form distribution, the
 eigensystem of `spectrum`, the limit density of `limit`, the Kolmogorov
 distance of `compare` and the weighted moments of the limit law run on
-Python floats alone, and never import it; `simulate` and `xi` on a
-general coin do, and so does `xi` wherever it takes the propagator.  No
+Python floats alone, and never import it, nor do the one-word edges of
+`xi` on every coin; `simulate` on a general coin does, and so does `xi`
+wherever it takes the propagator.  No
 job imports `dataclasses`, whose import pulls in `inspect`, `argparse`
 and its `gettext`, or `fractions` and `decimal`.  The layers load on first use, so each job executes only
 the layers it calls."""
@@ -163,10 +164,12 @@ def test_xi_brute_loads_numpy():
 
 
 def test_xi_edges_leave_numpy_unloaded():
-    # the edges l = 0 and m = 0 of a kernel-family coin take the closed form
+    # the edges l = 0 and m = 0 take the closed form on a kernel-family
+    # coin and are one word on a general coin
     hadamard = os.path.join(COIN_DIR, "hadamard.json")
     assert not _loaded_after("".join(
-        _cli(["xi", "--coin", hadamard, "--l", str(l), "--m", str(m)])
+        _cli(["xi", "--coin", coin, "--l", str(l), "--m", str(m)])
+        for coin in (hadamard, SUPERPOSITION)
         for l, m in ((0, 0), (1, 0), (0, 1), (0, 500), (500, 0))))
 
 
