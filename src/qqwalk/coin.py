@@ -151,6 +151,11 @@ def check_norm(totals, steps: int) -> None:
         raise NormDriftError(float(drift), steps)
 
 
+def _cross(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
+    """Re(a alpha conj(b beta)), the spinor's cross term with the top row."""
+    return (coin.a * alpha * (coin.b * beta).conj()).re
+
+
 def split_pq(coin: Coin) -> MoveOperators:
     """P keeps the top row of the coin, Q keeps the bottom row."""
     zero = Quaternion.zero()

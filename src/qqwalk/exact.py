@@ -47,19 +47,19 @@ and writes each probability as a quadratic form in six of them, so it
 costs O(n).  A path sum needs a window of four coefficients of each set,
 which `_s_sums` reads off the descent after O(min(l, m)) steps.
 
-The closed forms compute on Python floats, complex numbers and integers,
-and load neither numpy nor `fractions`: a `PathSum.matrix` is a nested
-2 x 2 x 4 list from both routes, and a closed-form `Distribution` holds its
-probabilities as a list.  This module imports no numpy: only
-`xi_bruteforce`, through `walk._propagate`, runs it, and only for l and
-m >= 1.  The one-word edges, the unit phases and the kernel's start value
-are powers by `quaternion._power`, the loop the propagator runs too, and
-not by complex `**`.  Which coins have a closed form is decided in
-`coin`, before this module loads, so the CLI's `simulate` and `xi` take
-the closed forms where they exist and `walk.evolve` or `xi_bruteforce`
-elsewhere: both work for every valid coin.  The case1 and case2 coins
-have two-point and localized laws and no closed-form path sum; the
-kernel's families have four nonzero entries.
+The closed forms compute on Python floats, complex numbers and integers
+and load neither numpy nor `fractions`; only `xi_bruteforce`, through
+`walk._propagate`, runs numpy, and only for l and m >= 1.  Rows are read
+in the layout of `quaternion._phi` and `_pair`, `_path_sum` builds each
+`PathSum.matrix` (a nested 2 x 2 x 4 list), and the edge probabilities
+take their cross term from `coin._cross`.  The one-word edges, the unit
+phases and the kernel's start value are powers by `quaternion._power`,
+the loop the propagator runs too, and not by complex `**`.  Which coins
+have a closed form is decided in `coin`, before this module loads, so
+the CLI's `simulate` and `xi` take the closed forms where they exist and
+`walk.evolve` or `xi_bruteforce` elsewhere: both work for every valid
+coin.  The case1 and case2 coins have two-point and localized laws and
+no closed-form path sum; the kernel's families have four nonzero entries.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ from itertools import chain, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .coin import (Coin, _require_closed_family, _require_kernel_family, _u_rows,
-                   check_norm, check_spinor)
+from .coin import (Coin, _cross, _require_closed_family, _require_kernel_family,
+                   _u_rows, check_norm, check_spinor)
 from .errors import DomainError
-from .quaternion import Quaternion, _power
+from .quaternion import Quaternion, _pair, _phi, _power
 from .walk import Distribution, _propagate
 
 __all__ = [
@@ -129,11 +129,11 @@ def xi_bruteforce(coin: Coin, l: int, m: int) -> PathSum:
         else:
             w = _power(coin.d, m - 1, mul, one)
             rows = [[zero, zero], [w * coin.c, coin.d * w]]
-        return PathSum(l, m, [[q.to_list() for q in row] for row in rows])
+        return _path_sum(l, m, rows)
     # columns 0 and 2 of the identity: the spinors (1, 0) and (0, 1)
     cols = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
-    left, right = _propagate(coin, cols, l + m)[m].T.tolist()
-    return _path_sum(l, m, left, right)
+    walks = _propagate(coin, cols, l + m)[m].T.tolist()
+    return _path_sum(l, m, zip(*map(_pair, walks)))
 
 
 # ---------------------------------------------------------------------
@@ -234,11 +234,10 @@ def _walk_steps(u0: list[list[complex]], alpha: Quaternion, beta: Quaternion,
     """The walk after 0 .. steps steps, stepped on Python complexes (for a
     few steps only) by the rows u0 of U(0): each state lists its rows by the
     number of right moves, each row the four complex amplitudes of
-    `walk.WalkState`."""
+    `quaternion._phi`."""
     # rows 0-1 of U(0) are the image of the left move, rows 2-3 of the right
     p0, p1, q0, q1 = u0
-    state = [[alpha.simplex, alpha.perplex.conjugate(),
-              beta.simplex, beta.perplex.conjugate()]]
+    state = [_phi(alpha, beta)]
     states = [state]
     zero = [0j] * 4
     for _ in range(steps):
@@ -288,18 +287,10 @@ def _seed_rows(states: list, eps: int, twists: list) -> list[list[complex]]:
     return [*top, *pad, *low, *pad]
 
 
-def _from_phi(sp: complex, pp_bar: complex) -> list[float]:
-    """The quaternion sp + pp j whose 2x2 complex image has the first
-    column [sp, conj(pp)] = [sp, pp_bar]."""
-    return [sp.real, sp.imag, pp_bar.real, -pp_bar.imag]
-
-
-def _path_sum(l: int, m: int, left: list[complex], right: list[complex]) -> PathSum:
-    """Xi(l, m) from row m of the walks from (1, 0) and (0, 1) after l + m
-    steps, its left and right columns: four complex amplitudes each."""
-    (l0, l1, r0, r1), (l2, l3, r2, r3) = left, right
-    return PathSum(l, m, [[_from_phi(l0, l1), _from_phi(l2, l3)],
-                          [_from_phi(r0, r1), _from_phi(r2, r3)]])
+def _path_sum(l: int, m: int, rows) -> PathSum:
+    """Xi(l, m) from its two rows of two quaternions; row m of the walks
+    from (1, 0) and (0, 1) holds its columns, read by `_pair`."""
+    return PathSum(l, m, [[q.to_list() for q in row] for row in rows])
 
 
 def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
@@ -318,7 +309,7 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
     seeds = [_walk_steps(u0, alpha, beta, eps + 2)
              for alpha, beta in ((one, zero), (zero, one))]
     if half == 0:  # l + m <= 1: the identity, P or Q, a row of the seed walk
-        return _path_sum(l, m, *(states[eps][m] for states in seeds))
+        return _path_sum(l, m, zip(*(_pair(states[eps][m]) for states in seeds)))
     s, u, twists = _kernel_inputs(coin, u0, family)
     # row m weighs seed row i by e^(half-1)_k at k = r + 1 - i and by
     # e^(half-2)_k at k = r - i, r = m - half
@@ -331,17 +322,12 @@ def xi_closed(coin: Coin, l: int, m: int) -> PathSum:
         rows = _seed_rows(states, eps, twists)
         cols.append([p * sum(map(mul, coeffs, comp))
                      for p, comp in zip(phases, zip(*rows))])
-    return _path_sum(l, m, *cols)
+    return _path_sum(l, m, zip(*map(_pair, cols)))
 
 
 # ---------------------------------------------------------------------
 # closed-form probabilities
 # ---------------------------------------------------------------------
-
-def _interference(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
-    """Re(conj(alpha) conj(a) b beta), the init-coin cross term."""
-    return (alpha.conj() * coin.a.conj() * coin.b * beta).re
-
 
 def boundary_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
                   n: int, side: int) -> float:
@@ -355,7 +341,7 @@ def boundary_prob(coin: Coin, alpha: Quaternion, beta: Quaternion,
     bsq = coin.b.norm_sq()
     asq_n = alpha.norm_sq()
     bsq_n = beta.norm_sq()
-    cross = _interference(coin, alpha, beta)
+    cross = _cross(coin, alpha, beta)
     pref = asq ** (n - 1)
     if side > 0:
         return pref * (bsq * asq_n + asq * bsq_n - 2.0 * cross)

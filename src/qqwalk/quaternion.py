@@ -1,15 +1,19 @@
 """Quaternion arithmetic over float64.
 
 Hamilton product, conjugation, the simplex/perplex decomposition, the 2x2
-complex embedding of a quaternion (its blockwise extension to small
-quaternion matrices, and the conversion of quaternion pairs to and from
-the first column of their image), a closed-form solver for the
-one-sided linear equation a*x - x*b = c, and `_power`, the one binary
-powering of `walk` and `exact`, over any product.
+complex embedding of a quaternion and its blockwise extension to small
+quaternion matrices, a closed-form solver for the one-sided linear
+equation a*x - x*b = c, and `_power`, the one binary powering of `walk`
+and `exact`, over any product.
 
 Scalars are immutable `Quaternion` values; the complex image `chi_arr` also
 takes float64 arrays whose trailing axis holds the four components
 (x0, x1, x2, x3) of x0 + x1*i + x2*j + x3*k.
+
+Every layer stores a spinor (alpha, beta), x = x' + x'' j, as the first
+column of its complex image, [alpha', conj(alpha''), beta', conj(beta'')].
+`_phi` writes that layout and `_pair` reads it, for `walk`, `exact` and
+`spectral` alike; `_psi_of` is `_pair` over an array, for `WalkState.psi`.
 """
 
 from __future__ import annotations
@@ -255,17 +259,22 @@ def chi(x: Quaternion) -> np.ndarray:
     return chi_arr(x.to_array())
 
 
-def _phi_of(psi: np.ndarray) -> np.ndarray:
-    """First column of the complex image of each quaternion pair:
-    (..., 2, 4) floats -> (..., 4) complex."""
-    phi = np.empty(psi.shape[:-2] + (4,), dtype=np.complex128)
-    phi[..., 0::2] = psi[..., 0] + 1j * psi[..., 1]
-    phi[..., 1::2] = psi[..., 2] - 1j * psi[..., 3]
-    return phi
+def _phi(alpha: Quaternion, beta: Quaternion) -> list[complex]:
+    """The four complexes [alpha', conj(alpha''), beta', conj(beta'')] of
+    the spinor (alpha, beta): the first column of its complex image."""
+    return [alpha.simplex, alpha.perplex.conjugate(),
+            beta.simplex, beta.perplex.conjugate()]
+
+
+def _pair(row) -> tuple[Quaternion, Quaternion]:
+    """Inverse of `_phi`: four complexes -> the spinor (alpha, beta)."""
+    s0, p0, s1, p1 = row
+    return (Quaternion(s0.real, s0.imag, p0.real, -p0.imag),
+            Quaternion(s1.real, s1.imag, p1.real, -p1.imag))
 
 
 def _psi_of(phi: np.ndarray) -> np.ndarray:
-    """Inverse of `_phi_of`: (..., 4) complex -> (..., 2, 4) floats."""
+    """`_pair` over an array: (..., 4) complex -> (..., 2, 4) floats."""
     psi = np.empty(phi.shape[:-1] + (2, 4))
     psi[..., 0] = phi[..., 0::2].real
     psi[..., 1] = phi[..., 0::2].imag

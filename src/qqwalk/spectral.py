@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from . import exact, walk
-from .coin import Coin, _require_kernel_family, _u_rows
+from .coin import Coin, _cross, _require_kernel_family, _u_rows
 from .errors import DegenerateABError, DegenerateError, DomainError
-from .quaternion import Quaternion, _phi_of
+from .quaternion import Quaternion, _phi
 
 __all__ = [
     "EigenPair",
@@ -222,8 +222,8 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float) -> np.ndarray:
     the closed construction: C = B^{-1} A from `appendix_ab` is the
     direction quaternion (unit and pure imaginary at true eigen-angles);
     s = p - C p i with seed p = |b|^2, then
-    t = (conj(b)/|b|^2) (s e^{i(lam-theta)} - a s); the vector is
-    (s', conj(s''), t', conj(t'')).
+    t = (conj(b)/|b|^2) (s e^{i(lam-theta)} - a s); the vector is the
+    spinor (s, t) in the layout of `quaternion._phi`.
 
     The map p -> p - C p i is twice a projection; when C approaches -i
     the real seed lands in its kernel.  The perplex seed p = |b|^2 j spans
@@ -243,7 +243,7 @@ def eigenvector_closed(coin: Coin, theta: float, lam: float) -> np.ndarray:
             key=lambda q: q.norm())
     phase = Quaternion(math.cos(lam - theta), math.sin(lam - theta), 0.0, 0.0)
     t = (b.conj() / bsq) * (s * phase - coin.a * s)
-    vec = _phi_of(np.array([s.to_array(), t.to_array()]))
+    vec = _phi(s, t)
     if np.linalg.norm(vec) <= 1e-14:
         raise DegenerateABError("construction produced a null vector")
     return np.array(_real_positive(vec))
@@ -408,7 +408,7 @@ def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
 
     |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b beta)) / |a|^2.
 
-    The cross term is computed as a real part, which is always real; for
+    The cross term is `coin._cross`, a real part, which is always real; for
     quaternionic data the two summands of the printed symmetrization can
     carry opposite imaginary parts, and the real part is what the moment
     expansion uses.
@@ -416,8 +416,7 @@ def weight_constant(coin: Coin, alpha: Quaternion, beta: Quaternion) -> float:
     asq = coin.a.norm_sq()
     if asq <= 1e-24:
         raise DomainError("weight constant requires a != 0")
-    cross = (coin.a * alpha * (coin.b * beta).conj()).re
-    return alpha.norm_sq() - beta.norm_sq() + 2.0 * cross / asq
+    return alpha.norm_sq() - beta.norm_sq() + 2.0 * _cross(coin, alpha, beta) / asq
 
 
 @lru_cache(maxsize=32)

@@ -3,10 +3,10 @@
 Amplitudes live on the parity sublattice: after n steps the walker is
 supported on x in {-n, -n+2, ..., n}.  `WalkState` is the one amplitude
 state.  It stores, for each of the n+1 sites, the 4-component complex
-amplitude phi: the first column of the 2x2 complex image of the
-quaternion pair (left, right).  Its `psi` property is the same state as an
-(n+1, 2, 4) float array indexed by site, chirality (0 = left, 1 = right)
-and quaternion component.
+amplitude phi of the quaternion pair (left, right) in the layout that
+`quaternion._phi` writes and `_pair` reads; its `psi` property is the
+same state as an (n+1, 2, 4) float array indexed by site, chirality
+(0 = left, 1 = right) and quaternion component.
 
 `evolve` computes the state in momentum space.  One step multiplies the
 generating function sum_i phi_i z^i by the symbol cp + z cq, where the
@@ -43,7 +43,7 @@ from collections.abc import Sequence
 
 from . import _numpy as np
 from .coin import Coin, check_norm, check_spinor, u_theta
-from .quaternion import Quaternion, _phi_of, _power, _psi_of
+from .quaternion import Quaternion, _pair, _phi, _power, _psi_of
 
 __all__ = [
     "WalkState",
@@ -95,8 +95,7 @@ class WalkState(_Sublattice):
         i = self._row(x)
         if i is None:
             return Quaternion.zero(), Quaternion.zero()
-        left, right = _psi_of(self.phi[i])
-        return Quaternion.from_array(left), Quaternion.from_array(right)
+        return _pair(self.phi[i].tolist())
 
     def total_probability(self) -> float:
         return float(np.sum(np.abs(self.phi) ** 2))
@@ -127,7 +126,7 @@ class Distribution(_Sublattice):
 def init_state(alpha: Quaternion, beta: Quaternion) -> WalkState:
     """State at n = 0: the spinor (alpha, beta) at the origin."""
     check_spinor(alpha, beta)
-    return WalkState(0, _phi_of(np.array([[alpha.to_array(), beta.to_array()]])))
+    return WalkState(0, np.array([_phi(alpha, beta)]))
 
 
 def _propagate(coin: Coin, cols: np.ndarray, n: int) -> np.ndarray:
@@ -140,8 +139,9 @@ def _propagate(coin: Coin, cols: np.ndarray, n: int) -> np.ndarray:
     cq = cp.copy()
     cp[2:] = cq[:2] = 0.0
     z = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    power = cp + z[:, None, None] * cq  # symbol at each root
-    vec = _power(power, n, np.matmul, np.repeat([cols], n + 1, axis=0))
+    # no name here holds the symbols: the squarings keep two of them alive
+    vec = _power(cp + z[:, None, None] * cq, n, np.matmul,
+                 np.repeat([cols], n + 1, axis=0))
     phi = np.fft.ifft(vec, axis=0)
     # The DFT leaves round-off on sites the walk cannot reach.  A unitary
     # coin has zero entries only when b = c = 0 (a^n alpha at -n, d^n beta

@@ -4,10 +4,11 @@ Everything here is deliberately written against the package's public
 definitions but through a different computational route, so agreement is
 meaningful: a dict-based walk evolution, the site-by-site steppers the
 momentum-space propagator of `qqwalk.walk.evolve` is checked against
-(`step` in quaternion arithmetic, `step_fourier` by the complex images of
-the move operators, built by `move_images` from `split_pq` rather than
-from `u_theta`, and `step_walk`, which also records the total
-probability after every step), path sums by enumeration of every path,
+(`step` in quaternion arithmetic, writing its state through its own
+`phi_of` rather than the package's layout code, `step_fourier` by the
+complex images of the move operators, built by `move_images` from
+`split_pq` rather than from `u_theta`, and `step_walk`, which also
+records the total probability after every step), path sums by enumeration of every path,
 the Laurent coefficients of the Chebyshev polynomials
 U_j(s - (u/2)(w + 1/w)) of the closed forms in exact integer arithmetic
 (`chebyshev_laurent`) and, on the line s + u = 1, by a single binomial
@@ -28,7 +29,10 @@ velocity by grid scan and golden-section search
 eigensystem of U(theta) from numpy's `eig` (`numpy_eigen_system`), the
 product of small quaternion matrices by scalar quaternion products, and tiny
 utilities (`max_abs`, `is_unitary`, random quaternions and spinors, and
-coins a rounding off their class: `near_zero_coin`, `zero_entry_coin`).
+coins a rounding off their class: `near_zero_coin`, `zero_entry_coin`),
+the coin maps of the walk's symmetries (`symmetry_quaternion`,
+`conjugated_coin`, `mirrored_coin`) and the tracemalloc peak of one call
+(`traced_peak`).
 The componentwise array arithmetic `qmul_arr`, `qconj_arr` and
 `qnorm_arr` over (..., 4) float arrays serves the steppers and the bulk
 algebra checks.
@@ -37,6 +41,7 @@ algebra checks.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -53,7 +58,7 @@ from qqwalk.coin import (
     u_theta,
     validate_coin,
 )
-from qqwalk.quaternion import _phi_of, chi_inv_matrix, chi_matrix
+from qqwalk.quaternion import chi_inv_matrix, chi_matrix
 from qqwalk.spectral import DEGENERACY_TOL, EigenPair, case5_group_velocity
 from qqwalk.walk import WalkState, init_state
 
@@ -106,6 +111,16 @@ def dict_evolve(coin: Coin, alpha: Quaternion, beta: Quaternion, steps: int):
     return state
 
 
+def phi_of(psi: np.ndarray) -> np.ndarray:
+    """First column of the complex image of each quaternion pair, written
+    apart from the package's layout code: (..., 2, 4) floats -> (..., 4)
+    complex, [x0 + i x1, x2 - i x3] per quaternion."""
+    phi = np.empty(psi.shape[:-2] + (4,), dtype=np.complex128)
+    phi[..., 0::2] = psi[..., 0] + 1j * psi[..., 1]
+    phi[..., 1::2] = psi[..., 2] - 1j * psi[..., 3]
+    return phi
+
+
 def step(state: WalkState, ops: MoveOperators) -> WalkState:
     """One evolution step in quaternion arithmetic; coin entries multiply
     amplitudes from the left."""
@@ -114,7 +129,7 @@ def step(state: WalkState, ops: MoveOperators) -> WalkState:
     nxt = np.zeros((cur.shape[0] + 1, 2, 4))
     nxt[:-1, 0] = qmul_arr(coin[0, 0], cur[:, 0]) + qmul_arr(coin[0, 1], cur[:, 1])
     nxt[1:, 1] = qmul_arr(coin[1, 0], cur[:, 0]) + qmul_arr(coin[1, 1], cur[:, 1])
-    return WalkState(state.n + 1, _phi_of(nxt))
+    return WalkState(state.n + 1, phi_of(nxt))
 
 
 def _step_c4(cur: np.ndarray, cp: np.ndarray, cq: np.ndarray) -> np.ndarray:
@@ -608,3 +623,40 @@ def zero_entry_coin(rng: np.random.Generator, coin: Coin, zeroed: str,
     entries[zeroed] = Quaternion.zero()
     entries[partner] = Quaternion.from_array(x * (size / np.linalg.norm(x)))
     return validate_coin(*entries.values())
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def symmetry_quaternion(rng: np.random.Generator, kind: str) -> Quaternion:
+    """A unit q whose conjugation q x conj(q) keeps a coin of class `kind`
+    in its class: q in span{1, i} for case4, q = j (complex conjugation)
+    for complex coins, and any unit q for the others, which would turn
+    both of those into general coins."""
+    if kind == "case4":
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        return Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)
+    if kind == "complex":
+        return Quaternion.j()
+    v = rng.normal(size=4)
+    return Quaternion.from_array(v / np.linalg.norm(v))
+
+
+def conjugated_coin(coin: Coin, q: Quaternion) -> Coin:
+    """The coin with entries q x conj(q): from (q alpha conj(q), q beta
+    conj(q)) its amplitudes are q psi conj(q), so its law is the same."""
+    return validate_coin(*(q * x * q.conj() for x in coin.entries()))
+
+
+def mirrored_coin(coin: Coin) -> Coin:
+    """[[d, c], [b, a]]: the chiralities swapped, so from (beta, alpha) its
+    law is P(-x), and its path sum Xi'(m, l) is Xi(l, m) with both indices
+    swapped."""
+    return validate_coin(coin.d, coin.c, coin.b, coin.a)

@@ -35,14 +35,18 @@ from helpers import (
     case4_split,
     chebyshev_laurent,
     chebyshev_touching,
+    conjugated_coin,
     enumerate_xi,
     is_unitary,
     max_abs,
+    mirrored_coin,
     move_images,
     qmat_mul,
     random_quaternion,
     random_spinor,
     ratio4_coin,
+    symmetry_quaternion,
+    traced_peak,
 )
 
 S = math.sqrt(0.5)
@@ -595,7 +599,7 @@ def test_case5_prob_reads_the_distribution():
 def test_closed_form_distribution_small_a(n):
     # |a|^2 = 1e-4 is not dyadic, and the coefficients reach 60 where a
     # probability is 0.02.  The closed form is 1.1e-14, 1.9e-14, 4.6e-14
-    # and 4.3e-14 from the walk here.  With s the float |b|^2, s + u misses
+    # and 3.9e-14 from the walk here.  With s the float |b|^2, s + u misses
     # 1 by a rounding and n = 2000 reads 4.1e-12; with the Gram form summed
     # term by term in place of |R c|^2, n = 2001 reads 1.6e-12
     asq = 1e-4
@@ -607,8 +611,7 @@ def test_closed_form_distribution_small_a(n):
     alpha, beta = random_spinor(np.random.default_rng(0))
     sim = distribution(evolve(coin, alpha, beta, n))
     exact = closed_form_distribution(coin, alpha, beta, n)
-    bound = 1e-12 if n >= 2000 else 1e-11
-    assert np.max(np.abs(sim.probs - exact.probs)) <= bound
+    assert np.max(np.abs(sim.probs - exact.probs)) <= 1e-12
 
 
 def test_closed_form_distribution_total_at_large_n():
@@ -683,3 +686,30 @@ def test_boundary_prob_formulas():
         pref * (asq * alpha.norm_sq() + bsq * beta.norm_sq() + 2 * cross), abs=1e-15)
     assert boundary_prob(coin, alpha, beta, n, +1) == pytest.approx(
         pref * (bsq * alpha.norm_sq() + asq * beta.norm_sq() - 2 * cross), abs=1e-15)
+
+
+def test_xi_bruteforce_memory_holds_two_symbol_arrays():
+    # as for evolve, with (n + 1, 4, 2) blocks for the two unit spinors
+    l = m = 10000
+    coin = load_coin(os.path.join(COIN_DIR, "superposition.json"))
+    xi_bruteforce(coin, 3, 4)  # numpy's first-use allocations outside the trace
+    assert traced_peak(xi_bruteforce, coin, l, m) <= 2.75 * (l + m + 1) * 256
+
+
+@pytest.mark.parametrize("kind, xi", (("general", xi_bruteforce), ("case5", xi_closed)))
+@settings(derandomize=True, max_examples=1, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_path_sum_symmetries_beyond_enumeration(kind, xi, seed):
+    # at l + m = 800, far past the enumeration oracles: the mirrored coin
+    # swaps P and Q, so Xi'(m, l)[i][j] = Xi(l, m)[1 - i][1 - j], and the
+    # coin conjugated by q gives q Xi(l, m) conj(q) entrywise
+    l, m = 300, 500
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng, kind)
+    q = symmetry_quaternion(rng, kind)
+    want = np.array(xi(coin, l, m).matrix)
+    mirror = np.array(xi(mirrored_coin(coin), m, l).matrix)
+    assert max_abs(mirror[::-1, ::-1] - want) <= 1e-12
+    conj = np.array(xi(conjugated_coin(coin, q), l, m).matrix)
+    assert max_abs(conj - [[(q * Quaternion(*x) * q.conj()).to_list() for x in row]
+                           for row in want]) <= 1e-12

@@ -1,7 +1,6 @@
 import math
 import os
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,8 @@ from qqwalk.walk import distribution, evolve, moment
 from helpers import (arcsine_density, central_difference_velocities, eigen_angles,
                      numeric_char_poly, numpy_eigen_system, paper_direction,
                      paper_qqw_density, paper_support_radius_surd, quadrature_moment,
-                     random_spinor, scan_support_radius, unblocked_limit_cdf)
+                     random_spinor, scan_support_radius, traced_peak,
+                     unblocked_limit_cdf)
 
 S = math.sqrt(0.5)
 I = Quaternion.i()
@@ -625,13 +625,7 @@ def test_limit_cdf_memory_stays_in_blocks():
     params = qqw_limit_params(mixed_case5_coin())
     ys = np.linspace(-1.0, 1.0, 2001)
     limit_cdf(params, 0.3, ys)  # Gauss-Legendre nodes cached outside the trace
-    tracemalloc.start()
-    try:
-        limit_cdf(params, 0.3, ys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert traced_peak(limit_cdf, params, 0.3, ys) <= 4 * 2**20
 
 
 def test_limit_compare_contract():

@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqwalk import Coin, NormDriftError, NotNormalizedError, Quaternion
-from qqwalk.coin import COIN_CLASSES, hadamard_coin, load_coin, random_coin, split_pq
-from qqwalk.exact import boundary_prob
+from qqwalk.coin import (COIN_CLASSES, closed_family, hadamard_coin, load_coin,
+                         random_coin, split_pq)
+from qqwalk.exact import boundary_prob, closed_form_distribution
 from qqwalk.walk import Distribution, distribution, evolve, init_state, moment
 
 from helpers import (
+    conjugated_coin,
     dict_distribution,
     dict_evolve,
+    mirrored_coin,
     random_spinor,
     step,
     step_fourier,
     step_walk,
+    symmetry_quaternion,
+    traced_peak,
 )
 
 COINS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "coins")
@@ -330,3 +335,41 @@ def test_norm_drift_raises():
     one, zero = Quaternion(1), Quaternion.zero()
     with pytest.raises(NormDriftError):
         evolve(coin, one, zero, 1000)
+
+
+def test_evolve_memory_holds_two_symbol_arrays():
+    # the squarings hold the symbol and its square, (n + 1) x 256 bytes
+    # each: 2.31 of them here, 3.31 while a local name kept the first alive
+    n = 20000
+    coin = load_coin(os.path.join(COINS_DIR, "superposition.json"))
+    alpha, beta = Quaternion(0.5, 0.5), Quaternion(0.0, 0.0, 0.5, 0.5)
+    evolve(coin, alpha, beta, 10)  # numpy's first-use allocations outside the trace
+    assert traced_peak(evolve, coin, alpha, beta, n) <= 2.5 * (n + 1) * 256
+
+
+@pytest.mark.parametrize("kind", COIN_CLASSES + ("complex",))
+@settings(derandomize=True, max_examples=1, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_symmetries_of_the_law_at_large_n(kind, seed):
+    # three relations exact in the algebra, at an n no stepper reaches:
+    # the spinor times a unit q on the right, the coin and spinor
+    # conjugated by q, and the mirrored coin from (beta, alpha), whose law
+    # is P(-x).  The general coin walks, the others take the closed forms
+    n = 20000
+    rng = np.random.default_rng(seed)
+    coin = random_coin(rng, kind)
+    alpha, beta = random_spinor(rng)
+    q = symmetry_quaternion(rng, kind)
+    family = closed_family(coin)
+
+    def law(c, a, b):
+        assert closed_family(c) == family
+        if family is None:
+            return distribution(evolve(c, a, b, n)).probs
+        return np.array(closed_form_distribution(c, a, b, n).probs)
+
+    want = law(coin, alpha, beta)
+    for got in (law(coin, alpha * q, beta * q),
+                law(conjugated_coin(coin, q), q * alpha * q.conj(), q * beta * q.conj()),
+                law(mirrored_coin(coin), beta, alpha)[::-1]):
+        assert np.max(np.abs(got - want)) <= 1e-12
